@@ -34,7 +34,6 @@ from .tokens import (
     TokenBreakdown,
     Tokenizer,
     WordRegexTokenizer,
-    count_tokens,
     decompose,
     delta_vs_baseline,
     make_tokenizer,

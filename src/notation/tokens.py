@@ -3,12 +3,16 @@
 Counting is pluggable: a dependency-free byte counter (the default for
 all relative-delta work), a word/symbol regex counter, and a BPE counter
 that loads any vocab.json + merges.txt pair in the common plain-text
-interchange layout. Per-span counts are summed, never recomputed over
-concatenations, so component sums stay exactly additive.
+interchange layout. BPE counting takes O(n log n) in the UTF-8 length and
+gives the same counts as greedy lowest-rank merging (lowest rank first,
+leftmost first on ties), with no pre-tokenization. Per-span counts are
+summed, never recomputed over concatenations, so component sums stay
+exactly additive.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass
@@ -22,7 +26,6 @@ __all__ = [
     "WordRegexTokenizer",
     "BpeTokenizer",
     "make_tokenizer",
-    "count_tokens",
     "TokenBreakdown",
     "DeltaReport",
     "decompose",
@@ -122,22 +125,45 @@ class BpeTokenizer(Tokenizer):
         return cls(vocab, merges)
 
     def _merge(self, symbols: list[str]) -> list[str]:
-        while len(symbols) > 1:
-            best_rank = None
-            best_i = -1
-            for i in range(len(symbols) - 1):
-                rank = self.ranks.get((symbols[i], symbols[i + 1]))
-                if rank is not None and (best_rank is None or rank < best_rank):
-                    best_rank = rank
-                    best_i = i
-            if best_rank is None:
-                return symbols
-            symbols = (
-                symbols[:best_i]
-                + [symbols[best_i] + symbols[best_i + 1]]
-                + symbols[best_i + 2 :]
-            )
-        return symbols
+        """Apply merges lowest rank first, leftmost first on equal ranks.
+
+        Works in place: each position links to its live neighbours, and a
+        heap holds a (rank, position) entry per ranked adjacent pair. A merge
+        leaves entries behind whose pair is gone; since each rank names one
+        pair, re-reading the rank at pop time finds them and skips them.
+        """
+        ranks = self.ranks
+        n = len(symbols)
+        nxt = list(range(1, n + 1))
+        prv = list(range(-1, n - 1))
+        heap = [
+            (r, i)
+            for i, pair in enumerate(zip(symbols, symbols[1:]))
+            if (r := ranks.get(pair)) is not None
+        ]
+        heapq.heapify(heap)
+        while heap:
+            rank, i = heapq.heappop(heap)
+            j = nxt[i]
+            # a merged-away symbol is None, so its stale entries never match
+            if j == n or ranks.get((symbols[i], symbols[j])) != rank:
+                continue
+            merged = symbols[i] + symbols[j]
+            symbols[i] = merged
+            symbols[j] = None
+            k = nxt[j]
+            nxt[i] = k
+            if k < n:
+                prv[k] = i
+                r = ranks.get((merged, symbols[k]))
+                if r is not None:
+                    heapq.heappush(heap, (r, i))
+            p = prv[i]
+            if p >= 0:
+                r = ranks.get((symbols[p], merged))
+                if r is not None:
+                    heapq.heappush(heap, (r, p))
+        return [s for s in symbols if s is not None]
 
     def count(self, text: str) -> int:
         if not text:
@@ -160,10 +186,6 @@ def make_tokenizer(kind: str, vocab_path=None, merges_path=None) -> Tokenizer:
             raise VocabLoadError("bpe tokenizer needs vocabulary and merges files")
         return BpeTokenizer.from_files(vocab_path, merges_path)
     raise ValueError(f"unknown tokenizer kind: {kind!r}")
-
-
-def count_tokens(text: str, tokenizer: Tokenizer) -> int:
-    return tokenizer.count(text)
 
 
 def round_pct(v: float) -> float:

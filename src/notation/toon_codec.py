@@ -140,7 +140,14 @@ def encode_scalar(v: Value) -> str:
 
 
 def _encode_key(s: str) -> str:
-    if not s or any(ch in _KEY_TRIGGERS for ch in s) or s[0].isspace() or s[-1].isspace():
+    # a bare key starting with '-' would read back as a list item
+    if (
+        not s
+        or s[0] == "-"
+        or any(ch in _KEY_TRIGGERS for ch in s)
+        or s[0].isspace()
+        or s[-1].isspace()
+    ):
         return _quote(s)
     return s
 
@@ -303,7 +310,10 @@ class _ToonParser:
             m = _ARRAY_MARK_RE.match(content, idx)
             if not m:
                 raise ParseError("malformed array length marker", line=lineno)
-            declared = int(m.group(1))
+            try:
+                declared = int(m.group(1))
+            except ValueError:  # more digits than int() converts
+                raise ParseError("array length marker too long", line=lineno) from None
             idx = m.end()
             if idx < len(content) and content[idx] == "{":
                 header, idx = self._parse_header(content, idx, lineno)

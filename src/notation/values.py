@@ -247,6 +247,8 @@ DELIMITER_KEYS = (
     'quo"te',
     "new\nline",
     " pad ",
+    "-x",
+    "--dry-run",
 )
 
 SAFE_WORDS = ("id", "name", "size", "alpha", "beta", "gamma", "delta", "note", "kind", "flag")

@@ -88,6 +88,14 @@ def test_convert_decode_failure_exit_2(tmp_path, capsys):
     assert "ParseError" in err
 
 
+def test_convert_huge_length_marker_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.toon"
+    bad.write_text("a[" + "9" * 5000 + "]: 1\n")
+    code, _, err = run_cli(["convert", str(bad), "--from", "toon", "--to", "json"], capsys)
+    assert code == 2
+    assert "ParseError" in err
+
+
 def test_convert_missing_file_exit_3(tmp_path, capsys):
     code, _, _ = run_cli(["convert", str(tmp_path / "nope.json"), "--to", "toon"], capsys)
     assert code == 3

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from notation.agent import LoopConfig, run_trajectory
@@ -12,7 +12,7 @@ from notation.tokens import (
     UntaggedSpanError,
     VocabLoadError,
     WordRegexTokenizer,
-    count_tokens,
+    _BYTE_MAP,
     decompose,
     delta_vs_baseline,
     make_tokenizer,
@@ -20,12 +20,12 @@ from notation.tokens import (
 )
 from notation.agent import Span
 
-from conftest import simple_run_pieces
+from conftest import FIXTURES, simple_run_pieces
 
 
 def test_empty_counts_zero():
     for tok in (ByteCountTokenizer(), WordRegexTokenizer()):
-        assert count_tokens("", tok) == 0
+        assert tok.count("") == 0
 
 
 def test_byte_count_is_utf8_length():
@@ -50,12 +50,10 @@ def test_byte_count_monotone_under_append():
 
 
 def test_golden_toon_fixture_cheaper_than_json():
-    from conftest import FIXTURES
-
     tok = ByteCountTokenizer()
     toon = (FIXTURES / "figure3.toon").read_text()
     minimal_json = (FIXTURES / "figure3.json").read_text()
-    assert count_tokens(toon, tok) < count_tokens(minimal_json, tok)
+    assert tok.count(toon) < tok.count(minimal_json)
 
 
 def write_bpe_files(tmp_path, vocab: dict, merges: list[str]):
@@ -93,6 +91,85 @@ def test_bpe_merge_rank_order(tmp_path):
     vocab_path, merges_path = write_bpe_files(tmp_path, vocab, ["b c", "a b"])
     tok = BpeTokenizer.from_files(vocab_path, merges_path)
     assert tok.count("abc") == 2  # a + bc
+
+
+def test_bpe_equal_ranks_merge_leftmost(tmp_path):
+    vocab = {"a": 0, "b": 1, "aa": 2, "aab": 3}
+    vocab_path, merges_path = write_bpe_files(tmp_path, vocab, ["a a", "aa b"])
+    tok = BpeTokenizer.from_files(vocab_path, merges_path)
+    assert tok.count("aaab") == 3  # aa + a + b; merging the right "a a" first would give a + aab
+
+
+def reference_bpe_count(tok: BpeTokenizer, text: str) -> int:
+    """The original quadratic loop: rescan for the lowest rank, merge its first occurrence."""
+    symbols = [_BYTE_MAP[b] for b in text.encode("utf-8")]
+    while len(symbols) > 1:
+        best_rank = None
+        best_i = -1
+        for i in range(len(symbols) - 1):
+            rank = tok.ranks.get((symbols[i], symbols[i + 1]))
+            if rank is not None and (best_rank is None or rank < best_rank):
+                best_rank = rank
+                best_i = i
+        if best_rank is None:
+            break
+        symbols = symbols[:best_i] + [symbols[best_i] + symbols[best_i + 1]] + symbols[best_i + 2 :]
+    return sum(1 if sym in tok.vocab or len(sym) == 1 else len(sym) for sym in symbols)
+
+
+# Overlapping and chained merges, a duplicated line (the later rank wins),
+# and merged symbols left out of the vocabulary so the byte fallback counts.
+ADVERSARIAL_MERGES = [
+    ("a", "a"),
+    ("b", "c"),
+    ("aa", "aa"),
+    ("a", "aa"),
+    ("aa", "a"),
+    ("aa", "b"),
+    ("a", "b"),
+    ("a", "a"),
+    ("bc", "a"),
+    ("aaaa", "a"),
+    ('"', ":"),
+    (",", _BYTE_MAP[ord(" ")]),
+]
+ADVERSARIAL_VOCAB = {s: i for i, s in enumerate(["a", "b", "c", "aa", "bc", "aaaa", "aab", '":'])}
+BPE_TOKENIZERS = {
+    "fixture": BpeTokenizer.from_files(FIXTURES / "bpe" / "vocab.json", FIXTURES / "bpe" / "merges.txt"),
+    "adversarial": BpeTokenizer(ADVERSARIAL_VOCAB, ADVERSARIAL_MERGES),
+}
+
+BPE_TEXT = st.text(
+    st.one_of(
+        st.sampled_from("aaaabc"),
+        st.sampled_from('{}[]":,'),
+        st.sampled_from(" \t\n\r"),
+        st.characters(max_codepoint=0x7F),
+        st.characters(min_codepoint=0x80, exclude_categories=("Cs",)),
+    ),
+    max_size=300,
+)
+
+
+@pytest.mark.parametrize("name", sorted(BPE_TOKENIZERS))
+@settings(max_examples=300, deadline=None)
+@given(BPE_TEXT)
+@example("aaab")
+@example("aaaaaaaaa")
+@example('{"a": "bca", "aa": [1, 2]}')
+def test_bpe_count_matches_reference(name, text):
+    tok = BPE_TOKENIZERS[name]
+    assert tok.count(text) == reference_bpe_count(tok, text)
+
+
+@pytest.mark.parametrize("name", sorted(BPE_TOKENIZERS))
+def test_bpe_count_matches_reference_on_fixtures(name):
+    tok = BPE_TOKENIZERS[name]
+    paths = sorted(p for p in FIXTURES.rglob("*") if p.is_file())
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert tok.count(text) == reference_bpe_count(tok, text), path
 
 
 def test_bpe_load_errors(tmp_path):

@@ -141,11 +141,14 @@ def test_quoting_rules():
 
 
 def test_keys_are_quoted_when_unsafe():
-    v = from_python({"a,b": 1, "x: y": 2, "a[0]": 3, "}k": 4, "": 5})
+    v = from_python(
+        {"a,b": 1, "x: y": 2, "a[0]": 3, "}k": 4, "": 5, "-x": 6, "l": [{"--dry-run": 7}, 8]}
+    )
     doc = encode_toon(v)
     assert decode_toon(doc) == v
     assert '"a,b": 1' in doc
     assert '"": 5' in doc
+    assert '"-x": 6' in doc
 
 
 def test_item_list_forms():
