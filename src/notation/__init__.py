@@ -10,7 +10,6 @@ from .values import (
     Object,
     Text,
     Value,
-    equals,
     from_python,
     generate,
     signature,

@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
 )
 from .values import (
+    NULL,
     NUMBER_LITERAL_RE,
     Array,
     Bool,
@@ -39,6 +40,7 @@ from .values import (
     StructSignature,
     Text,
     Value,
+    _trusted,
     is_scalar,
     signature,
 )
@@ -223,6 +225,10 @@ def _encode_item(v: Value, depth: int, cfg: ToonGrammarConfig) -> list[str]:
 # Decoding.
 
 _ARRAY_MARK_RE = re.compile(r"\[([0-9]+)\]")
+_quoted_run = re.compile(r'[^"\\]*').match
+_bare_key = re.compile(r"[^:\[]*").match
+_UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
+_LITERALS = {"null": NULL, "true": Bool(True), "false": Bool(False)}
 
 # nesting cap keeps hostile input from exhausting the interpreter stack
 MAX_NESTING = 120
@@ -242,6 +248,8 @@ class _ToonParser:
         for i, raw in enumerate(text.split("\n"), start=1):
             if raw.endswith("\r"):
                 raw = raw[:-1]
+            if "\r" in raw:
+                raise ParseError("bare carriage return in line", line=i)
             if not raw.strip():
                 continue
             stripped = raw.lstrip(" ")
@@ -267,7 +275,7 @@ class _ToonParser:
         if not self.at_end():
             line = self.peek()
             raise IndentError(f"unexpected indentation depth {line.indent}", line=line.number)
-        return Object(pairs)
+        return _trusted(Object, tuple(pairs))
 
     def parse_fields(self, depth: int) -> list[tuple[str, Value]]:
         if depth > MAX_NESTING and not self.at_end():
@@ -298,12 +306,12 @@ class _ToonParser:
     def _parse_key(self, content: str, lineno: int) -> tuple[str, int]:
         if content[0] == '"':
             return _take_quoted(content, 0, lineno)
-        for i, ch in enumerate(content):
-            if ch in ":[":
-                if i == 0:
-                    raise ParseError("empty key must be quoted", line=lineno)
-                return content[:i], i
-        raise ParseError("expected ':' after key", line=lineno)
+        i = _bare_key(content).end()
+        if i == len(content):
+            raise ParseError("expected ':' after key", line=lineno)
+        if i == 0:
+            raise ParseError("empty key must be quoted", line=lineno)
+        return content[:i], i
 
     def _parse_payload(self, content: str, idx: int, depth: int, lineno: int) -> Value:
         if idx < len(content) and content[idx] == "[":
@@ -328,11 +336,11 @@ class _ToonParser:
             cells = _split_cells(rest[1:], lineno)
             if len(cells) != declared:
                 raise LengthMismatchError(declared, len(cells), line=lineno)
-            return Array(cells)
+            return _trusted(Array, tuple(cells))
         self._expect_colon(content, idx, lineno)
         rest = content[idx + 1 :]
         if not rest:
-            return Object(self.parse_fields(depth + 1))
+            return _trusted(Object, tuple(self.parse_fields(depth + 1)))
         if rest[0] != " ":
             raise ParseError("expected space after ':'", line=lineno)
         return _parse_scalar_rest(rest[1:], lineno)
@@ -365,6 +373,8 @@ class _ToonParser:
                 if not name:
                     raise ParseError("empty table header field", line=lineno)
                 idx = j
+            if name in fields:
+                raise DuplicateKeyError(name, line=lineno)
             fields.append(name)
             if idx >= len(content) or content[idx] not in ",}":
                 raise ParseError("expected ',' or '}' in table header", line=lineno)
@@ -381,16 +391,14 @@ class _ToonParser:
             cells = _split_cells(line.content, line.number)
             if len(cells) != len(header):
                 raise ArityMismatchError(len(header), len(cells), row=len(rows) + 1)
-            try:
-                rows.append(Object(zip(header, cells)))
-            except ValueError:
-                raise DuplicateKeyError(header[0], line=line.number) from None
+            # header fields are distinct (checked in _parse_header)
+            rows.append(_trusted(Object, tuple(zip(header, cells))))
         if not self.at_end() and self.peek().indent > depth + 1:
             line = self.peek()
             raise IndentError(f"unexpected indentation depth {line.indent}", line=line.number)
         if len(rows) != declared:
             raise LengthMismatchError(declared, len(rows), line=lineno)
-        return Array(rows)
+        return _trusted(Array, tuple(rows))
 
     def _parse_items(self, declared: int, depth: int, lineno: int) -> Array:
         if depth > MAX_NESTING:
@@ -407,12 +415,12 @@ class _ToonParser:
             raise IndentError(f"unexpected indentation depth {line.indent}", line=line.number)
         if len(items) != declared:
             raise LengthMismatchError(declared, len(items), line=lineno)
-        return Array(items)
+        return _trusted(Array, tuple(items))
 
     def _parse_item(self, line: _Line, depth: int) -> Value:
         content = line.content
         if content == "-":
-            return Object(self.parse_fields(depth + 1))
+            return _trusted(Object, tuple(self.parse_fields(depth + 1)))
         if not content.startswith("- "):
             raise ParseError("expected '- ' item", line=line.number)
         rest = content[2:]
@@ -426,31 +434,26 @@ def _take_quoted(s: str, idx: int, lineno: int) -> tuple[str, int]:
     assert s[idx] == '"'
     idx += 1
     out: list[str] = []
-    unescape = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
-    while idx < len(s):
-        ch = s[idx]
-        if ch == '"':
-            return "".join(out), idx + 1
-        if ch == "\\":
-            if idx + 1 >= len(s) or s[idx + 1] not in unescape:
-                raise ParseError("invalid escape in quoted string", line=lineno)
-            out.append(unescape[s[idx + 1]])
-            idx += 2
-            continue
-        out.append(ch)
-        idx += 1
-    raise ParseError("unterminated quoted string", line=lineno)
+    while True:
+        end = _quoted_run(s, idx).end()
+        out.append(s[idx:end])
+        if end == len(s):
+            raise ParseError("unterminated quoted string", line=lineno)
+        if s[end] == '"':
+            return "".join(out), end + 1
+        escaped = s[end + 1 : end + 2]
+        if escaped not in _UNESCAPE:
+            raise ParseError("invalid escape in quoted string", line=lineno)
+        out.append(_UNESCAPE[escaped])
+        idx = end + 2
 
 
 def _classify_bare(token: str) -> Value:
-    if token == "null":
-        return Null()
-    if token == "true":
-        return Bool(True)
-    if token == "false":
-        return Bool(False)
+    literal = _LITERALS.get(token)
+    if literal is not None:
+        return literal
     if NUMBER_LITERAL_RE.match(token):
-        return Number(token)
+        return _trusted(Number, token)
     return Text(token)
 
 

@@ -7,10 +7,15 @@ whose key sequence earned a class is emitted positionally as
 since positional arguments make key order load-bearing. Compression comes
 entirely from repetition, so a batch encoder shares one class table across
 many documents.
+
+The body decoder is the JSON scanner with one more kind of value, so it
+shares that scanner's regex runs and its string rules (no unpaired
+surrogates); an instance head ``Name(`` is read with one match.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -20,7 +25,7 @@ from .errors import (
     UnknownClassError,
 )
 from .json_codec import Scanner, encode_string
-from .values import Array, Bool, Null, Number, Object, StructSignature, Text, Value
+from .values import Array, Bool, Null, Number, Object, StructSignature, Text, Value, _trusted
 
 __all__ = [
     "ClassDef",
@@ -162,50 +167,37 @@ def encode_tron_batch(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCC
 # Decoding.
 
 
+_instance_head = re.compile(r"([A-Z]+)\(").match
+_class_name = re.compile(r"[A-Z]*").match
+
+
 class _TronScanner(Scanner):
     def __init__(self, text: str, classes: dict[str, StructSignature]):
         super().__init__(text)
         self.classes = classes
 
     def dispatch_value(self) -> Value:
-        ch = self.peek()
-        if "A" <= ch <= "Z":
+        if "A" <= self.text[self.pos : self.pos + 1] <= "Z":
             return self._parse_instance()
         return super().dispatch_value()
 
     def _parse_instance(self) -> Object:
         start = self.pos
-        i = self.pos
-        while i < len(self.text) and "A" <= self.text[i] <= "Z":
-            i += 1
-        name = self.text[start:i]
-        self.pos = i
-        if self.at_end() or self.text[self.pos] != "(":
+        m = _instance_head(self.text, start)
+        if m is None:
+            self.pos = _class_name(self.text, start).end()
+            name = self.text[start : self.pos]
             raise ParseError(f"expected '(' after class name {name}", pos=self.pos)
-        if name not in self.classes:
+        name = m.group(1)
+        fields = self.classes.get(name)
+        if fields is None:
             raise UnknownClassError(name, pos=start)
-        fields = self.classes[name]
-        self.pos += 1
-        args: list[Value] = []
-        self.skip_ws()
-        if not self.at_end() and self.peek() == ")":
-            self.pos += 1
-        else:
-            while True:
-                self.skip_ws()
-                args.append(self.parse_value())
-                self.skip_ws()
-                ch = self.peek()
-                if ch == ",":
-                    self.pos += 1
-                    continue
-                if ch == ")":
-                    self.pos += 1
-                    break
-                raise self.error("expected ',' or ')' in instance args")
+        self.pos = m.end() - 1
+        args = self.parse_items(")", "instance args")
         if len(args) != len(fields):
             raise ArityMismatchError(len(fields), len(args), class_name=name)
-        return Object(zip(fields, args))
+        # declared fields are distinct (checked in _parse_class_line)
+        return _trusted(Object, tuple(zip(fields, args)))
 
 
 _CLASS_PREFIX = "class "

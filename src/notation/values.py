@@ -23,7 +23,6 @@ __all__ = [
     "NULL",
     "StructSignature",
     "signature",
-    "equals",
     "is_scalar",
     "from_python",
     "to_python",
@@ -134,19 +133,16 @@ def is_scalar(v: Value) -> bool:
     return isinstance(v, (Null, Bool, Number, Text))
 
 
-def equals(a: Value, b: Value, key_order_sensitive: bool = True) -> bool:
-    """Structural equality; the insensitive flavor treats objects as maps."""
-    if key_order_sensitive:
-        return a == b
-    if isinstance(a, Object) and isinstance(b, Object):
-        if set(a.keys) != set(b.keys) or len(a) != len(b):
-            return False
-        return all(equals(v, b.get(k), False) for k, v in a.pairs)
-    if isinstance(a, Array) and isinstance(b, Array):
-        return len(a) == len(b) and all(
-            equals(x, y, False) for x, y in zip(a.items, b.items)
-        )
-    return a == b
+def _trusted(cls, field):
+    """A ``Number``, ``Array`` or ``Object`` holding ``field`` as given, unchecked.
+
+    For decoders only, which have already made the constructor's checks: a
+    number literal matches the grammar, object keys are distinct, and items
+    or pairs come as a tuple.
+    """
+    node = object.__new__(cls)
+    object.__setattr__(node, cls.__slots__[0], field)
+    return node
 
 
 def from_python(obj) -> Value:

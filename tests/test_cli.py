@@ -82,10 +82,12 @@ def test_convert_wrap_note_and_unwrap(tmp_path, capsys):
 
 def test_convert_decode_failure_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"a":')
-    code, _, err = run_cli(["convert", str(bad), "--to", "toon"], capsys)
-    assert code == 2
-    assert "ParseError" in err
+    # the unpaired surrogate used to decode and then crash the TOON output
+    for text in ('{"a":', '{"a":"\\ud800"}'):
+        bad.write_text(text)
+        code, _, err = run_cli(["convert", str(bad), "--to", "toon"], capsys)
+        assert code == 2
+        assert "ParseError" in err
 
 
 def test_convert_huge_length_marker_exit_2(tmp_path, capsys):

@@ -93,6 +93,20 @@ def test_strictness_cases():
             decode_json(bad)
 
 
+def test_number_errors_name_the_part_and_the_start():
+    for bad, reason, pos in (
+        ("[1.]", "malformed number fraction", 1),
+        ('{"a":-1.e3}', "malformed number fraction", 5),
+        ('{"a":1e}', "malformed number exponent", 5),
+        ("[2, 1.5e+]", "malformed number exponent", 4),
+        ("[-]", "malformed number", 1),
+        ("[01]", "expected ',' or ']' in array", 2),
+    ):
+        with pytest.raises(ParseError) as e:
+            decode_json(bad)
+        assert (e.value.reason, e.value.pos) == (reason, pos), bad
+
+
 def test_string_escapes():
     assert decode_json('"a\\nb"') == Text("a\nb")
     assert decode_json('"\\u00e9"') == Text("é")
@@ -101,6 +115,28 @@ def test_string_escapes():
         decode_json('"\\x41"')
     with pytest.raises(ParseError):
         decode_json('"raw\ncontrol"')
+    # \u takes exactly four hex digits, no sign, prefix, blank or underscore
+    for bad in ('"\\u-123"', '"\\u0x1a"', '"\\u 1a "', '"\\u1_2a"', '"\\u+123"', '"\\u12"'):
+        with pytest.raises(ParseError):
+            decode_json(bad)
+
+
+def test_unpaired_surrogates_rejected():
+    for bad, pos in (
+        ('{"a":"\\ud800"}', 6),
+        ('"\\udc00"', 1),
+        ('"x\\ud800\\u0041"', 2),
+        ('"\\ud800\\ud800"', 1),
+        ('"\\ude00\\ud83d"', 1),
+        ('"\\ud83d', 1),
+    ):
+        with pytest.raises(ParseError) as e:
+            decode_json(bad)
+        assert e.value.pos == pos, bad
+    # a str argument may hold a raw surrogate code point; it is rejected too
+    for raw in ('"\ud800"', '{"\udfff":1}', '["ok","a\ud83d\ude00"]'):
+        with pytest.raises(ParseError):
+            decode_json(raw)
 
 
 def test_unicode_emitted_raw():

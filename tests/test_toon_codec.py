@@ -117,6 +117,25 @@ def test_indent_errors():
 def test_duplicate_keys_rejected():
     with pytest.raises(DuplicateKeyError):
         decode_toon("a: 1\na: 2")
+    for doc in ("rows[2]{a,b,a}:\n  1,2,3\n  4,5,6", "x: 1\nrows[0]{a,a}:"):
+        with pytest.raises(DuplicateKeyError) as e:
+            decode_toon(doc)
+        assert e.value.key == "a"
+        assert e.value.line == doc.count("\n", 0, doc.index("{")) + 1
+
+
+def test_bare_carriage_return_rejected():
+    for doc, line in (
+        ("a: 1\rb: 2", 1),
+        ("a: 1\nb: x\ry", 2),
+        ('a: "x\ry"', 1),
+        ("a: 1\r\r\nb: 2", 1),
+        ("a: 1\n\r \nb: 2", 2),
+        ("rows[2]{a,b}:\n  1,2\n  3\r,4", 3),
+    ):
+        with pytest.raises(ParseError) as e:
+            decode_toon(doc)
+        assert e.value.line == line, doc
 
 
 def test_quoting_rules():

@@ -13,7 +13,6 @@ from notation.values import (
     Number,
     Object,
     Text,
-    equals,
     from_python,
     generate,
     signature,
@@ -24,8 +23,7 @@ from conftest import sample_document
 
 
 def test_null_equality():
-    assert equals(Null(), Null(), True)
-    assert equals(Null(), Null(), False)
+    assert Null() == Null()
 
 
 def test_object_rejects_duplicate_keys():
@@ -47,17 +45,10 @@ def test_number_keeps_literal():
 def test_key_order_sensitivity():
     a = from_python({"a": 1, "b": 2})
     b = from_python({"b": 2, "a": 1})
-    assert not equals(a, b, True)
-    assert equals(a, b, False)
-
-
-def test_order_insensitive_recurses():
-    a = from_python({"outer": {"a": 1, "b": [1, {"x": 1, "y": 2}]}})
-    b = from_python({"outer": {"b": [1, {"y": 2, "x": 1}], "a": 1}})
-    assert not equals(a, b, True)
-    assert equals(a, b, False)
-    c = from_python({"outer": {"a": 1, "b": [1, {"x": 1, "y": 3}]}})
-    assert not equals(a, c, False)
+    assert a != b
+    nested_a = from_python({"outer": {"a": 1, "b": [1, {"x": 1, "y": 2}]}})
+    nested_b = from_python({"outer": {"a": 1, "b": [1, {"y": 2, "x": 1}]}})
+    assert nested_a != nested_b
 
 
 def test_signature():
@@ -118,7 +109,7 @@ def test_profile_bounds_enforced():
 @given(st.integers(min_value=0, max_value=10**9))
 def test_generated_value_self_equal(seed):
     v = generate(seed, DEFAULT_PROFILE)
-    assert equals(v, v, True)
+    assert v == v
 
 
 @settings(max_examples=100)
