@@ -16,7 +16,7 @@ from .values import (
     to_python,
 )
 from .json_codec import JsonStyle, decode_json, encode_json
-from .toon_codec import ToonGrammarConfig, classify_array, decode_toon, encode_toon
+from .toon_codec import classify_array, decode_toon, encode_toon
 from .tron_codec import (
     ClassDef,
     ClassTable,

@@ -23,7 +23,7 @@ from .agent import (
     run_trajectory,
     without_corruption,
 )
-from .errors import CodecError
+from .errors import CodecError, ParseError
 from .formats import FORMATS, decode_doc, encode_doc, wraps_root
 from .json_codec import JsonStyle, decode_json, encode_json
 from .tokens import (
@@ -33,7 +33,8 @@ from .tokens import (
     decompose,
     delta_vs_baseline,
     make_tokenizer,
-    round_pct,
+    mean_pct,
+    pct_delta,
 )
 from .toon_codec import decode_toon, encode_toon
 from .tron_codec import encode_tron, encode_tron_batch
@@ -83,9 +84,25 @@ def _tokenizer_from_args(args) -> Tokenizer:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """A file's text, or stdin's for "-", decoded as UTF-8 with CRLF made LF.
+
+    Nothing else is translated, so a bare CR reaches the decoder and the CLI
+    accepts exactly what the library accepts. Bytes that are not UTF-8 are a
+    ``ParseError``.
+    """
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError("input is not valid UTF-8", pos=e.start) from None
+    return text.replace("\r\n", "\n")
+
+
+def _positive_int(arg: str) -> int:
+    n = int(arg)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return n
 
 
 def _write_report(path: str, report: dict) -> None:
@@ -105,12 +122,10 @@ def cmd_convert(args) -> int:
     src_fmt = args.src_format
     dst_fmt = _resolve_format(args.dst_format, default="json")
     try:
-        text = _read_input(args.input)
+        value = decode_doc(_read_input(args.input), src_fmt, unwrap=args.unwrap)
     except OSError as e:
         print(f"error: cannot read input: {e}", file=sys.stderr)
         return EXIT_IO
-    try:
-        value = decode_doc(text, src_fmt, unwrap=args.unwrap)
     except CodecError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DECODE
@@ -143,7 +158,7 @@ def _measure_corpus(corpus_dir: str, tokenizer: Tokenizer, batch: bool) -> dict:
     roots = []
     sums = {"json": 0, "toon": 0, "tron": 0}
     for path in paths:
-        value = decode_json(path.read_text(encoding="utf-8"))
+        value = decode_json(_read_input(str(path)))
         roots.append(value)
         counts = {
             "json": tokenizer.count(encode_json(value)),
@@ -154,28 +169,18 @@ def _measure_corpus(corpus_dir: str, tokenizer: Tokenizer, batch: bool) -> dict:
             sums[k] += v
         row = {"path": str(path), **counts}
         for fmt in ("toon", "tron"):
-            base = counts["json"]
-            row[f"{fmt}_delta_pct"] = (
-                None if base == 0 else round_pct((counts[fmt] - base) / base * 100.0)
-            )
+            row[f"{fmt}_delta_pct"] = pct_delta(counts[fmt], counts["json"])
         files.append(row)
-    mean_of_pct = {}
-    for fmt in ("toon", "tron"):
-        deltas = [row[f"{fmt}_delta_pct"] for row in files if row[f"{fmt}_delta_pct"] is not None]
-        mean_of_pct[fmt] = round_pct(sum(deltas) / len(deltas)) if deltas else None
+    mean_of_pct = {fmt: mean_pct([row[f"{fmt}_delta_pct"] for row in files]) for fmt in ("toon", "tron")}
     absolute = {**sums}
     for fmt in ("toon", "tron"):
-        absolute[f"{fmt}_delta_pct"] = (
-            None if sums["json"] == 0 else round_pct((sums[fmt] - sums["json"]) / sums["json"] * 100.0)
-        )
+        absolute[f"{fmt}_delta_pct"] = pct_delta(sums[fmt], sums["json"])
     aggregates = {"mean_of_percentages": mean_of_pct, "absolute_sum": absolute}
     if batch:
         batched = tokenizer.count(encode_tron_batch(roots))
         aggregates["absolute_sum_batched"] = {
             "tron": batched,
-            "tron_delta_pct": (
-                None if sums["json"] == 0 else round_pct((batched - sums["json"]) / sums["json"] * 100.0)
-            ),
+            "tron_delta_pct": pct_delta(batched, sums["json"]),
         }
     return {"tokenizer": tokenizer.name, "files": files, "aggregates": aggregates}
 
@@ -271,13 +276,8 @@ def _replay_report(args, tokenizer: Tokenizer) -> dict:
     t_break = decompose(target, tokenizer)
     r_break = decompose(reference, tokenizer)
     deltas = delta_vs_baseline(t_break, r_break)
-    component_deltas = [
-        deltas.deltas[c] for c in COMPONENTS if c != "total" and deltas.deltas[c] is not None
-    ]
     aggregates = {
-        "mean_of_percentages": round_pct(sum(component_deltas) / len(component_deltas))
-        if component_deltas
-        else None,
+        "mean_of_percentages": mean_pct([deltas.deltas[c] for c in COMPONENTS if c != "total"]),
         "absolute_sum": deltas.deltas["total"],
     }
     return {
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input file, or - for stdin")
     p.add_argument("--from", dest="src_format", choices=FORMATS, default="json")
     p.add_argument("--to", dest="dst_format", choices=FORMATS, default=None)
-    p.add_argument("--json-indent", type=int, default=None, help="pretty-print JSON output")
+    p.add_argument("--json-indent", type=_positive_int, default=None, help="pretty-print JSON output")
     p.add_argument("--unwrap", action="store_true", help="unwrap a synthetic 'value' root on decode")
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(func=cmd_convert)

@@ -3,7 +3,9 @@
 Minimal-style output is the baseline every byte/token delta is measured
 against, so the encoder emits raw UTF-8 (no \\uXXXX escaping beyond the
 mandatory quote/backslash/control cases) and the parser keeps number
-literals exactly as written instead of widening them to floats.
+literals exactly as written instead of widening them to floats. One
+walker writes minimal JSON and, given a class index, TRON bodies; strings
+go through the stdlib's C escaper.
 
 The parser reads whitespace, runs of plain string characters and number
 literals with one compiled-regex match each, so per-character work
@@ -17,9 +19,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from .errors import DuplicateKeyError, ParseError
-from .values import NULL, Array, Bool, Null, Number, Object, Text, Value, _trusted
+from .values import NULL, Array, Bool, Null, Number, Object, StructSignature, Text, Value, _trusted
 
 __all__ = ["JsonStyle", "MINIMAL", "encode_json", "decode_json", "Scanner"]
 
@@ -37,50 +40,72 @@ class JsonStyle:
 
 MINIMAL = JsonStyle()
 
-_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\b": "\\b",
-    "\f": "\\f",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
-
-
-def encode_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ch < " ":
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+# the stdlib's (C ``_json`` when built, else a regex): escapes ", \, \b \f
+# \n \r \t and other C0 controls as lowercase \u00xx, and nothing else, so
+# DEL, U+2028 and lone surrogates pass through
+encode_string = encode_basestring
 
 
 def encode_json(v: Value, style: JsonStyle = MINIMAL) -> str:
     if style.indent is None:
-        return _encode_minimal(v)
+        return _minimal(v)
     return _encode_pretty(v, style.indent, 0)
 
 
-def _encode_minimal(v: Value) -> str:
-    if isinstance(v, Null):
-        return "null"
-    if isinstance(v, Bool):
-        return "true" if v.value else "false"
-    if isinstance(v, Number):
-        return v.literal
-    if isinstance(v, Text):
-        return encode_string(v.value)
-    if isinstance(v, Array):
-        return "[" + ",".join(_encode_minimal(x) for x in v.items) + "]"
-    if isinstance(v, Object):
-        return "{" + ",".join(f"{encode_string(k)}:{_encode_minimal(x)}" for k, x in v.pairs) + "}"
-    raise TypeError(f"not a Value: {v!r}")
+def _minimal(v: Value) -> str:
+    out: list[str] = []
+    _emit(v, out, {})
+    return "".join(out)
+
+
+def _emit(v: Value, out: list[str], index: dict[StructSignature, str]) -> None:
+    """Append the minimal JSON text of ``v`` to ``out``, piece by piece.
+
+    With a non-empty class index this is TRON's body writer: an object whose
+    key tuple has a class name is written positionally as ``Name(a1,...)``.
+    Every container appends a separator after each child and then overwrites
+    the last one with its closing bracket.
+    """
+    t = type(v)
+    if t is Text:
+        out.append(encode_string(v.value))
+    elif t is Number:
+        out.append(v.literal)
+    elif t is Object:
+        pairs = v.pairs
+        if not pairs:
+            out.append("{}")
+            return
+        name = index.get(v.keys) if index else None
+        if name is None:
+            out.append("{")
+            for k, x in pairs:
+                out.append(encode_string(k) + ":")
+                _emit(x, out, index)
+                out.append(",")
+            out[-1] = "}"
+        else:
+            out.append(name + "(")
+            for _, x in pairs:
+                _emit(x, out, index)
+                out.append(",")
+            out[-1] = ")"
+    elif t is Array:
+        items = v.items
+        if not items:
+            out.append("[]")
+            return
+        out.append("[")
+        for x in items:
+            _emit(x, out, index)
+            out.append(",")
+        out[-1] = "]"
+    elif t is Bool:
+        out.append("true" if v.value else "false")
+    elif t is Null:
+        out.append("null")
+    else:
+        raise TypeError(f"not a Value: {v!r}")
 
 
 def _encode_pretty(v: Value, width: int, depth: int) -> str:
@@ -98,7 +123,7 @@ def _encode_pretty(v: Value, width: int, depth: int) -> str:
             f"{pad}{encode_string(k)}: {_encode_pretty(x, width, depth + 1)}" for k, x in v.pairs
         )
         return f"{{\n{body}\n{close}}}"
-    return _encode_minimal(v)
+    return _minimal(v)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ __all__ = [
     "decompose",
     "delta_vs_baseline",
     "round_pct",
+    "pct_delta",
+    "mean_pct",
     "SPAN_ORIGINS",
 ]
 
@@ -194,6 +196,17 @@ def round_pct(v: float) -> float:
     return sign * (int(abs(v) * 10 + 0.5) / 10)
 
 
+def pct_delta(x: float, base: float) -> float | None:
+    """Signed percent change of x against base, rounded; None when base is 0."""
+    return None if base == 0 else round_pct((x - base) / base * 100.0)
+
+
+def mean_pct(deltas: list[float | None]) -> float | None:
+    """Rounded mean of the deltas that are not None; None when there are none."""
+    known = [d for d in deltas if d is not None]
+    return round_pct(sum(known) / len(known)) if known else None
+
+
 @dataclass(frozen=True)
 class TokenBreakdown:
     schema_tokens: int
@@ -264,10 +277,4 @@ def decompose(trajectory, tokenizer: Tokenizer) -> TokenBreakdown:
 def delta_vs_baseline(x: TokenBreakdown, base: TokenBreakdown, baseline_name: str = "json") -> DeltaReport:
     xd = x.as_dict()
     bd = base.as_dict()
-    deltas: dict[str, float | None] = {}
-    for comp in COMPONENTS:
-        if bd[comp] == 0:
-            deltas[comp] = None
-        else:
-            deltas[comp] = round_pct((xd[comp] - bd[comp]) / bd[comp] * 100.0)
-    return DeltaReport(baseline=baseline_name, deltas=deltas)
+    return DeltaReport(baseline=baseline_name, deltas={c: pct_delta(xd[c], bd[c]) for c in COMPONENTS})

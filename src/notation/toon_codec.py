@@ -46,8 +46,6 @@ from .values import (
 )
 
 __all__ = [
-    "ToonGrammarConfig",
-    "DEFAULT_CONFIG",
     "WRAP_KEY",
     "ArrayShape",
     "classify_array",
@@ -59,20 +57,10 @@ __all__ = [
 WRAP_KEY = "value"
 
 
-@dataclass(frozen=True)
-class ToonGrammarConfig:
-    indent_width: int = 2
-    table_min_rows: int = 2
-    blank_line_between_top_level: bool = True
-
-    def __post_init__(self) -> None:
-        if self.indent_width < 1:
-            raise ValueError("indent_width must be >= 1")
-        if self.table_min_rows < 2:
-            raise ValueError("table_min_rows must be >= 2")
-
-
-DEFAULT_CONFIG = ToonGrammarConfig()
+# spaces per nesting level
+INDENT = 2
+# a same-shape object array shorter than this is an item list, not a table
+TABLE_MIN_ROWS = 2
 
 
 class ArrayShape(Enum):
@@ -81,13 +69,11 @@ class ArrayShape(Enum):
     ITEM_LIST = "item_list"
 
 
-def classify_array(
-    arr: Array, cfg: ToonGrammarConfig = DEFAULT_CONFIG
-) -> tuple[ArrayShape, StructSignature | None]:
+def classify_array(arr: Array) -> tuple[ArrayShape, StructSignature | None]:
     """Pick the encoding for an array; tables need same-signature scalar rows."""
     if all(is_scalar(x) for x in arr.items):
         return ArrayShape.PRIMITIVE_INLINE, None
-    if len(arr) >= cfg.table_min_rows and all(isinstance(x, Object) for x in arr.items):
+    if len(arr) >= TABLE_MIN_ROWS and all(isinstance(x, Object) for x in arr.items):
         sig = signature(arr.items[0])
         if sig and all(signature(x) == sig for x in arr.items):
             cells_ok = all(
@@ -103,17 +89,15 @@ def classify_array(
 # ---------------------------------------------------------------------------
 # Encoding.
 
-_SCALAR_TRIGGERS = set(',:"\n\r{[')
-_KEY_TRIGGERS = _SCALAR_TRIGGERS | set("}]")
+# a bare scalar or key holding any of these must be quoted
+_scalar_trigger = re.compile(r'[,:"\n\r{\[]').search
+_key_trigger = re.compile(r'[,:"\n\r{\[}\]]').search
 _QUOTE_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"}
+_quote_specials = re.compile(r'["\\\n\r]').sub
 
 
 def _quote(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        out.append(_QUOTE_ESCAPES.get(ch, ch))
-    out.append('"')
-    return "".join(out)
+    return '"' + _quote_specials(lambda m: _QUOTE_ESCAPES[m.group()], s) + '"'
 
 
 def _looks_reserved(s: str) -> bool:
@@ -132,7 +116,7 @@ def encode_scalar(v: Value) -> str:
         if (
             not s
             or _looks_reserved(s)
-            or any(ch in _SCALAR_TRIGGERS for ch in s)
+            or _scalar_trigger(s)
             or s[0].isspace()
             or s[-1].isspace()
         ):
@@ -146,7 +130,7 @@ def _encode_key(s: str) -> str:
     if (
         not s
         or s[0] == "-"
-        or any(ch in _KEY_TRIGGERS for ch in s)
+        or _key_trigger(s)
         or s[0].isspace()
         or s[-1].isspace()
     ):
@@ -154,38 +138,40 @@ def _encode_key(s: str) -> str:
     return s
 
 
-def encode_toon(v: Value, cfg: ToonGrammarConfig = DEFAULT_CONFIG) -> str:
-    """Encode a document; non-object roots get wrapped under WRAP_KEY."""
+def encode_toon(v: Value) -> str:
+    """Encode a document; non-object roots get wrapped under WRAP_KEY.
+
+    A blank line separates top-level fields.
+    """
     root = v if isinstance(v, Object) else Object(((WRAP_KEY, v),))
-    groups = [_encode_field(k, x, 0, cfg) for k, x in root.pairs]
     lines: list[str] = []
-    for i, group in enumerate(groups):
-        if i and cfg.blank_line_between_top_level:
+    for k, x in root.pairs:
+        if lines:
             lines.append("")
-        lines.extend(group)
+        lines.extend(_encode_field(k, x, 0))
     return "\n".join(lines)
 
 
-def _pad(depth: int, cfg: ToonGrammarConfig) -> str:
-    return " " * (depth * cfg.indent_width)
+def _pad(depth: int) -> str:
+    return " " * (depth * INDENT)
 
 
-def _encode_field(key: str, v: Value, depth: int, cfg: ToonGrammarConfig) -> list[str]:
-    head = _pad(depth, cfg) + _encode_key(key)
+def _encode_field(key: str, v: Value, depth: int) -> list[str]:
+    head = _pad(depth) + _encode_key(key)
     if is_scalar(v):
         return [f"{head}: {encode_scalar(v)}"]
     if isinstance(v, Object):
         lines = [f"{head}:"]
         for k, x in v.pairs:
-            lines.extend(_encode_field(k, x, depth + 1, cfg))
+            lines.extend(_encode_field(k, x, depth + 1))
         return lines
     if isinstance(v, Array):
-        return _encode_array(head, v, depth, cfg)
+        return _encode_array(head, v, depth)
     raise TypeError(f"not a Value: {v!r}")
 
 
-def _encode_array(head: str, arr: Array, depth: int, cfg: ToonGrammarConfig) -> list[str]:
-    shape, sig = classify_array(arr, cfg)
+def _encode_array(head: str, arr: Array, depth: int) -> list[str]:
+    shape, sig = classify_array(arr)
     n = len(arr)
     if shape is ArrayShape.PRIMITIVE_INLINE:
         if n == 0:
@@ -196,28 +182,28 @@ def _encode_array(head: str, arr: Array, depth: int, cfg: ToonGrammarConfig) -> 
         assert sig is not None
         header = ",".join(_encode_key(f) for f in sig)
         lines = [f"{head}[{n}]{{{header}}}:"]
-        row_pad = _pad(depth + 1, cfg)
+        row_pad = _pad(depth + 1)
         for item in arr.items:
             assert isinstance(item, Object)
             lines.append(row_pad + ",".join(encode_scalar(x) for _, x in item.pairs))
         return lines
     lines = [f"{head}[{n}]:"]
     for item in arr.items:
-        lines.extend(_encode_item(item, depth + 1, cfg))
+        lines.extend(_encode_item(item, depth + 1))
     return lines
 
 
-def _encode_item(v: Value, depth: int, cfg: ToonGrammarConfig) -> list[str]:
-    dash = _pad(depth, cfg) + "-"
+def _encode_item(v: Value, depth: int) -> list[str]:
+    dash = _pad(depth) + "-"
     if is_scalar(v):
         return [f"{dash} {encode_scalar(v)}"]
     if isinstance(v, Object):
         lines = [dash]
         for k, x in v.pairs:
-            lines.extend(_encode_field(k, x, depth + 1, cfg))
+            lines.extend(_encode_field(k, x, depth + 1))
         return lines
     if isinstance(v, Array):
-        return _encode_array(dash + " ", v, depth, cfg)
+        return _encode_array(dash + " ", v, depth)
     raise TypeError(f"not a Value: {v!r}")
 
 
@@ -242,8 +228,7 @@ class _Line:
 
 
 class _ToonParser:
-    def __init__(self, text: str, cfg: ToonGrammarConfig):
-        self.cfg = cfg
+    def __init__(self, text: str):
         self.lines: list[_Line] = []
         for i, raw in enumerate(text.split("\n"), start=1):
             if raw.endswith("\r"):
@@ -257,11 +242,9 @@ class _ToonParser:
             if stripped[0] == "\t" or "\t" in indent_chars:
                 raise IndentError("tab in indentation", line=i)
             width = len(indent_chars)
-            if width % cfg.indent_width:
-                raise IndentError(
-                    f"indentation of {width} is not a multiple of {cfg.indent_width}", line=i
-                )
-            self.lines.append(_Line(i, width // cfg.indent_width, stripped))
+            if width % INDENT:
+                raise IndentError(f"indentation of {width} is not a multiple of {INDENT}", line=i)
+            self.lines.append(_Line(i, width // INDENT, stripped))
         self.pos = 0
 
     def at_end(self) -> bool:
@@ -493,14 +476,14 @@ def _split_cells(s: str, lineno: int) -> list[Value]:
             raise ParseError("empty cell", line=lineno)
 
 
-def decode_toon(text: str, cfg: ToonGrammarConfig = DEFAULT_CONFIG, *, unwrap: bool = False) -> Value:
+def decode_toon(text: str, *, unwrap: bool = False) -> Value:
     """Strict inverse of encode_toon.
 
     Pass unwrap=True when the document is known to carry a wrapped
     non-object root (the encoder wraps those under WRAP_KEY); the flag
     travels outside the text, e.g. in a CLI header.
     """
-    doc = _ToonParser(text, cfg).parse_document()
+    doc = _ToonParser(text).parse_document()
     if unwrap:
         if len(doc) != 1 or doc.keys != (WRAP_KEY,):
             raise ParseError(f"expected a single {WRAP_KEY!r} key to unwrap")

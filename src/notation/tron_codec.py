@@ -24,8 +24,8 @@ from .errors import (
     ParseError,
     UnknownClassError,
 )
-from .json_codec import Scanner, encode_string
-from .values import Array, Bool, Null, Number, Object, StructSignature, Text, Value, _trusted
+from .json_codec import Scanner, _emit
+from .values import Array, Object, StructSignature, Value, _trusted
 
 __all__ = [
     "ClassDef",
@@ -63,10 +63,6 @@ class ClassTable:
         if len(set(names)) != len(names) or len(set(sigs)) != len(sigs):
             raise ValueError("class table must map names and signatures one-to-one")
 
-    @property
-    def index(self) -> dict[StructSignature, str]:
-        return {d.fields: d.name for d in self.defs}
-
     def __len__(self) -> int:
         return len(self.defs)
 
@@ -89,14 +85,16 @@ def _classable(sig: StructSignature) -> bool:
     return bool(sig) and all(f and "," not in f and "\n" not in f and "\r" not in f for f in sig)
 
 
-def _walk_objects(v: Value, visit) -> None:
-    if isinstance(v, Object):
-        visit(v)
+def _count_shapes(v: Value, counts: dict[StructSignature, int]) -> None:
+    t = type(v)
+    if t is Object:
+        sig = v.keys
+        counts[sig] = counts.get(sig, 0) + 1
         for _, x in v.pairs:
-            _walk_objects(x, visit)
-    elif isinstance(v, Array):
+            _count_shapes(x, counts)
+    elif t is Array:
         for x in v.items:
-            _walk_objects(x, visit)
+            _count_shapes(x, counts)
 
 
 def extract_classes(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> ClassTable:
@@ -108,15 +106,9 @@ def extract_classes(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCUR
     if min_occurrences < 1:
         raise ValueError("min_occurrences must be >= 1")
     counts: dict[StructSignature, int] = {}
-
-    def visit(obj: Object) -> None:
-        sig = obj.keys
-        if _classable(sig):
-            counts[sig] = counts.get(sig, 0) + 1
-
     for root in roots:
-        _walk_objects(root, visit)
-    qualifying = [sig for sig, n in counts.items() if n >= min_occurrences]
+        _count_shapes(root, counts)
+    qualifying = [sig for sig, n in counts.items() if n >= min_occurrences and _classable(sig)]
     return ClassTable(tuple(ClassDef(class_name_for(i), sig) for i, sig in enumerate(qualifying)))
 
 
@@ -124,43 +116,31 @@ def extract_classes(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCUR
 # Encoding.
 
 
-def _encode_term(v: Value, index: dict[StructSignature, str]) -> str:
-    if isinstance(v, Null):
-        return "null"
-    if isinstance(v, Bool):
-        return "true" if v.value else "false"
-    if isinstance(v, Number):
-        return v.literal
-    if isinstance(v, Text):
-        return encode_string(v.value)
-    if isinstance(v, Array):
-        return "[" + ",".join(_encode_term(x, index) for x in v.items) + "]"
-    if isinstance(v, Object):
-        name = index.get(v.keys)
-        if name is not None:
-            return f"{name}(" + ",".join(_encode_term(x, index) for _, x in v.pairs) + ")"
-        return "{" + ",".join(f"{encode_string(k)}:{_encode_term(x, index)}" for k, x in v.pairs) + "}"
-    raise TypeError(f"not a Value: {v!r}")
+def _render(table: ClassTable, roots: list[Value]) -> str:
+    """The class lines and a blank line, if any, then one body line per root.
 
-
-def _render(table: ClassTable, bodies: list[str]) -> str:
-    if len(table):
-        return "\n".join(table.header_lines()) + "\n\n" + "\n".join(bodies)
-    return "\n".join(bodies)
+    A body is the JSON walker's output with this table's class index.
+    """
+    index = {d.fields: d.name for d in table.defs}
+    out: list[str] = []
+    if index:
+        out.append("\n".join(table.header_lines()) + "\n\n")
+    for root in roots:
+        _emit(root, out, index)
+        out.append("\n")
+    out.pop()
+    return "".join(out)
 
 
 def encode_tron(v: Value, min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> str:
-    table = extract_classes([v], min_occurrences)
-    return _render(table, [_encode_term(v, table.index)])
+    return _render(extract_classes([v], min_occurrences), [v])
 
 
 def encode_tron_batch(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> str:
     """One shared class table, then each root's body on its own line."""
     if not roots:
         raise ValueError("batch must contain at least one document")
-    table = extract_classes(roots, min_occurrences)
-    index = table.index
-    return _render(table, [_encode_term(root, index) for root in roots])
+    return _render(extract_classes(roots, min_occurrences), roots)
 
 
 # ---------------------------------------------------------------------------

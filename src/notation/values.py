@@ -107,7 +107,7 @@ class Object(Value):
 
     @property
     def keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.pairs)
+        return tuple([k for k, _ in self.pairs])
 
     def get(self, key: str) -> Value | None:
         for k, v in self.pairs:

@@ -59,8 +59,13 @@ def test_convert_composition_tron_round_trip(tmp_path, capsys):
     assert out.rstrip("\n") == (FIXTURES / "figure3.json").read_text().rstrip("\n")
 
 
+def stdin_bytes(data: bytes):
+    """A text stdin over raw bytes, as the interpreter gives one."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def test_convert_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"a":1}'))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(b'{"a":1}'))
     code, out, _ = run_cli(["convert", "-", "--to", "toon"], capsys)
     assert code == 0
     assert out == "a: 1\n"
@@ -96,6 +101,51 @@ def test_convert_huge_length_marker_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["convert", str(bad), "--from", "toon", "--to", "json"], capsys)
     assert code == 2
     assert "ParseError" in err
+
+
+# one input per failure class; {tmp} is the test's directory, where
+# "in" holds the file bytes and "dir" is a directory
+EXIT_TABLE = [
+    ("toon bare CR, path", ["convert", "{tmp}/in", "--from", "toon"], b"a: 1\rb: 2", None, 2),
+    ("toon bare CR, stdin", ["convert", "-", "--from", "toon"], None, b"a: 1\rb: 2", 2),
+    ("json CRLF", ["convert", "{tmp}/in", "--to", "toon"], b'{\r\n "a": 1,\r\n "b": [2]\r\n}\r\n', None, 0),
+    ("toon CRLF", ["convert", "{tmp}/in", "--from", "toon"], b"a: 1\r\n\r\nb:\r\n  c: x\r\n", None, 0),
+    ("tron CRLF", ["convert", "{tmp}/in", "--from", "tron"], b"class A: x,y\r\n\r\n[A(1,2),A(3,4)]\r\n", None, 0),
+    ("tron CRLF, stdin", ["convert", "-", "--from", "tron"], None, b"class A: x\r\n\r\n[A(1),A(2)]", 0),
+    ("json syntax", ["convert", "{tmp}/in"], b'{"a":', None, 2),
+    ("not UTF-8, path", ["convert", "{tmp}/in"], b'{"a":"\xff"}', None, 2),
+    ("not UTF-8, stdin", ["convert", "-"], None, b'"\xc3"', 2),
+    ("not UTF-8, measure", ["measure", "{tmp}/dir"], b'{"a":"\xff"}', None, 2),
+    ("missing path", ["convert", "{tmp}/nope.json"], None, None, 3),
+    ("directory as input", ["convert", "{tmp}/dir"], None, None, 3),
+    ("unknown flag", ["convert", "{tmp}/in", "--no-such-flag"], b"{}", None, 64),
+    ("bad flag value", ["convert", "{tmp}/in", "--json-indent", "0"], b"{}", None, 64),
+    ("bad flag choice", ["convert", "{tmp}/in", "--to", "yaml"], b"{}", None, 64),
+    ("out-of-range failure rate", REPLAY_ARGS + ["--failure-rate", "2"], None, None, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, data, stdin, expected",
+    [case[1:] for case in EXIT_TABLE],
+    ids=[case[0] for case in EXIT_TABLE],
+)
+def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, data, stdin, expected):
+    (tmp_path / "dir").mkdir()
+    if data is not None:
+        (tmp_path / "in").write_bytes(data)
+        (tmp_path / "dir" / "in.json").write_bytes(data)
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", stdin_bytes(stdin))
+    try:
+        code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    except SystemExit as e:  # argparse usage errors
+        code = e.code
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert "Traceback" not in err
+    if expected:
+        assert "error" in err
 
 
 def test_convert_missing_file_exit_3(tmp_path, capsys):

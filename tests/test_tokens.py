@@ -16,6 +16,8 @@ from notation.tokens import (
     decompose,
     delta_vs_baseline,
     make_tokenizer,
+    mean_pct,
+    pct_delta,
     round_pct,
 )
 from notation.agent import Span
@@ -280,6 +282,17 @@ def test_delta_zero_baseline_is_na():
     report = delta_vs_baseline(x, base)
     assert report.deltas["schema_tokens"] is None
     assert report.deltas["total"] == 0.0
+
+
+def test_pct_delta_and_mean_pct():
+    assert pct_delta(5, 0) is None
+    assert pct_delta(0, 0) is None
+    assert pct_delta(0, 4) == -100.0
+    assert pct_delta(73, 100) == -27.0
+    assert pct_delta(1, 3) == -66.7  # rounded half away from zero
+    assert mean_pct([None, None]) is None
+    assert mean_pct([]) is None
+    assert mean_pct([10.0, None, -4.5]) == 2.8
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,7 +13,6 @@ from notation.errors import (
 from notation.json_codec import encode_json
 from notation.toon_codec import (
     ArrayShape,
-    ToonGrammarConfig,
     classify_array,
     decode_toon,
     encode_toon,
@@ -65,7 +64,6 @@ def test_classify_mixed_signatures():
 def test_classify_below_min_rows():
     arr = from_python([{"a": 1, "b": 2}])
     assert classify_array(arr)[0] is ArrayShape.ITEM_LIST
-    assert classify_array(arr, ToonGrammarConfig(table_min_rows=2))[0] is ArrayShape.ITEM_LIST
 
 
 def test_classify_rejects_empty_string_cells():
@@ -211,21 +209,19 @@ def test_unwrap_requires_single_value_key():
 
 
 def test_blank_line_flag():
+    # a blank line between top-level fields on encode; optional on decode
     v = from_python({"a": 1, "b": 2})
     assert encode_toon(v) == "a: 1\n\nb: 2"
-    cfg = ToonGrammarConfig(blank_line_between_top_level=False)
-    assert encode_toon(v, cfg) == "a: 1\nb: 2"
-    assert decode_toon(encode_toon(v, cfg), cfg) == v
+    assert decode_toon("a: 1\nb: 2") == v
 
 
-def test_indent_width_config():
-    cfg = ToonGrammarConfig(indent_width=4)
+def test_nested_fields_indent_two_spaces():
     v = from_python({"a": {"b": 1}})
-    doc = encode_toon(v, cfg)
-    assert doc == "a:\n    b: 1"
-    assert decode_toon(doc, cfg) == v
+    doc = encode_toon(v)
+    assert doc == "a:\n  b: 1"
+    assert decode_toon(doc) == v
     with pytest.raises(IndentError):
-        decode_toon(doc)  # default width 2 rejects width-4 indentation
+        decode_toon("a:\n    b: 1")  # one level is two spaces, not four
 
 
 def test_crlf_input_tolerated():
@@ -287,10 +283,3 @@ def test_empty_cell_rejected():
         decode_toon("k[3]: a,,b")
     with pytest.raises(ParseError):
         decode_toon("k[2]: a,")
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ToonGrammarConfig(indent_width=0)
-    with pytest.raises(ValueError):
-        ToonGrammarConfig(table_min_rows=1)
