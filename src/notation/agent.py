@@ -559,7 +559,10 @@ def load_trace(path: str | Path) -> ScriptedAgent:
     it in whatever output format the run uses.
     """
     turns: list[ScriptTurn] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    # JSON lines end at "\n" only: text may hold U+2028 and other characters
+    # that str.splitlines() would also break at
+    for lineno, line in enumerate(Path(path).read_bytes().decode("utf-8").split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         rec = decode_json(line)

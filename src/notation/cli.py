@@ -105,6 +105,13 @@ def _positive_int(arg: str) -> int:
     return n
 
 
+def _rate(arg: str) -> float:
+    x = float(arg)
+    if not 0.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError("must be in [0, 1]")
+    return x
+
+
 def _write_report(path: str, report: dict) -> None:
     text = encode_json(from_python(report), JsonStyle(indent=2))
     Path(path).write_text(text + "\n", encoding="utf-8")
@@ -414,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES_CHOICES, default="full")
     p.add_argument("--task", default="replay")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--failure-rate", type=float, default=0.0)
-    p.add_argument("--max-iterations", type=int, default=20)
+    p.add_argument("--failure-rate", type=_rate, default=0.0)
+    p.add_argument("--max-iterations", type=_positive_int, default=20)
     p.add_argument("--out", help="write the machine-readable report here")
     _add_tokenizer_flags(p)
     p.set_defaults(func=cmd_replay)

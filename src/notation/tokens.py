@@ -1,9 +1,14 @@
 """Token counting and the schema/call/result consumption breakdown.
 
 Counting is pluggable: a dependency-free byte counter (the default for
-all relative-delta work), a word/symbol regex counter, and a BPE counter
-that loads any vocab.json + merges.txt pair in the common plain-text
-interchange layout. BPE counting takes O(n log n) in the UTF-8 length and
+all relative-delta work), a word/symbol counter, and a BPE counter that
+loads any vocab.json + merges.txt pair in the common plain-text
+interchange layout. The word counter gives the number of word-character
+runs plus non-space symbols without building a string per token: each
+character maps to its class (word, space, symbol) through a byte table,
+and ``bytes.count`` finds the symbols and the first character of each
+word run; runs of non-ASCII text are first replaced by ASCII stand-ins of
+the same count. BPE counting takes O(n log n) in the UTF-8 length and
 gives the same counts as greedy lowest-rank merging (lowest rank first,
 leftmost first on ties), with no pre-tokenization. Per-span counts are
 summed, never recomputed over concatenations, so component sums stay
@@ -62,15 +67,52 @@ class ByteCountTokenizer(Tokenizer):
 
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+_is_word = re.compile(r"\w").fullmatch
+_is_space = re.compile(r"\s").fullmatch
+
+
+def _char_class(ch: str) -> str:
+    """The class of ch under _WORD_RE, as an ASCII character of that class.
+
+    "w" for a word character, " " for a space, "!" for a one-token symbol.
+    """
+    return "w" if _is_word(ch) else " " if _is_space(ch) else "!"
+
+
+# ASCII byte -> its class character; count() only translates ASCII
+_CLASS_TABLE = "".join(_char_class(chr(b)) for b in range(128)).encode("ascii").ljust(256, b"!")
+
+# a non-ASCII character and what follows it up to the next ASCII word
+# character or ASCII control that is not a space
+_non_ascii_runs = re.compile(r"[^\x00-\x7f][^\x00-\x08\x0e-\x1b0-9A-Za-z\x7f]*").sub
+
+
+def _ascii_standin(m: re.Match) -> str:
+    """ASCII text with the run's token count and its first and last class."""
+    run = m.group()
+    if len(run) == 1:
+        return _char_class(run)
+    n = _WORD_RE.subn("", run)[1]  # the token count, without a list of tokens
+    first, last = _char_class(run[0]), _char_class(run[-1])
+    if n == 1 and first == last == "w":
+        return "w"
+    return first + " " + "!" * (n - (first != " ") - (last != " ")) + " " + last
 
 
 class WordRegexTokenizer(Tokenizer):
-    """Maximal word-character runs plus one token per non-space symbol."""
+    """Maximal word-character runs plus one token per non-space symbol.
+
+    The count equals ``len(_WORD_RE.findall(text))``: symbols, plus word
+    characters that follow a space, a symbol or the start of the text.
+    """
 
     name = "words"
 
     def count(self, text: str) -> int:
-        return len(_WORD_RE.findall(text))
+        if not text.isascii():
+            text = _non_ascii_runs(_ascii_standin, text)
+        c = text.encode("ascii").translate(_CLASS_TABLE)
+        return c.count(b"!") + c.count(b" w") + c.count(b"!w") + c.startswith(b"w")
 
 
 def _bytes_to_unicode() -> dict[int, str]:

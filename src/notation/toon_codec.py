@@ -41,8 +41,6 @@ from .values import (
     Text,
     Value,
     _trusted,
-    is_scalar,
-    signature,
 )
 
 __all__ = [
@@ -69,19 +67,21 @@ class ArrayShape(Enum):
     ITEM_LIST = "item_list"
 
 
+_SCALAR_TYPES = frozenset((Null, Bool, Number, Text))
+
+
 def classify_array(arr: Array) -> tuple[ArrayShape, StructSignature | None]:
     """Pick the encoding for an array; tables need same-signature scalar rows."""
-    if all(is_scalar(x) for x in arr.items):
+    items = arr.items
+    kinds = set(map(type, items))
+    if kinds <= _SCALAR_TYPES:
         return ArrayShape.PRIMITIVE_INLINE, None
-    if len(arr) >= TABLE_MIN_ROWS and all(isinstance(x, Object) for x in arr.items):
-        sig = signature(arr.items[0])
-        if sig and all(signature(x) == sig for x in arr.items):
-            cells_ok = all(
-                is_scalar(v) and not (isinstance(v, Text) and v.value == "")
-                for x in arr.items
-                for _, v in x.pairs
-            )
-            if cells_ok:
+    if len(items) >= TABLE_MIN_ROWS and kinds == {Object}:
+        sig = items[0].keys
+        if sig and all(x.keys == sig for x in items):
+            cells = [v for x in items for _, v in x.pairs]
+            # an empty cell would read back as a missing one
+            if set(map(type, cells)) <= _SCALAR_TYPES and all(v.value for v in cells if type(v) is Text):
                 return ArrayShape.UNIFORM_TABLE, sig
     return ArrayShape.ITEM_LIST, None
 
@@ -89,9 +89,14 @@ def classify_array(arr: Array) -> tuple[ArrayShape, StructSignature | None]:
 # ---------------------------------------------------------------------------
 # Encoding.
 
-# a bare scalar or key holding any of these must be quoted
-_scalar_trigger = re.compile(r'[,:"\n\r{\[]').search
-_key_trigger = re.compile(r'[,:"\n\r{\[}\]]').search
+# A string is written bare when it reads back as the same string: not empty,
+# not a literal or a number, no space at either edge, and none of the
+# characters that end a scalar or open a container. A bare key must also not
+# start with '-', which would read back as a list item, nor hold a bracket.
+_is_bare_scalar = re.compile(
+    rf'(?!(?:true|false|null)\Z|{NUMBER_LITERAL_RE.pattern})(?!\s)[^,:"\n\r{{\[]+(?<!\s)'
+).fullmatch
+_is_bare_key = re.compile(r'(?![\s-])[^,:"\n\r{\[}\]]+(?<!\s)').fullmatch
 _QUOTE_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"}
 _quote_specials = re.compile(r'["\\\n\r]').sub
 
@@ -100,42 +105,22 @@ def _quote(s: str) -> str:
     return '"' + _quote_specials(lambda m: _QUOTE_ESCAPES[m.group()], s) + '"'
 
 
-def _looks_reserved(s: str) -> bool:
-    return s in ("true", "false", "null") or bool(NUMBER_LITERAL_RE.match(s))
-
-
 def encode_scalar(v: Value) -> str:
-    if isinstance(v, Null):
-        return "null"
-    if isinstance(v, Bool):
-        return "true" if v.value else "false"
-    if isinstance(v, Number):
-        return v.literal
-    if isinstance(v, Text):
+    t = type(v)
+    if t is Text:
         s = v.value
-        if (
-            not s
-            or _looks_reserved(s)
-            or _scalar_trigger(s)
-            or s[0].isspace()
-            or s[-1].isspace()
-        ):
-            return _quote(s)
-        return s
+        return s if _is_bare_scalar(s) else _quote(s)
+    if t is Number:
+        return v.literal
+    if t is Bool:
+        return "true" if v.value else "false"
+    if t is Null:
+        return "null"
     raise TypeError(f"not a scalar: {v!r}")
 
 
 def _encode_key(s: str) -> str:
-    # a bare key starting with '-' would read back as a list item
-    if (
-        not s
-        or s[0] == "-"
-        or _key_trigger(s)
-        or s[0].isspace()
-        or s[-1].isspace()
-    ):
-        return _quote(s)
-    return s
+    return s if _is_bare_key(s) else _quote(s)
 
 
 def encode_toon(v: Value) -> str:
@@ -143,68 +128,58 @@ def encode_toon(v: Value) -> str:
 
     A blank line separates top-level fields.
     """
-    root = v if isinstance(v, Object) else Object(((WRAP_KEY, v),))
-    lines: list[str] = []
-    for k, x in root.pairs:
-        if lines:
-            lines.append("")
-        lines.extend(_encode_field(k, x, 0))
-    return "\n".join(lines)
+    root = v if type(v) is Object else Object(((WRAP_KEY, v),))
+    out: list[str] = []
+    for pair in root.pairs:
+        if out:
+            out.append("")
+        _emit_fields((pair,), 0, out)
+    return "\n".join(out)
 
 
-def _pad(depth: int) -> str:
-    return " " * (depth * INDENT)
+# The walker: _emit_fields appends the lines of an object's fields,
+# _emit_array those of one array, item lists included; both dispatch on
+# type(v) and append to one list that encode_toon joins once.
 
 
-def _encode_field(key: str, v: Value, depth: int) -> list[str]:
-    head = _pad(depth) + _encode_key(key)
-    if is_scalar(v):
-        return [f"{head}: {encode_scalar(v)}"]
-    if isinstance(v, Object):
-        lines = [f"{head}:"]
-        for k, x in v.pairs:
-            lines.extend(_encode_field(k, x, depth + 1))
-        return lines
-    if isinstance(v, Array):
-        return _encode_array(head, v, depth)
-    raise TypeError(f"not a Value: {v!r}")
+def _emit_fields(pairs: tuple[tuple[str, Value], ...], depth: int, out: list[str]) -> None:
+    pad = " " * (depth * INDENT)
+    for k, v in pairs:
+        head = pad + _encode_key(k)
+        t = type(v)
+        if t is Object:
+            out.append(head + ":")
+            _emit_fields(v.pairs, depth + 1, out)
+        elif t is Array:
+            _emit_array(head, v, depth, out)
+        else:
+            out.append(head + ": " + encode_scalar(v))
 
 
-def _encode_array(head: str, arr: Array, depth: int) -> list[str]:
+def _emit_array(head: str, arr: Array, depth: int, out: list[str]) -> None:
+    """head is a field's padded key, or a padded "- " for an item."""
     shape, sig = classify_array(arr)
-    n = len(arr)
+    items = arr.items
+    n = len(items)
     if shape is ArrayShape.PRIMITIVE_INLINE:
-        if n == 0:
-            return [f"{head}[0]:"]
-        cells = ",".join(encode_scalar(x) for x in arr.items)
-        return [f"{head}[{n}]: {cells}"]
-    if shape is ArrayShape.UNIFORM_TABLE:
-        assert sig is not None
-        header = ",".join(_encode_key(f) for f in sig)
-        lines = [f"{head}[{n}]{{{header}}}:"]
-        row_pad = _pad(depth + 1)
-        for item in arr.items:
-            assert isinstance(item, Object)
-            lines.append(row_pad + ",".join(encode_scalar(x) for _, x in item.pairs))
-        return lines
-    lines = [f"{head}[{n}]:"]
-    for item in arr.items:
-        lines.extend(_encode_item(item, depth + 1))
-    return lines
-
-
-def _encode_item(v: Value, depth: int) -> list[str]:
-    dash = _pad(depth) + "-"
-    if is_scalar(v):
-        return [f"{dash} {encode_scalar(v)}"]
-    if isinstance(v, Object):
-        lines = [dash]
-        for k, x in v.pairs:
-            lines.extend(_encode_field(k, x, depth + 1))
-        return lines
-    if isinstance(v, Array):
-        return _encode_array(dash + " ", v, depth)
-    raise TypeError(f"not a Value: {v!r}")
+        out.append(f"{head}[{n}]: " + ",".join(map(encode_scalar, items)) if n else f"{head}[0]:")
+    elif shape is ArrayShape.UNIFORM_TABLE:
+        out.append(f"{head}[{n}]{{" + ",".join(map(_encode_key, sig)) + "}:")
+        pad = " " * ((depth + 1) * INDENT)
+        for x in items:
+            out.append(pad + ",".join([encode_scalar(c) for _, c in x.pairs]))
+    else:
+        out.append(f"{head}[{n}]:")
+        dash = " " * ((depth + 1) * INDENT) + "-"
+        for x in items:
+            t = type(x)
+            if t is Object:
+                out.append(dash)
+                _emit_fields(x.pairs, depth + 2, out)
+            elif t is Array:
+                _emit_array(dash + " ", x, depth + 1, out)
+            else:
+                out.append(dash + " " + encode_scalar(x))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "NULL",
     "StructSignature",
     "signature",
-    "is_scalar",
     "from_python",
     "to_python",
     "GenProfile",
@@ -127,10 +126,6 @@ def signature(v: Value) -> StructSignature | None:
     if isinstance(v, Object):
         return v.keys
     return None
-
-
-def is_scalar(v: Value) -> bool:
-    return isinstance(v, (Null, Bool, Number, Text))
 
 
 def _trusted(cls, field):

@@ -425,6 +425,25 @@ def test_fixture_loaders(tmp_path):
     assert record.cascade_count == 1
 
 
+def test_trace_lines_end_at_newline_only(tmp_path):
+    # str.splitlines() breaks at all four; json.dumps writes the first three raw
+    odd = "a\u2028b\u2029c\x85d\x0ce"
+    intents = [
+        {"thought": odd, "action": "probe", "arguments": {"x": odd}},
+        {"final_answer": odd},
+    ]
+    lines = [
+        json.dumps({"turn": i, "role": "agent", "text": json.dumps(intent, ensure_ascii=False)}, ensure_ascii=False)
+        for i, intent in enumerate(intents)
+    ]
+    assert "\u2028" in lines[0] and "\x85" in lines[1]
+    trace_file = tmp_path / "trace.jsonl"
+    for ending in ("\n", "\r\n"):
+        trace_file.write_bytes((ending.join(lines) + ending).encode("utf-8"))
+        agent = load_trace(trace_file)
+        assert [turn.intent for turn in agent.turns] == [from_python(intent) for intent in intents]
+
+
 def test_trace_loader_rejects_bad_records(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"turn": 0, "role": "user", "text": "{}"}))

@@ -121,7 +121,8 @@ EXIT_TABLE = [
     ("unknown flag", ["convert", "{tmp}/in", "--no-such-flag"], b"{}", None, 64),
     ("bad flag value", ["convert", "{tmp}/in", "--json-indent", "0"], b"{}", None, 64),
     ("bad flag choice", ["convert", "{tmp}/in", "--to", "yaml"], b"{}", None, 64),
-    ("out-of-range failure rate", REPLAY_ARGS + ["--failure-rate", "2"], None, None, 2),
+    ("out-of-range failure rate", REPLAY_ARGS + ["--failure-rate", "2"], None, None, 64),
+    ("zero max iterations", REPLAY_ARGS + ["--max-iterations", "0"], None, None, 64),
 ]
 
 

@@ -3,19 +3,20 @@
 The references below are the earlier encoders, kept here as test-only
 oracles: a per-character JSON string escaper, the recursive minimal and
 pretty JSON writers, TRON's own term writer and shape walk, and TOON's
-per-character quoting and trigger checks. The codecs must give the same
-text for every generated document.
+recursive encoder with its array classifier and its per-character quoting
+and trigger checks. The codecs must give the same text for every
+generated document.
 """
 
 import json
-from unittest import mock
+import re
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from notation import toon_codec
 from notation.json_codec import JsonStyle, encode_json, encode_string
-from notation.toon_codec import encode_toon
+from notation.toon_codec import WRAP_KEY, ArrayShape, classify_array, encode_toon
 from notation.tron_codec import ClassDef, ClassTable, class_name_for, encode_tron, encode_tron_batch
 from notation.values import (
     DEFAULT_PROFILE,
@@ -153,12 +154,83 @@ def reference_toon_key(s):
     return s
 
 
+def reference_classify(arr):
+    if all(isinstance(x, (Null, Bool, Number, Text)) for x in arr.items):
+        return ArrayShape.PRIMITIVE_INLINE, None
+    if len(arr) >= 2 and all(isinstance(x, Object) for x in arr.items):
+        sig = arr.items[0].keys
+        if sig and all(x.keys == sig for x in arr.items):
+            cells_ok = all(
+                isinstance(v, (Null, Bool, Number, Text)) and not (isinstance(v, Text) and v.value == "")
+                for x in arr.items
+                for _, v in x.pairs
+            )
+            if cells_ok:
+                return ArrayShape.UNIFORM_TABLE, sig
+    return ArrayShape.ITEM_LIST, None
+
+
 def reference_toon(v):
-    """encode_toon with the per-character scalar and key quoting put back."""
-    with mock.patch.object(toon_codec, "encode_scalar", reference_toon_scalar), mock.patch.object(
-        toon_codec, "_encode_key", reference_toon_key
-    ):
-        return encode_toon(v)
+    """The recursive TOON encoder, one list of lines per node."""
+    root = v if isinstance(v, Object) else Object(((WRAP_KEY, v),))
+    lines = []
+    for k, x in root.pairs:
+        if lines:
+            lines.append("")
+        lines.extend(_reference_field(k, x, 0))
+    return "\n".join(lines)
+
+
+def _reference_field(key, v, depth):
+    head = "  " * depth + reference_toon_key(key)
+    if isinstance(v, (Null, Bool, Number, Text)):
+        return [f"{head}: {reference_toon_scalar(v)}"]
+    if isinstance(v, Object):
+        lines = [f"{head}:"]
+        for k, x in v.pairs:
+            lines.extend(_reference_field(k, x, depth + 1))
+        return lines
+    return _reference_array(head, v, depth)
+
+
+def _reference_array(head, arr, depth):
+    shape, sig = reference_classify(arr)
+    n = len(arr)
+    if shape is ArrayShape.PRIMITIVE_INLINE:
+        if n == 0:
+            return [f"{head}[0]:"]
+        return [f"{head}[{n}]: " + ",".join(reference_toon_scalar(x) for x in arr.items)]
+    if shape is ArrayShape.UNIFORM_TABLE:
+        lines = [f"{head}[{n}]{{" + ",".join(reference_toon_key(f) for f in sig) + "}:"]
+        for item in arr.items:
+            lines.append("  " * (depth + 1) + ",".join(reference_toon_scalar(x) for _, x in item.pairs))
+        return lines
+    lines = [f"{head}[{n}]:"]
+    for item in arr.items:
+        lines.extend(_reference_item(item, depth + 1))
+    return lines
+
+
+def _reference_item(v, depth):
+    dash = "  " * depth + "-"
+    if isinstance(v, (Null, Bool, Number, Text)):
+        return [f"{dash} {reference_toon_scalar(v)}"]
+    if isinstance(v, Object):
+        lines = [dash]
+        for k, x in v.pairs:
+            lines.extend(_reference_field(k, x, depth + 1))
+        return lines
+    return _reference_array(dash + " ", v, depth)
+
+
+def arrays_in(v):
+    if isinstance(v, Object):
+        for _, x in v.pairs:
+            yield from arrays_in(x)
+    elif isinstance(v, Array):
+        yield v
+        for x in v.items:
+            yield from arrays_in(x)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +242,7 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 # every character either encoder treats specially, plus ones neither does
 SPECIAL_TEXT = st.text(
     alphabet=st.sampled_from(
-        list(',:"\\{}[]-\n\r\t\b\f \x00\x01\x1f\x7f\x85\xa0\u2028\u2029\ud800\udfff')
+        list(',:"\\{}[]-\n\r\t\b\f\x0b \x00\x01\x1c\x1f\x7f\x85\xa0\u2028\u2029\u3000\ud800\udfff')
         + ["a", "1", "é", "😀"]
     ),
     max_size=12,
@@ -185,6 +257,7 @@ def test_documents_encode_as_the_references_do(seed, profile):
     assert encode_json(v, JsonStyle(indent=2)) == reference_pretty(v, 2)
     assert encode_json(v, JsonStyle(indent=3)) == reference_pretty(v, 3)
     assert encode_toon(v) == reference_toon(v)
+    assert all(classify_array(arr) == reference_classify(arr) for arr in arrays_in(v))
     assert encode_tron(v) == reference_tron([v])
 
 
@@ -204,6 +277,10 @@ def test_encode_string_is_json_dumps(s):
 
 @settings(max_examples=300, deadline=None)
 @given(SPECIAL_TEXT)
+@example("\x0bx")
+@example("x\x1c")
+@example("\u3000-1\u3000")
+@example("-1e5")
 def test_toon_scalar_and_key_quoting_as_the_references_do(s):
     assert toon_codec.encode_scalar(Text(s)) == reference_toon_scalar(Text(s))
     assert toon_codec._encode_key(s) == reference_toon_key(s)
@@ -211,3 +288,13 @@ def test_toon_scalar_and_key_quoting_as_the_references_do(s):
     doc = Object(((s, Text(s)), ("rows", Array((Object(((s, Text(s)),)),) * 2))))
     assert encode_toon(doc) == reference_toon(doc)
     assert encode_tron(doc) == reference_tron([doc])
+
+
+def test_toon_quotes_every_space_at_an_edge():
+    # the encoder tests edges with the regex \s, the reference with str.isspace()
+    every = "".join(map(chr, range(0x110000)))
+    spaces = {c for c in every if c.isspace()} | set(re.findall(r"\s", every))
+    for c in sorted(spaces):
+        for s in (c, c + "x", "x" + c, "x" + c + "x", c + "-1"):
+            assert toon_codec.encode_scalar(Text(s)) == reference_toon_scalar(Text(s))
+            assert toon_codec._encode_key(s) == reference_toon_key(s)

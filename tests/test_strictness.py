@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from notation.errors import CodecError, ParseError
 from notation.json_codec import MAX_NESTING, MINIMAL, JsonStyle, decode_json, encode_json
 from notation.toon_codec import decode_toon, encode_toon
-from notation.tron_codec import decode_tron, decode_tron_batch, encode_tron
+from notation.tron_codec import decode_tron, decode_tron_batch, encode_tron, encode_tron_batch
 from notation.values import (
     DEFAULT_PROFILE,
     DELIMITER_PROFILE,
+    TABULAR_PROFILE,
     Array,
     Number,
     Object,
@@ -99,6 +100,64 @@ def test_mutated_documents_never_escape_codec_errors():
             for _ in range(5):
                 text = mutate(text)
                 decode_or_codec_error(text)
+
+
+# ---------------------------------------------------------------------------
+# Mutation fuzzing of TOON and TRON: valid encodings of generated documents,
+# truncated, with UTF-8 bytes flipped, or with delimiters spliced in. A
+# decoder returns a value or raises CodecError, and a value it returns
+# encodes back to text that decodes to the same value.
+
+CODECS = {
+    "toon": (encode_toon, decode_toon),
+    "tron": (encode_tron, decode_tron),
+    "tron batch": (encode_tron_batch, decode_tron_batch),
+}
+DELIMITERS = list(',:"\\\n\r\t -[]{}()#') + ["  ", "- ", "[2]", "[0]:", "{a,b}:", "A(", "class A: a", '""', "null"]
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0, 1), st.just("")),
+    st.tuples(st.just("flip"), st.floats(0, 1), st.sampled_from([chr(1 << k) for k in range(8)])),
+    st.tuples(st.just("splice"), st.floats(0, 1), st.sampled_from(DELIMITERS)),
+    st.tuples(st.just("replace"), st.floats(0, 1), st.sampled_from(DELIMITERS)),
+)
+
+
+def mutate(text: str, op: str, where: float, token: str) -> str:
+    if op == "flip":  # one UTF-8 byte; bytes that are not UTF-8 become lone surrogates
+        data = bytearray(text.encode("utf-8", "surrogateescape"))
+        if not data:
+            return token
+        i = min(int(where * len(data)), len(data) - 1)
+        data[i] ^= ord(token)
+        return data.decode("utf-8", "surrogateescape")
+    i = min(int(where * len(text)), len(text))
+    if op == "truncate":
+        return text[:i]
+    if op == "splice":
+        return text[:i] + token + text[i:]
+    return text[:i] + token + text[i + 1 :]
+
+
+GENERATED = st.tuples(st.integers(0, 10**6), st.sampled_from([DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.sampled_from(sorted(CODECS)),
+    st.lists(GENERATED, min_size=1, max_size=3),
+    st.lists(MUTATIONS, min_size=1, max_size=4),
+)
+def test_mutated_toon_and_tron_decode_or_raise_codec_error(codec, docs, mutations):
+    encode, decode = CODECS[codec]
+    roots = [generate(seed, profile) for seed, profile in docs]
+    text = encode(roots) if codec == "tron batch" else encode(roots[0])
+    for mutation in mutations:
+        text = mutate(text, *mutation)
+    try:
+        v = decode(text)
+    except CodecError:
+        return
+    assert decode(encode(v)) == v
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +43,54 @@ def test_word_regex_counting():
     assert tok.count("hello world") == 2
     assert tok.count('{"a":1}') == 7  # { " a " : 1 } each symbol separate, spaces free
     assert tok.count("a,b,c") == 5
+
+
+def reference_word_count(text: str) -> int:
+    """The original counter: build every token, then count them."""
+    return len(re.findall(r"\w+|[^\w\s]", text))
+
+
+# ASCII and Unicode spaces, controls that are and are not spaces, digits and
+# marks that are word characters, multi-byte letters and lone surrogates
+WORD_TEXT = st.text(
+    st.one_of(
+        st.sampled_from("ab_9 ,:\"{}[]-."),
+        st.characters(max_codepoint=0x7F),
+        st.sampled_from("\x00\x08\t\n\x0b\x0c\r\x0e\x1b\x1c\x1d\x1e\x1f\x7f\x85\xa0\u2028\u2029\u3000"),
+        st.sampled_from("\xb2\u0660\u0301\xe9\u4e2d\u6587\u3002\U0001f600\ud800\udc00\udfff"),
+        st.characters(min_codepoint=0x80),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(WORD_TEXT)
+@example("")
+@example("\u00e9")
+@example("a\u00e9 \u00e9!")
+@example("\u4e2d\u6587, \u6d4b\u8bd5 ")
+@example(" \u3000x\u0301\ud800")
+def test_word_count_matches_reference(text):
+    assert WordRegexTokenizer().count(text) == reference_word_count(text)
+
+
+def test_word_count_matches_reference_on_every_code_point():
+    tok = WordRegexTokenizer()
+    every = [chr(cp) for cp in range(0x110000)]
+    # one long run, then each character alone between word characters
+    for sep in ("", "a"):
+        text = sep.join(every)
+        assert tok.count(text) == reference_word_count(text), repr(sep)
+
+
+def test_word_count_matches_reference_on_fixtures():
+    tok = WordRegexTokenizer()
+    paths = sorted(p for p in FIXTURES.rglob("*") if p.is_file())
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert tok.count(text) == reference_word_count(text), path
 
 
 def test_byte_count_monotone_under_append():
