@@ -12,8 +12,6 @@ from .values import (
     Value,
     from_python,
     generate,
-    signature,
-    to_python,
 )
 from .json_codec import JsonStyle, decode_json, encode_json
 from .toon_codec import classify_array, decode_toon, encode_toon

@@ -357,9 +357,6 @@ def cmd_roundtrip(args) -> int:
     )
     from .tron_codec import decode_tron
 
-    if args.count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     profiles = {
         "default": [DEFAULT_PROFILE],
         "delimiters": [DELIMITER_PROFILE],
@@ -429,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="generate documents and check all codecs round-trip")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_positive_int, default=1000)
     p.add_argument("--profile", choices=("default", "delimiters", "tabular", "mixed"), default="mixed")
     p.set_defaults(func=cmd_roundtrip)
 

@@ -7,22 +7,40 @@ literals exactly as written instead of widening them to floats. One
 walker writes minimal JSON and, given a class index, TRON bodies; strings
 go through the stdlib's C escaper.
 
-The parser reads whitespace, runs of plain string characters and number
-literals with one compiled-regex match each, so per-character work
-happens only at an escape. Decoded strings are always valid Unicode
-(RFC 8259 section 8.2): a \\uD800-\\uDFFF escape that is not a high-low
-pair, and a raw surrogate code point in a ``str`` argument, are both a
-``ParseError``, since such a string cannot be written out as UTF-8.
+Decoding has two paths. The accept path hands the text to the stdlib's C
+scanner, with hooks that keep number literals as written and object
+members as ordered pairs, then builds the nodes in one walk that also
+checks for duplicate keys and nesting past ``MAX_NESTING``. ``Scanner``,
+the reject path, is the strict recursive-descent parser that defines what
+is accepted and what each error says. It reads every text the accept path
+does not take:
+
+* text with a surrogate escape or a raw surrogate code point, sent there
+  before the stdlib sees it (the stdlib keeps a lone surrogate);
+* text the stdlib rejects, including a BOM, ``NaN``/``Infinity``, trailing
+  data and nesting deep enough for a ``RecursionError``;
+* text the stdlib accepts but the walk refuses: a duplicate key, or a
+  value deeper than ``MAX_NESTING``.
+
+Both paths return the same nodes, and every error is ``Scanner``'s, with
+its reason and position. ``Scanner`` reads whitespace, runs of plain
+string characters and number literals with one compiled-regex match each,
+so per-character work happens only at an escape. Decoded strings are
+always valid Unicode (RFC 8259 section 8.2): a \\uD800-\\uDFFF escape that
+is not a high-low pair, and a raw surrogate code point in a ``str``
+argument, are both a ``ParseError``, since such a string cannot be written
+out as UTF-8.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 
 from .errors import DuplicateKeyError, ParseError
-from .values import NULL, Array, Bool, Null, Number, Object, StructSignature, Text, Value, _trusted
+from .values import NULL, Array, Bool, Null, Number, Object, StructSignature, Text, Value
 
 __all__ = ["JsonStyle", "MINIMAL", "encode_json", "decode_json", "Scanner"]
 
@@ -64,44 +82,52 @@ def _emit(v: Value, out: list[str], index: dict[StructSignature, str]) -> None:
     With a non-empty class index this is TRON's body writer: an object whose
     key tuple has a class name is written positionally as ``Name(a1,...)``.
     Every container appends a separator after each child and then overwrites
-    the last one with its closing bracket.
+    the last one with its closing bracket. Text and Number children, the
+    most common, are written inside the container loops, which saves a call
+    per scalar.
     """
     t = type(v)
     if t is Text:
-        out.append(encode_string(v.value))
+        out.append(encode_string(v[1]))
     elif t is Number:
-        out.append(v.literal)
+        out.append(v[1])
     elif t is Object:
-        pairs = v.pairs
+        pairs = v[1]
         if not pairs:
             out.append("{}")
             return
-        name = index.get(v.keys) if index else None
-        if name is None:
-            out.append("{")
-            for k, x in pairs:
+        name = index.get(tuple([k for k, _ in pairs])) if index else None
+        out.append("{" if name is None else name + "(")
+        for k, x in pairs:
+            if name is None:
                 out.append(encode_string(k) + ":")
+            t = type(x)
+            if t is Text:
+                out.append(encode_string(x[1]))
+            elif t is Number:
+                out.append(x[1])
+            else:
                 _emit(x, out, index)
-                out.append(",")
-            out[-1] = "}"
-        else:
-            out.append(name + "(")
-            for _, x in pairs:
-                _emit(x, out, index)
-                out.append(",")
-            out[-1] = ")"
+            out.append(",")
+        out[-1] = "}" if name is None else ")"
     elif t is Array:
-        items = v.items
+        items = v[1]
         if not items:
             out.append("[]")
             return
         out.append("[")
         for x in items:
-            _emit(x, out, index)
+            t = type(x)
+            if t is Text:
+                out.append(encode_string(x[1]))
+            elif t is Number:
+                out.append(x[1])
+            else:
+                _emit(x, out, index)
             out.append(",")
         out[-1] = "]"
     elif t is Bool:
-        out.append("true" if v.value else "false")
+        out.append("true" if v[1] else "false")
     elif t is Null:
         out.append("null")
     else:
@@ -153,6 +179,7 @@ _member = re.compile(f'{_WS}"({_PLAIN})"{_WS}:{_WS}(?:{_SCALAR})?').match
 
 _SIMPLE_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
 _LITERALS = {"true": Bool(True), "false": Bool(False), "null": NULL}
+_new = tuple.__new__
 
 # nesting cap keeps hostile input from exhausting the interpreter stack
 MAX_NESTING = 120
@@ -216,11 +243,11 @@ class Scanner:
         if ch == "{":
             return self.parse_object()
         if ch == "[":
-            return _trusted(Array, tuple(self.parse_items("]", "array")))
+            return _new(Array, (Array, tuple(self.parse_items("]", "array"))))
         if ch == '"':
-            return Text(self.parse_string())
+            return _new(Text, (Text, self.parse_string()))
         if ch == "-" or "0" <= ch <= "9":
-            return _trusted(Number, self.parse_number_literal())
+            return _new(Number, (Number, self.parse_number_literal()))
         for literal, value in _LITERALS.items():
             if self.text.startswith(literal, self.pos):
                 self.pos += len(literal)
@@ -234,7 +261,7 @@ class Scanner:
         pos = _skip_ws(text, self.pos + 1).end()
         if text.startswith("}", pos):
             self.pos = pos + 1
-            return _trusted(Object, ())
+            return _new(Object, (Object, ()))
         # a member is one value deeper than this object; at the cap every
         # member goes the general way, where parse_value rejects it
         fast = self.depth < MAX_NESTING
@@ -252,9 +279,9 @@ class Scanner:
                 kind = 1
                 pos = self.pos
             if kind == 2:
-                members[key] = Text(m.group(2))
+                members[key] = _new(Text, (Text, m.group(2)))
             elif kind == 3:
-                members[key] = _trusted(Number, m.group(3))
+                members[key] = _new(Number, (Number, m.group(3)))
             elif kind == 4:
                 members[key] = _LITERALS[m.group(4)]
             else:
@@ -268,7 +295,7 @@ class Scanner:
             self.pos = pos
             if ch == "}":
                 self.pos += 1
-                return _trusted(Object, tuple(members.items()))
+                return _new(Object, (Object, tuple(members.items())))
             if not ch:
                 raise self.error("unexpected end of input")
             raise self.error("expected ',' or '}' in object")
@@ -302,9 +329,9 @@ class Scanner:
             if m is not None:
                 kind = m.lastindex
                 if kind == 1:
-                    items.append(Text(m.group(1)))
+                    items.append(_new(Text, (Text, m.group(1))))
                 elif kind == 2:
-                    items.append(_trusted(Number, m.group(2)))
+                    items.append(_new(Number, (Number, m.group(2))))
                 else:
                     items.append(_LITERALS[m.group(3)])
                 pos = m.end()
@@ -403,6 +430,79 @@ class Scanner:
         return m.group()
 
 
+# ---------------------------------------------------------------------------
+# The accept path: the stdlib's C scanner reads the text, one walk builds the
+# nodes. Scanner stays the judge of every text this path does not accept.
+
+
+def _number_node(literal: str) -> Number:
+    return _new(Number, (Number, literal))
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard constant {name}")
+
+
+# numbers arrive as Number nodes holding the literal as written, objects as
+# tuples of (key, value) pairs in document order, duplicates included
+_stdlib_decode = json.JSONDecoder(
+    parse_int=_number_node, parse_float=_number_node, parse_constant=_reject_constant, object_pairs_hook=tuple
+).decode
+# a \uD800-\uDFFF escape, paired or not; it also matches an escaped
+# backslash before "uD800", text that Scanner reads the same way
+_surrogate_escape = re.compile(r"\\u[dD][89a-fA-F]").search
+
+
+def _build(x, depth: int) -> Value:
+    """The node tree of the stdlib result ``x``, a value ``depth`` values deep.
+
+    Raises ValueError on a duplicate key, and on a non-empty container at
+    ``MAX_NESTING``, whose children would be past the cap. Text children,
+    the most common, are built in the loops.
+    """
+    t = type(x)
+    if t is tuple:
+        if not x:
+            return _new(Object, (Object, ()))
+        if depth >= MAX_NESTING:
+            raise ValueError("nesting too deep")
+        depth += 1
+        members = {}
+        for k, v in x:
+            members[k] = _new(Text, (Text, v)) if type(v) is str else _build(v, depth)
+        if len(members) != len(x):
+            raise ValueError("duplicate key")
+        return _new(Object, (Object, tuple(members.items())))
+    if t is list:
+        if not x:
+            return _new(Array, (Array, ()))
+        if depth >= MAX_NESTING:
+            raise ValueError("nesting too deep")
+        depth += 1
+        return _new(Array, (Array, tuple([_new(Text, (Text, v)) if type(v) is str else _build(v, depth) for v in x])))
+    if t is str:
+        return _new(Text, (Text, x))
+    if t is Number:
+        return x
+    return NULL if x is None else _LITERALS["true" if x else "false"]
+
+
 def decode_json(text: str) -> Value:
-    """Parse exactly one JSON value; trailing non-whitespace is an error."""
+    """Parse exactly one JSON value; trailing non-whitespace is an error.
+
+    Text without surrogates goes to the stdlib parser first. Any text that
+    parser rejects, and any it accepts that holds a duplicate key or nests
+    past ``MAX_NESTING``, is parsed again by ``Scanner``, which raises the
+    error with its reason and position. So does text with a surrogate
+    escape or a raw surrogate code point: the stdlib keeps a lone one.
+    """
+    if _surrogate_escape(text) is None:
+        try:
+            if not text.isascii():
+                text.encode("utf-8")  # raises on a raw surrogate
+            return _build(_stdlib_decode(text), 1)
+        except (ValueError, RecursionError):
+            # UnicodeEncodeError and the stdlib's JSONDecodeError are
+            # ValueErrors; RecursionError is deep nesting in the C scanner
+            pass
     return Scanner(text).parse_document()

@@ -40,7 +40,6 @@ from .values import (
     StructSignature,
     Text,
     Value,
-    _trusted,
 )
 
 __all__ = [
@@ -68,20 +67,21 @@ class ArrayShape(Enum):
 
 
 _SCALAR_TYPES = frozenset((Null, Bool, Number, Text))
+_EMPTY_TEXT = Text("")
 
 
 def classify_array(arr: Array) -> tuple[ArrayShape, StructSignature | None]:
     """Pick the encoding for an array; tables need same-signature scalar rows."""
-    items = arr.items
+    items = arr[1]
     kinds = set(map(type, items))
     if kinds <= _SCALAR_TYPES:
         return ArrayShape.PRIMITIVE_INLINE, None
     if len(items) >= TABLE_MIN_ROWS and kinds == {Object}:
         sig = items[0].keys
         if sig and all(x.keys == sig for x in items):
-            cells = [v for x in items for _, v in x.pairs]
+            cells = [v for x in items for _, v in x[1]]
             # an empty cell would read back as a missing one
-            if set(map(type, cells)) <= _SCALAR_TYPES and all(v.value for v in cells if type(v) is Text):
+            if set(map(type, cells)) <= _SCALAR_TYPES and _EMPTY_TEXT not in cells:
                 return ArrayShape.UNIFORM_TABLE, sig
     return ArrayShape.ITEM_LIST, None
 
@@ -108,12 +108,12 @@ def _quote(s: str) -> str:
 def encode_scalar(v: Value) -> str:
     t = type(v)
     if t is Text:
-        s = v.value
+        s = v[1]
         return s if _is_bare_scalar(s) else _quote(s)
     if t is Number:
-        return v.literal
+        return v[1]
     if t is Bool:
-        return "true" if v.value else "false"
+        return "true" if v[1] else "false"
     if t is Null:
         return "null"
     raise TypeError(f"not a scalar: {v!r}")
@@ -130,7 +130,7 @@ def encode_toon(v: Value) -> str:
     """
     root = v if type(v) is Object else Object(((WRAP_KEY, v),))
     out: list[str] = []
-    for pair in root.pairs:
+    for pair in root[1]:
         if out:
             out.append("")
         _emit_fields((pair,), 0, out)
@@ -149,7 +149,7 @@ def _emit_fields(pairs: tuple[tuple[str, Value], ...], depth: int, out: list[str
         t = type(v)
         if t is Object:
             out.append(head + ":")
-            _emit_fields(v.pairs, depth + 1, out)
+            _emit_fields(v[1], depth + 1, out)
         elif t is Array:
             _emit_array(head, v, depth, out)
         else:
@@ -159,7 +159,7 @@ def _emit_fields(pairs: tuple[tuple[str, Value], ...], depth: int, out: list[str
 def _emit_array(head: str, arr: Array, depth: int, out: list[str]) -> None:
     """head is a field's padded key, or a padded "- " for an item."""
     shape, sig = classify_array(arr)
-    items = arr.items
+    items = arr[1]
     n = len(items)
     if shape is ArrayShape.PRIMITIVE_INLINE:
         out.append(f"{head}[{n}]: " + ",".join(map(encode_scalar, items)) if n else f"{head}[0]:")
@@ -167,7 +167,7 @@ def _emit_array(head: str, arr: Array, depth: int, out: list[str]) -> None:
         out.append(f"{head}[{n}]{{" + ",".join(map(_encode_key, sig)) + "}:")
         pad = " " * ((depth + 1) * INDENT)
         for x in items:
-            out.append(pad + ",".join([encode_scalar(c) for _, c in x.pairs]))
+            out.append(pad + ",".join([encode_scalar(c) for _, c in x[1]]))
     else:
         out.append(f"{head}[{n}]:")
         dash = " " * ((depth + 1) * INDENT) + "-"
@@ -175,7 +175,7 @@ def _emit_array(head: str, arr: Array, depth: int, out: list[str]) -> None:
             t = type(x)
             if t is Object:
                 out.append(dash)
-                _emit_fields(x.pairs, depth + 2, out)
+                _emit_fields(x[1], depth + 2, out)
             elif t is Array:
                 _emit_array(dash + " ", x, depth + 1, out)
             else:
@@ -190,6 +190,7 @@ _quoted_run = re.compile(r'[^"\\]*').match
 _bare_key = re.compile(r"[^:\[]*").match
 _UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
 _LITERALS = {"null": NULL, "true": Bool(True), "false": Bool(False)}
+_new = tuple.__new__
 
 # nesting cap keeps hostile input from exhausting the interpreter stack
 MAX_NESTING = 120
@@ -233,7 +234,7 @@ class _ToonParser:
         if not self.at_end():
             line = self.peek()
             raise IndentError(f"unexpected indentation depth {line.indent}", line=line.number)
-        return _trusted(Object, tuple(pairs))
+        return _new(Object, (Object, tuple(pairs)))
 
     def parse_fields(self, depth: int) -> list[tuple[str, Value]]:
         if depth > MAX_NESTING and not self.at_end():
@@ -294,11 +295,11 @@ class _ToonParser:
             cells = _split_cells(rest[1:], lineno)
             if len(cells) != declared:
                 raise LengthMismatchError(declared, len(cells), line=lineno)
-            return _trusted(Array, tuple(cells))
+            return _new(Array, (Array, tuple(cells)))
         self._expect_colon(content, idx, lineno)
         rest = content[idx + 1 :]
         if not rest:
-            return _trusted(Object, tuple(self.parse_fields(depth + 1)))
+            return _new(Object, (Object, tuple(self.parse_fields(depth + 1))))
         if rest[0] != " ":
             raise ParseError("expected space after ':'", line=lineno)
         return _parse_scalar_rest(rest[1:], lineno)
@@ -350,13 +351,13 @@ class _ToonParser:
             if len(cells) != len(header):
                 raise ArityMismatchError(len(header), len(cells), row=len(rows) + 1)
             # header fields are distinct (checked in _parse_header)
-            rows.append(_trusted(Object, tuple(zip(header, cells))))
+            rows.append(_new(Object, (Object, tuple(zip(header, cells)))))
         if not self.at_end() and self.peek().indent > depth + 1:
             line = self.peek()
             raise IndentError(f"unexpected indentation depth {line.indent}", line=line.number)
         if len(rows) != declared:
             raise LengthMismatchError(declared, len(rows), line=lineno)
-        return _trusted(Array, tuple(rows))
+        return _new(Array, (Array, tuple(rows)))
 
     def _parse_items(self, declared: int, depth: int, lineno: int) -> Array:
         if depth > MAX_NESTING:
@@ -373,12 +374,12 @@ class _ToonParser:
             raise IndentError(f"unexpected indentation depth {line.indent}", line=line.number)
         if len(items) != declared:
             raise LengthMismatchError(declared, len(items), line=lineno)
-        return _trusted(Array, tuple(items))
+        return _new(Array, (Array, tuple(items)))
 
     def _parse_item(self, line: _Line, depth: int) -> Value:
         content = line.content
         if content == "-":
-            return _trusted(Object, tuple(self.parse_fields(depth + 1)))
+            return _new(Object, (Object, tuple(self.parse_fields(depth + 1))))
         if not content.startswith("- "):
             raise ParseError("expected '- ' item", line=line.number)
         rest = content[2:]
@@ -411,8 +412,8 @@ def _classify_bare(token: str) -> Value:
     if literal is not None:
         return literal
     if NUMBER_LITERAL_RE.match(token):
-        return _trusted(Number, token)
-    return Text(token)
+        return _new(Number, (Number, token))
+    return _new(Text, (Text, token))
 
 
 def _parse_scalar_rest(rest: str, lineno: int) -> Value:
@@ -421,7 +422,7 @@ def _parse_scalar_rest(rest: str, lineno: int) -> Value:
         text, idx = _take_quoted(rest, 0, lineno)
         if rest[idx:]:
             raise ParseError("trailing content after quoted string", line=lineno)
-        return Text(text)
+        return _new(Text, (Text, text))
     return _classify_bare(rest)
 
 
@@ -433,7 +434,7 @@ def _split_cells(s: str, lineno: int) -> list[Value]:
     while True:
         if idx < n and s[idx] == '"':
             text, idx = _take_quoted(s, idx, lineno)
-            cells.append(Text(text))
+            cells.append(_new(Text, (Text, text)))
             if idx < n and s[idx] != ",":
                 raise ParseError("expected ',' after quoted cell", line=lineno)
         else:

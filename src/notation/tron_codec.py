@@ -25,7 +25,7 @@ from .errors import (
     UnknownClassError,
 )
 from .json_codec import Scanner, _emit
-from .values import Array, Object, StructSignature, Value, _trusted
+from .values import Array, Object, StructSignature, Value
 
 __all__ = [
     "ClassDef",
@@ -88,12 +88,13 @@ def _classable(sig: StructSignature) -> bool:
 def _count_shapes(v: Value, counts: dict[StructSignature, int]) -> None:
     t = type(v)
     if t is Object:
-        sig = v.keys
+        pairs = v[1]
+        sig = tuple([k for k, _ in pairs])
         counts[sig] = counts.get(sig, 0) + 1
-        for _, x in v.pairs:
+        for _, x in pairs:
             _count_shapes(x, counts)
     elif t is Array:
-        for x in v.items:
+        for x in v[1]:
             _count_shapes(x, counts)
 
 
@@ -177,7 +178,7 @@ class _TronScanner(Scanner):
         if len(args) != len(fields):
             raise ArityMismatchError(len(fields), len(args), class_name=name)
         # declared fields are distinct (checked in _parse_class_line)
-        return _trusted(Object, tuple(zip(fields, args)))
+        return tuple.__new__(Object, (Object, tuple(zip(fields, args))))
 
 
 _CLASS_PREFIX = "class "

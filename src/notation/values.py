@@ -4,6 +4,20 @@ A document is an immutable tree of Null / Bool / Number / Text / Array /
 Object nodes. Numbers keep their exact decimal literal so "7.5" and "7"
 survive any encode/decode chain byte-for-byte. Objects preserve key
 insertion order and forbid duplicate keys.
+
+Each node is a tuple laid out as ``(cls, field)``: its own class as a tag,
+then one field. That field is the ``str`` of a Text, the literal of a
+Number, the ``bool`` of a Bool, ``None`` for Null, the tuple of items of an
+Array and the tuple of ``(key, value)`` pairs of an Object. Tuple ``==``
+and ``hash`` are then exact about type (``Text("1") != Number("1")``,
+``Bool(True) != Number("1")``) and run in C. The tag's hash is its
+identity, so a node's hash differs from one process to the next; nothing
+may order output by it.
+
+The public constructors check their field as the grammar wants it.
+Decoders, which have already made those checks, build nodes directly with
+``tuple.__new__(cls, (cls, field))``, and the hot walkers read ``v[1]``
+instead of the named properties.
 """
 
 from __future__ import annotations
@@ -11,6 +25,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 __all__ = [
     "Value",
@@ -22,9 +37,7 @@ __all__ = [
     "Object",
     "NULL",
     "StructSignature",
-    "signature",
     "from_python",
-    "to_python",
     "GenProfile",
     "DEFAULT_PROFILE",
     "DELIMITER_PROFILE",
@@ -35,15 +48,28 @@ __all__ = [
 # Decimal literal grammar: sign, digits, optional fraction, optional exponent.
 NUMBER_LITERAL_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\Z")
 
+_field = itemgetter(1)
 
-class Value:
-    """Base class for document tree nodes."""
+
+class Value(tuple):
+    """Base class for document tree nodes: the tuple ``(cls, field)``."""
 
     __slots__ = ()
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild a node through its public constructor
+        return (self[1],)
 
-@dataclass(frozen=True, slots=True)
+
 class Null(Value):
+    __slots__ = ()
+
+    def __new__(cls) -> Null:
+        return tuple.__new__(cls, (cls, None))
+
+    def __getnewargs__(self):
+        return ()
+
     def __repr__(self) -> str:
         return "Null()"
 
@@ -51,49 +77,74 @@ class Null(Value):
 NULL = Null()
 
 
-@dataclass(frozen=True, slots=True)
 class Bool(Value):
-    value: bool
+    __slots__ = ()
+
+    value = property(_field)
+
+    def __new__(cls, value: bool) -> Bool:
+        return tuple.__new__(cls, (cls, value))
+
+    def __repr__(self) -> str:
+        return f"Bool(value={self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Number(Value):
     """A number stored as its exact decimal literal, never a binary float."""
 
-    literal: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not NUMBER_LITERAL_RE.match(self.literal):
-            raise ValueError(f"invalid number literal: {self.literal!r}")
+    literal = property(_field)
+
+    def __new__(cls, literal: str) -> Number:
+        if not NUMBER_LITERAL_RE.match(literal):
+            raise ValueError(f"invalid number literal: {literal!r}")
+        return tuple.__new__(cls, (cls, literal))
 
     @property
     def is_integer(self) -> bool:
-        return "." not in self.literal and "e" not in self.literal and "E" not in self.literal
+        literal = self[1]
+        return "." not in literal and "e" not in literal and "E" not in literal
+
+    def __repr__(self) -> str:
+        return f"Number(literal={self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Text(Value):
-    value: str
+    __slots__ = ()
+
+    value = property(_field)
+
+    def __new__(cls, value: str) -> Text:
+        return tuple.__new__(cls, (cls, value))
+
+    def __repr__(self) -> str:
+        return f"Text(value={self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Array(Value):
-    items: tuple[Value, ...]
+    __slots__ = ()
 
-    def __init__(self, items=()):
-        object.__setattr__(self, "items", tuple(items))
+    items = property(_field)
+
+    def __new__(cls, items=()) -> Array:
+        return tuple.__new__(cls, (cls, tuple(items)))
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self[1])
+
+    def __repr__(self) -> str:
+        return f"Array(items={self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Object(Value):
     """Ordered key/value pairs; duplicate keys are rejected at construction."""
 
-    pairs: tuple[tuple[str, Value], ...]
+    __slots__ = ()
 
-    def __init__(self, pairs=()):
+    pairs = property(_field)
+
+    def __new__(cls, pairs=()) -> Object:
         if isinstance(pairs, dict):
             pairs = pairs.items()
         pairs = tuple((k, v) for k, v in pairs)
@@ -102,42 +153,26 @@ class Object(Value):
             if k in seen:
                 raise ValueError(f"duplicate object key: {k!r}")
             seen.add(k)
-        object.__setattr__(self, "pairs", pairs)
+        return tuple.__new__(cls, (cls, pairs))
 
     @property
     def keys(self) -> tuple[str, ...]:
-        return tuple([k for k, _ in self.pairs])
+        return tuple([k for k, _ in self[1]])
 
     def get(self, key: str) -> Value | None:
-        for k, v in self.pairs:
+        for k, v in self[1]:
             if k == key:
                 return v
         return None
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self[1])
+
+    def __repr__(self) -> str:
+        return f"Object(pairs={self[1]!r})"
 
 
 StructSignature = tuple[str, ...]
-
-
-def signature(v: Value) -> StructSignature | None:
-    """Ordered key sequence of an object; None for anything else."""
-    if isinstance(v, Object):
-        return v.keys
-    return None
-
-
-def _trusted(cls, field):
-    """A ``Number``, ``Array`` or ``Object`` holding ``field`` as given, unchecked.
-
-    For decoders only, which have already made the constructor's checks: a
-    number literal matches the grammar, object keys are distinct, and items
-    or pairs come as a tuple.
-    """
-    node = object.__new__(cls)
-    object.__setattr__(node, cls.__slots__[0], field)
-    return node
 
 
 def from_python(obj) -> Value:
@@ -162,23 +197,6 @@ def from_python(obj) -> Value:
     if isinstance(obj, (list, tuple)):
         return Array(from_python(x) for x in obj)
     raise TypeError(f"cannot convert {type(obj).__name__} to Value")
-
-
-def to_python(v: Value):
-    """Collapse a Value to plain Python data; numbers become int or float."""
-    if isinstance(v, Null):
-        return None
-    if isinstance(v, Bool):
-        return v.value
-    if isinstance(v, Number):
-        return int(v.literal) if v.is_integer else float(v.literal)
-    if isinstance(v, Text):
-        return v.value
-    if isinstance(v, Array):
-        return [to_python(x) for x in v.items]
-    if isinstance(v, Object):
-        return {k: to_python(x) for k, x in v.pairs}
-    raise TypeError(f"not a Value: {v!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -422,5 +422,7 @@ def test_roundtrip_delimiter_profile_single(capsys):
 
 
 def test_roundtrip_count_zero_usage_error(capsys):
-    code, _, err = run_cli(["roundtrip", "--count", "0"], capsys)
-    assert code == 64
+    with pytest.raises(SystemExit) as e:
+        main(["roundtrip", "--count", "0"])
+    assert e.value.code == 64
+    assert "--count: must be >= 1" in capsys.readouterr().err

@@ -3,8 +3,10 @@
 Anything else escaping (IndexError, RecursionError, ...) would be a
 parser hole, so garbage and near-miss documents are thrown at all three
 decoders and only the sanctioned error type is allowed out. The JSON
-decoder is also held to the stdlib parser's accept/reject decisions, and
-the nesting cap to its exact depth.
+decoder is also held to the stdlib parser's accept/reject decisions, to
+``Scanner``'s exact values and errors (``decode_json`` reads most text
+with the stdlib's C scanner and leaves the rest to ``Scanner``), and the
+nesting cap to its exact depth.
 """
 
 import json
@@ -15,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from notation.errors import CodecError, ParseError
-from notation.json_codec import MAX_NESTING, MINIMAL, JsonStyle, decode_json, encode_json
+from notation import json_codec
+from notation.errors import DuplicateKeyError
+from notation.json_codec import MAX_NESTING, MINIMAL, JsonStyle, Scanner, decode_json, encode_json
 from notation.toon_codec import decode_toon, encode_toon
 from notation.tron_codec import decode_tron, decode_tron_batch, encode_tron, encode_tron_batch
 from notation.values import (
@@ -23,6 +27,8 @@ from notation.values import (
     DELIMITER_PROFILE,
     TABULAR_PROFILE,
     Array,
+    Bool,
+    Null,
     Number,
     Object,
     Text,
@@ -300,6 +306,7 @@ SOUP_FRAMES = ("{}", '"{}"', "[{}]", '{{"k":{}}}')
 @given(st.sampled_from(SOUP_FRAMES), st.lists(st.sampled_from(JSON_TOKENS), max_size=30).map("".join))
 def test_structural_soup_agrees_with_stdlib(frame, soup):
     assert_agrees_with_stdlib(frame.format(soup))
+    assert_agrees_with_scanner(frame.format(soup))
 
 
 @settings(max_examples=300, deadline=None)
@@ -324,3 +331,94 @@ def test_mutated_encodings_agree_with_stdlib(seed, profile, pretty, mutations):
         else:
             text = text[:i] + token + text[i + 1 :]
     assert_agrees_with_stdlib(text)
+    assert_agrees_with_scanner(text)
+
+
+# ---------------------------------------------------------------------------
+# Differential check against Scanner, the reject path: decode_json gives the
+# same nodes, or the same error class, message and position.
+
+
+def _scanner_outcome(decode, text: str):
+    try:
+        return "value", decode(text)
+    except CodecError as e:
+        return type(e), str(e), getattr(e, "reason", None), getattr(e, "pos", None)
+
+
+def assert_agrees_with_scanner(text: str) -> None:
+    expected = _scanner_outcome(lambda t: Scanner(t).parse_document(), text)
+    got = _scanner_outcome(decode_json, text)
+    assert got == expected, text
+    if expected[0] == "value":
+        assert repr(got[1]) == repr(expected[1]), text
+
+
+# (text; the value, node class or error class decode_json answers with;
+# whether the stdlib parser reads the text before Scanner does)
+PINNED = [
+    ('{"a":[{"b":{"c":1,"c":2}}]}', DuplicateKeyError, True),
+    ('[{"k":{},"k":[]}]', DuplicateKeyError, True),
+    (_nested("[", "]", MAX_NESTING, "1")[0], Array, True),
+    (_nested("[", "]", MAX_NESTING + 1, "1")[0], ParseError, True),
+    (_nested('{"k":', "}", MAX_NESTING, "[]")[0], Object, True),
+    (_nested('{"k":', "}", MAX_NESTING + 1, "[]")[0], ParseError, True),
+    ("[" * 100_000, ParseError, True),
+    ("[" * 100_000 + "]" * 100_000, ParseError, True),
+    ("\ufeff{}", ParseError, True),
+    ("\ufeff 1", ParseError, True),
+    ("NaN", ParseError, True),
+    ("-Infinity", ParseError, True),
+    ('{"a":[1,Infinity]}', ParseError, True),
+    ('"\ud800"', ParseError, False),
+    ('["a\ud800b"]', ParseError, False),
+    (r'"\ud800"', ParseError, False),
+    (r'["\uDBFF"]', ParseError, False),
+    (r'"\ud83d\ude00"', Text("\U0001f600"), False),
+    (r'"\\ud800"', Text("\\ud800"), False),
+    (r'"\u00e9\\"', Text("\u00e9\\"), True),
+    ('{"a":1,"b":[true,false,null,-0.5e+3,""]} ', Object, True),
+    ("1 2", ParseError, True),
+    ("", ParseError, True),
+]
+
+
+@pytest.mark.parametrize("text,expected,stdlib_first", PINNED, ids=range(len(PINNED)))
+def test_pinned_cases_agree_with_scanner(monkeypatch, text, expected, stdlib_first):
+    assert_agrees_with_scanner(text)
+    outcome = _scanner_outcome(decode_json, text)
+    if isinstance(expected, Value):
+        assert outcome[1] == expected
+    elif issubclass(expected, CodecError):
+        assert outcome[0] is expected
+    else:
+        assert type(outcome[1]) is expected
+    calls = {"stdlib": 0, "scanner": 0}
+    stdlib_decode = json_codec._stdlib_decode
+
+    def counting_stdlib(t):
+        calls["stdlib"] += 1
+        return stdlib_decode(t)
+
+    class CountingScanner(Scanner):
+        def __init__(self, t):
+            calls["scanner"] += 1
+            super().__init__(t)
+
+    monkeypatch.setattr(json_codec, "_stdlib_decode", counting_stdlib)
+    monkeypatch.setattr(json_codec, "Scanner", CountingScanner)
+    assert _scanner_outcome(decode_json, text) == outcome
+    # Scanner reads exactly the texts the stdlib does not accept
+    assert calls == {"stdlib": int(stdlib_first), "scanner": int(not stdlib_first or outcome[0] != "value")}
+
+
+def test_accepted_nodes_hold_plain_strings():
+    v = decode_json('{"a":[1,-2.5e3,"x",true,null],"b":{"c":0}}')
+    assert v == Object(
+        (
+            ("a", Array((Number("1"), Number("-2.5e3"), Text("x"), Bool(True), Null()))),
+            ("b", Object((("c", Number("0")),))),
+        )
+    )
+    literals = [x.literal for x in v.get("a").items[:2]] + [v.get("b").get("c").literal]
+    assert {type(x) for x in literals} == {str}
