@@ -47,8 +47,6 @@ from .agent import (
     TableExecutor,
     ToolSchema,
     TrajectoryRecord,
-    build_system_prompt,
-    parse_envelope,
     run_trajectory,
 )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import CodecError
@@ -39,10 +40,7 @@ __all__ = [
     "TableExecutor",
     "MUTATOR_KINDS",
     "corrupt_text",
-    "envelope_to_value",
-    "parse_envelope",
     "parse_envelope_outcome",
-    "build_system_prompt",
     "build_system_prompt_spans",
     "run_trajectory",
     "load_catalog",
@@ -159,18 +157,6 @@ class ScriptExhaustedError(Exception):
 # Envelope parsing (think-strip, fence-extract, strict decode, shape).
 
 
-def envelope_to_value(env: Envelope) -> Object:
-    if isinstance(env, Step):
-        return Object(
-            (
-                ("thought", Text(env.thought)),
-                ("action", Text(env.action)),
-                ("arguments", env.arguments),
-            )
-        )
-    return Object((("final_answer", Text(env.answer)),))
-
-
 def _value_to_envelope(v: Value) -> Envelope:
     if not isinstance(v, Object):
         raise ParseFailure("shape", "document root must be an object")
@@ -235,14 +221,6 @@ def parse_envelope_outcome(raw: str, expected_format: str) -> ParseOutcome:
     except ParseFailure as e:
         return ParseOutcome(None, e, think_stripped, fence_extracted, document)
     return ParseOutcome(envelope, None, think_stripped, fence_extracted, document)
-
-
-def parse_envelope(raw: str, expected_format: str) -> Envelope:
-    outcome = parse_envelope_outcome(raw, expected_format)
-    if outcome.failure is not None:
-        raise outcome.failure
-    assert outcome.envelope is not None
-    return outcome.envelope
 
 
 # ---------------------------------------------------------------------------
@@ -384,27 +362,43 @@ _STEP_TEMPLATE = Object(
 _FINAL_TEMPLATE = Object((("final_answer", Text("The forecast is sunny.")),))
 
 
+# A sweep renders the same fixture values over and over: one catalog, and a
+# few dozen intents and tool results, each in a few formats. So the loop
+# renders each once per format and keeps the text, in memos whose sizes
+# bound what a long-lived process holds. Nodes are immutable tuples whose
+# == and hash are exact about type, so a value is a sound key. Parsing is
+# never memoized: its failures are what the loop counts.
+_PROMPT_MEMO_SIZE = 16
+_DOC_MEMO_SIZE = 1024
+
+
 def build_system_prompt_spans(catalog: list[ToolSchema], cfg: LoopConfig) -> list[Span]:
     """System prompt as origin-tagged spans; concatenation is the prompt text."""
     if not catalog:
         raise ValueError("catalog must be non-empty")
-    out_fmt = cfg.output_format
+    return list(_prompt_spans(tuple(catalog), cfg.format, cfg.output_format, cfg.tron_batching))
+
+
+@lru_cache(maxsize=_PROMPT_MEMO_SIZE)
+def _prompt_spans(
+    catalog: tuple[ToolSchema, ...], fmt: str, out_fmt: str, tron_batching: bool
+) -> tuple[Span, ...]:
     intro = [
         "You are a tool-calling agent. Solve the task with the tools below.",
-        f"Tool schemas and results use {cfg.format.upper()}. {FORMAT_NOTES[cfg.format]}",
+        f"Tool schemas and results use {fmt.upper()}. {FORMAT_NOTES[fmt]}",
     ]
-    if out_fmt != cfg.format:
+    if out_fmt != fmt:
         intro.append(f"Your responses must use {out_fmt.upper()}. {FORMAT_NOTES[out_fmt]}")
     intro.append("\nTools:\n")
     spans = [Span("\n".join(intro) + "\n", "other", "prompt", 0)]
-    if cfg.format == "tron" and cfg.tron_batching:
+    if fmt == "tron" and tron_batching:
         batch = encode_tron_batch([s.to_value() for s in catalog])
         spans.append(Span(batch, "schema", "prompt", 0))
     else:
         for i, schema in enumerate(catalog):
             if i:
                 spans.append(Span("\n\n", "other", "prompt", 0))
-            spans.append(Span(encode_doc(schema.to_value(), cfg.format), "schema", "prompt", 0))
+            spans.append(Span(encode_doc(schema.to_value(), fmt), "schema", "prompt", 0))
     tail = (
         f"\n\nRespond each turn with exactly one stand-alone {out_fmt.upper()} document and "
         "nothing else. To call a tool:\n\n"
@@ -413,11 +407,12 @@ def build_system_prompt_spans(catalog: list[ToolSchema], cfg: LoopConfig) -> lis
         f"{encode_doc(_FINAL_TEMPLATE, out_fmt)}\n"
     )
     spans.append(Span(tail, "other", "prompt", 0))
-    return spans
+    return tuple(spans)
 
 
-def build_system_prompt(catalog: list[ToolSchema], cfg: LoopConfig) -> str:
-    return "".join(s.text for s in build_system_prompt_spans(catalog, cfg))
+@lru_cache(maxsize=_DOC_MEMO_SIZE)
+def _render_doc(v: Value, fmt: str) -> str:
+    return encode_doc(v, fmt)
 
 
 def _error_observation(stage: str, out_fmt: str) -> str:
@@ -429,7 +424,7 @@ def _error_observation(stage: str, out_fmt: str) -> str:
 
 
 def _render_emission(turn: ScriptTurn, out_fmt: str) -> str:
-    doc = encode_doc(turn.intent, out_fmt)
+    doc = _render_doc(turn.intent, out_fmt)
     parts = []
     if turn.think is not None:
         parts.append(f"{THINK_OPEN}{turn.think}{THINK_CLOSE}\n")
@@ -513,7 +508,7 @@ def run_trajectory(
             raise AbortedTrajectoryError(envelope.action, "<not in catalog>")
         args_text = encode_json(envelope.arguments)
         result = executor.lookup(envelope.action, args_text)
-        result_doc = encode_doc(result, cfg.format)
+        result_doc = _render_doc(result, cfg.format)
         record.spans.append(Span("\n", "other", "prompt", iteration))
         record.spans.append(Span(result_doc, "result", "prompt", iteration))
         record.spans.append(Span("\n", "other", "prompt", iteration))

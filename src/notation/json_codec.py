@@ -15,12 +15,15 @@ the reject path, is the strict recursive-descent parser that defines what
 is accepted and what each error says. It reads every text the accept path
 does not take:
 
-* text with a surrogate escape or a raw surrogate code point, sent there
-  before the stdlib sees it (the stdlib keeps a lone surrogate);
+* text with a raw surrogate code point, sent there before the stdlib
+  sees it;
 * text the stdlib rejects, including a BOM, ``NaN``/``Infinity``, trailing
   data and nesting deep enough for a ``RecursionError``;
 * text the stdlib accepts but the walk refuses: a duplicate key, or a
-  value deeper than ``MAX_NESTING``.
+  value deeper than ``MAX_NESTING``;
+* text with a surrogate escape whose value the stdlib built with a lone
+  surrogate in it (it keeps one); a high-low pair is one code point and
+  stays on the accept path.
 
 Both paths return the same nodes, and every error is ``Scanner``'s, with
 its reason and position. ``Scanner`` reads whitespace, runs of plain
@@ -449,7 +452,8 @@ _stdlib_decode = json.JSONDecoder(
     parse_int=_number_node, parse_float=_number_node, parse_constant=_reject_constant, object_pairs_hook=tuple
 ).decode
 # a \uD800-\uDFFF escape, paired or not; it also matches an escaped
-# backslash before "uD800", text that Scanner reads the same way
+# backslash before "uD800". Only text that has one can decode to a lone
+# surrogate, so only its value is checked for one
 _surrogate_escape = re.compile(r"\\u[dD][89a-fA-F]").search
 
 
@@ -490,19 +494,23 @@ def _build(x, depth: int) -> Value:
 def decode_json(text: str) -> Value:
     """Parse exactly one JSON value; trailing non-whitespace is an error.
 
-    Text without surrogates goes to the stdlib parser first. Any text that
-    parser rejects, and any it accepts that holds a duplicate key or nests
-    past ``MAX_NESTING``, is parsed again by ``Scanner``, which raises the
-    error with its reason and position. So does text with a surrogate
-    escape or a raw surrogate code point: the stdlib keeps a lone one.
+    Text goes to the stdlib parser first, unless it holds a raw surrogate
+    code point. Any text that parser rejects, and any it accepts that holds
+    a duplicate key, nests past ``MAX_NESTING`` or, after a surrogate
+    escape, a lone surrogate (the stdlib keeps one), is parsed again by
+    ``Scanner``, which raises the error with its reason and position.
     """
-    if _surrogate_escape(text) is None:
-        try:
-            if not text.isascii():
-                text.encode("utf-8")  # raises on a raw surrogate
-            return _build(_stdlib_decode(text), 1)
-        except (ValueError, RecursionError):
-            # UnicodeEncodeError and the stdlib's JSONDecodeError are
-            # ValueErrors; RecursionError is deep nesting in the C scanner
-            pass
+    try:
+        if not text.isascii():
+            text.encode("utf-8")  # raises on a raw surrogate
+        v = _build(_stdlib_decode(text), 1)
+        if _surrogate_escape(text) is not None:
+            # a paired escape decodes to one code point; a lone one stays a
+            # surrogate, which cannot be written out as UTF-8
+            _minimal(v).encode("utf-8")
+        return v
+    except (ValueError, RecursionError):
+        # UnicodeEncodeError and the stdlib's JSONDecodeError are
+        # ValueErrors; RecursionError is deep nesting in the C scanner
+        pass
     return Scanner(text).parse_document()

@@ -101,11 +101,6 @@ class Number(Value):
             raise ValueError(f"invalid number literal: {literal!r}")
         return tuple.__new__(cls, (cls, literal))
 
-    @property
-    def is_integer(self) -> bool:
-        literal = self[1]
-        return "." not in literal and "e" not in literal and "E" not in literal
-
     def __repr__(self) -> str:
         return f"Number(literal={self[1]!r})"
 

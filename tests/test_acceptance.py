@@ -13,9 +13,8 @@ from notation.agent import (
     ScriptedAgent,
     TableExecutor,
     ToolSchema,
-    build_system_prompt,
+    build_system_prompt_spans,
     corrupt_text,
-    parse_envelope,
     parse_envelope_outcome,
     run_trajectory,
     without_corruption,
@@ -188,7 +187,7 @@ def hand_computed_totals(catalog, agent, results, cfg: LoopConfig, task: str):
     observation span.
     """
     out_fmt = cfg.output_format
-    total = len(build_system_prompt(catalog, cfg).encode())
+    total = sum(len(s.text.encode()) for s in build_system_prompt_spans(catalog, cfg))
     total += len(f"\nTask: {task}\n".encode())
     extra_payloads = []
     step_idx = 0
@@ -320,7 +319,8 @@ def test_criterion_8_envelope_preprocessing():
         passes = 0
         for fmt in ("json", "toon", "tron"):
             doc = encode_doc(step_intent("search", args, thought="look"), fmt)
-            expected = parse_envelope(doc, fmt)
+            expected = parse_envelope_outcome(doc, fmt).envelope
+            assert expected is not None
             wrappers = {
                 "clean": doc,
                 "think": f"<think>let me see</think>{doc}",
@@ -328,7 +328,7 @@ def test_criterion_8_envelope_preprocessing():
                 "both": f"<think>let me see</think>\n```{fmt}\n{doc}\n```",
             }
             for raw in wrappers.values():
-                assert parse_envelope(raw, fmt) == expected
+                assert parse_envelope_outcome(raw, fmt).envelope == expected
                 passes += 1
             for kind, stage in (
                 ("truncate_line", "decode"),

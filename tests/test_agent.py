@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from notation import agent as agent_mod
 from notation.agent import (
     AbortedTrajectoryError,
     Final,
@@ -13,14 +15,11 @@ from notation.agent import (
     Step,
     TableExecutor,
     ToolSchema,
-    build_system_prompt,
     build_system_prompt_spans,
     corrupt_text,
-    envelope_to_value,
     load_catalog,
     load_executor,
     load_trace,
-    parse_envelope,
     parse_envelope_outcome,
     run_trajectory,
     without_corruption,
@@ -28,7 +27,7 @@ from notation.agent import (
 from notation.formats import decode_doc, encode_doc
 from notation.json_codec import decode_json
 from notation.tron_codec import decode_tron_batch
-from notation.values import Object, from_python
+from notation.values import Number, Object, Text, from_python
 
 from conftest import final_intent, make_catalog, simple_run_pieces, step_intent
 
@@ -39,14 +38,30 @@ def sample_step_doc(fmt: str) -> str:
     return encode_doc(step_intent("search", {"query": "cats"}, thought="look"), fmt)
 
 
+def envelope_of(raw: str, fmt: str):
+    outcome = parse_envelope_outcome(raw, fmt)
+    assert outcome.ok, outcome.failure
+    return outcome.envelope
+
+
+def failed_stage(raw: str, fmt: str) -> str:
+    outcome = parse_envelope_outcome(raw, fmt)
+    assert isinstance(outcome.failure, ParseFailure) and outcome.envelope is None
+    return outcome.failure.stage
+
+
+def prompt_text(catalog, cfg) -> str:
+    return "".join(s.text for s in build_system_prompt_spans(catalog, cfg))
+
+
 # ---------------------------------------------------------------------------
-# parse_envelope
+# parse_envelope_outcome
 
 
 def test_parse_step_and_final():
-    step = parse_envelope('{"thought":"t","action":"f","arguments":{}}', "json")
+    step = envelope_of('{"thought":"t","action":"f","arguments":{}}', "json")
     assert step == Step("t", "f", Object(()))
-    final = parse_envelope('{"final_answer":"done"}', "json")
+    final = envelope_of('{"final_answer":"done"}', "json")
     assert final == Final("done")
 
 
@@ -60,7 +75,7 @@ def test_preprocessing_grid(fmt, wrapper):
         "fence": f"```{fmt}\n{doc}\n```",
         "both": f"<think>let me see</think>\n```{fmt}\n{doc}\n```",
     }[wrapper]
-    expected = parse_envelope(doc, fmt)
+    expected = envelope_of(doc, fmt)
     outcome = parse_envelope_outcome(raw, fmt)
     assert outcome.ok
     assert outcome.envelope == expected
@@ -69,46 +84,30 @@ def test_preprocessing_grid(fmt, wrapper):
 
 
 def test_think_stage_failure():
-    with pytest.raises(ParseFailure) as e:
-        parse_envelope("<think>never closed {}", "json")
-    assert e.value.stage == "think"
+    assert failed_stage("<think>never closed {}", "json") == "think"
 
 
 def test_fence_stage_failure():
-    with pytest.raises(ParseFailure) as e:
-        parse_envelope('```json\n{"final_answer":"x"}', "json")
-    assert e.value.stage == "fence"
+    assert failed_stage('```json\n{"final_answer":"x"}', "json") == "fence"
 
 
 def test_decode_stage_failure():
-    with pytest.raises(ParseFailure) as e:
-        parse_envelope('{"thought":"t","action":}', "json")
-    assert e.value.stage == "decode"
+    assert failed_stage('{"thought":"t","action":}', "json") == "decode"
 
 
 def test_shape_stage_failure():
-    with pytest.raises(ParseFailure) as e:
-        parse_envelope('{"thought":"t","tool":"f"}', "json")
-    assert e.value.stage == "shape"
+    assert failed_stage('{"thought":"t","tool":"f"}', "json") == "shape"
     doc = encode_doc(from_python({"thought": "t", "tool": "f"}), "toon")
-    with pytest.raises(ParseFailure) as e:
-        parse_envelope(doc, "toon")
-    assert e.value.stage == "shape"
+    assert failed_stage(doc, "toon") == "shape"
 
 
 def test_shape_requires_text_fields():
-    with pytest.raises(ParseFailure) as e:
-        parse_envelope('{"thought":1,"action":"f","arguments":{}}', "json")
-    assert e.value.stage == "shape"
-    with pytest.raises(ParseFailure) as e:
-        parse_envelope('{"final_answer":[1]}', "json")
-    assert e.value.stage == "shape"
+    assert failed_stage('{"thought":1,"action":"f","arguments":{}}', "json") == "shape"
+    assert failed_stage('{"final_answer":[1]}', "json") == "shape"
 
 
 def test_non_object_root_is_shape_failure():
-    with pytest.raises(ParseFailure) as e:
-        parse_envelope("[1,2]", "json")
-    assert e.value.stage == "shape"
+    assert failed_stage("[1,2]", "json") == "shape"
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,6 @@ def test_prompt_schema_block_decodes_back():
     assert len(schema_spans) == 1
     decoded = ToolSchema.from_value(decode_doc(schema_spans[0].text, "json"))
     assert decoded == catalog[0]
-    assert build_system_prompt(catalog, cfg) == "".join(s.text for s in spans)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -200,22 +198,20 @@ def test_templates_are_stand_alone_documents():
     for fmt in FORMATS:
         for mode in ("input_only", "full"):
             cfg = LoopConfig(format=fmt, mode=mode)
-            prompt = build_system_prompt(make_catalog(1), cfg)
+            prompt = prompt_text(make_catalog(1), cfg)
             assert "Action Input" not in prompt
             out_fmt = cfg.output_format
             step_doc = encode_doc(
-                envelope_to_value(Step("I need the forecast before answering.", "tool_name",
-                                       from_python({"city": "Boulder"}))),
+                step_intent("tool_name", {"city": "Boulder"}, thought="I need the forecast before answering."),
                 out_fmt,
             )
             assert step_doc in prompt
-            parsed = parse_envelope(step_doc, out_fmt)
-            assert isinstance(parsed, Step)
+            assert isinstance(envelope_of(step_doc, out_fmt), Step)
 
 
 def test_empty_catalog_rejected():
     with pytest.raises(ValueError):
-        build_system_prompt([], LoopConfig())
+        build_system_prompt_spans([], LoopConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +277,7 @@ def test_emitted_calls_match_mode():
             call_spans = [s for s in record.spans if s.origin == "call"]
             assert call_spans
             for span in call_spans:
-                parsed = parse_envelope(span.text, expected_fmt)
-                assert isinstance(parsed, Step)
+                assert isinstance(envelope_of(span.text, expected_fmt), Step)
 
 
 def test_result_spans_use_input_format():
@@ -369,6 +364,94 @@ def test_spans_concatenate_to_conversation():
     raws = "".join(t.raw_text for t in record.turns)
     completions = "".join(s.text for s in record.spans if s.direction == "completion")
     assert completions == raws
+
+
+# ---------------------------------------------------------------------------
+# the render memo: each fixture value is rendered once per format
+
+
+def clear_memo():
+    agent_mod._prompt_spans.cache_clear()
+    agent_mod._render_doc.cache_clear()
+
+
+def outcome_of(*args):
+    try:
+        return run_trajectory(*args)
+    except AbortedTrajectoryError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mode", ("input_only", "full"))
+def test_memo_leaves_weather_runs_unchanged(fixtures_dir, fmt, mode):
+    replay = fixtures_dir / "replay"
+    agent = load_trace(replay / "trace_weather.jsonl")
+    executor = load_executor(replay / "executor_weather.json")
+    catalog = load_catalog(replay / "catalog_weather.json")
+    for rate in (0.0, 0.1):
+        for seed in (0, 1, 2):
+            cfg = LoopConfig(format=fmt, mode=mode, failure_rate=rate, seed=seed)
+            outcome_of("t", agent, executor, catalog, cfg)
+            warm = outcome_of("t", agent, executor, catalog, cfg)
+            clear_memo()
+            cold = outcome_of("t", agent, executor, catalog, cfg)
+            assert warm == cold, (rate, seed)
+
+
+def test_warm_run_renders_nothing(monkeypatch):
+    catalog, executor, agent = simple_run_pieces()
+    cfg = LoopConfig(format="toon", mode="full")
+    first = run_trajectory("t", agent, executor, catalog, cfg)
+    calls = []
+    monkeypatch.setattr(agent_mod, "encode_doc", lambda v, fmt: calls.append(fmt))
+    monkeypatch.setattr(agent_mod, "encode_tron_batch", lambda vs: calls.append("batch"))
+    assert run_trajectory("t", agent, executor, catalog, cfg) == first
+    assert calls == []
+
+
+def test_results_differing_in_node_type_render_differently():
+    catalog = make_catalog(1)
+    results = {"1": Number("1"), '"1"': Text("1")}
+    executor = TableExecutor({("tool0", f'{{"arg0":"x","limit":{key}}}'): v for key, v in results.items()})
+    for fmt in FORMATS:
+        seen = []
+        for v in results.values():
+            step = step_intent("tool0", {"arg0": "x", "limit": v})
+            agent = ScriptedAgent([ScriptTurn(step), ScriptTurn(final_intent())])
+            record = run_trajectory("t", agent, executor, catalog, LoopConfig(format=fmt, mode="full"))
+            (span,) = [s for s in record.spans if s.origin == "result"]
+            assert decode_doc(span.text, fmt, unwrap=True) == v
+            seen.append(span.text)
+        assert seen[0] != seen[1], fmt
+
+
+def test_mutating_returned_spans_leaves_next_prompt():
+    catalog, executor, agent = simple_run_pieces()
+    cfg = LoopConfig(format="tron")
+    expected = list(build_system_prompt_spans(catalog, cfg))
+    spans = build_system_prompt_spans(catalog, cfg)
+    spans[0] = dataclasses.replace(spans[0], text="changed")
+    del spans[1:]
+    assert build_system_prompt_spans(catalog, cfg) == expected
+    run_trajectory("t", agent, executor, catalog, cfg).spans.clear()
+    again = run_trajectory("t", agent, executor, catalog, cfg)
+    assert again.spans[: len(expected)] == expected
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("batching", (True, False))
+def test_edited_description_yields_new_prompt(fmt, batching):
+    catalog = make_catalog(3)
+    cfg = LoopConfig(format=fmt, tron_batching=batching)
+    before = prompt_text(catalog, cfg)
+    edited = list(catalog)
+    edited[1] = dataclasses.replace(catalog[1], description="Edited description.")
+    after = prompt_text(edited, cfg)
+    assert "Edited description." in after and "Edited description." not in before
+    assert prompt_text(catalog, cfg) == before
+    clear_memo()
+    assert prompt_text(edited, cfg) == after
 
 
 # ---------------------------------------------------------------------------

@@ -372,10 +372,10 @@ PINNED = [
     ('{"a":[1,Infinity]}', ParseError, True),
     ('"\ud800"', ParseError, False),
     ('["a\ud800b"]', ParseError, False),
-    (r'"\ud800"', ParseError, False),
-    (r'["\uDBFF"]', ParseError, False),
-    (r'"\ud83d\ude00"', Text("\U0001f600"), False),
-    (r'"\\ud800"', Text("\\ud800"), False),
+    (r'"\ud800"', ParseError, True),
+    (r'["\uDBFF"]', ParseError, True),
+    (r'"\ud83d\ude00"', Text("\U0001f600"), True),
+    (r'"\\ud800"', Text("\\ud800"), True),
     (r'"\u00e9\\"', Text("\u00e9\\"), True),
     ('{"a":1,"b":[true,false,null,-0.5e+3,""]} ', Object, True),
     ("1 2", ParseError, True),
@@ -422,3 +422,38 @@ def test_accepted_nodes_hold_plain_strings():
     )
     literals = [x.literal for x in v.get("a").items[:2]] + [v.get("b").get("c").literal]
     assert {type(x) for x in literals} == {str}
+
+
+# pieces of string content around surrogate escapes: pairs, lone halves,
+# a reversed pair, a high half before a non-surrogate escape, and escaped
+# backslashes that make "\ud800" plain text
+SURROGATE_PIECES = [
+    r"\ud83d\ude00",
+    r"\uDBFF\uDFFF",
+    r"\ud800",
+    r"\udc00",
+    r"\ude00\ud83d",
+    r"\ud83d\u0041",
+    r"\\ud800",
+    r"\\\ud83d\ude00",
+    r"\\",
+    r"\"",
+    "a",
+    "\u00e9",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["value", "array", "object"]),
+    st.lists(st.lists(st.sampled_from(SURROGATE_PIECES), max_size=5).map("".join), min_size=1, max_size=3),
+)
+def test_surrogate_escapes_agree_with_scanner(frame, strings):
+    if frame == "value":
+        text = f'"{strings[0]}"'
+    elif frame == "array":
+        text = "[" + ",".join(f'"{s}"' for s in strings) + "]"
+    else:
+        text = "{" + ",".join(f'"{s}{i}":"{s}"' for i, s in enumerate(strings)) + "}"
+    assert_agrees_with_scanner(text)
+    assert_agrees_with_stdlib(text)

@@ -37,7 +37,8 @@ def to_python(v):
     if isinstance(v, Array):
         return [to_python(x) for x in v.items]
     if isinstance(v, Number):
-        return int(v.literal) if v.is_integer else float(v.literal)
+        literal = v.literal
+        return float(literal) if any(c in literal for c in ".eE") else int(literal)
     if isinstance(v, (Bool, Text)):
         return v.value
     return None
@@ -132,8 +133,6 @@ def test_object_rejects_duplicate_keys():
 
 def test_number_keeps_literal():
     assert Number("7.5").literal == "7.5"
-    assert Number("7").is_integer
-    assert not Number("7.0").is_integer
     assert Number("7.0") != Number("7")
     with pytest.raises(ValueError):
         Number("07")
