@@ -347,6 +347,22 @@ def cmd_replay(args) -> int:
 # roundtrip
 
 
+# generated values per round trip through the TRON batch codec
+ROUNDTRIP_BATCH = 8
+
+
+def _tron_batch_failure(roots: list) -> str | None:
+    """Why ``roots`` do not come back from the TRON batch codec, or None."""
+    from .tron_codec import decode_tron_batch
+
+    try:
+        if decode_tron_batch(encode_tron_batch(roots)) == roots:
+            return None
+    except CodecError as e:
+        return f"tron-batch: {e}"
+    return "tron-batch"
+
+
 def cmd_roundtrip(args) -> int:
     from .values import (
         DEFAULT_PROFILE,
@@ -363,6 +379,7 @@ def cmd_roundtrip(args) -> int:
         "tabular": [TABULAR_PROFILE],
         "mixed": [DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE],
     }[args.profile]
+    batch: list = []
     for i in range(args.count):
         seed = args.seed + i
         value = generate(seed, profiles[i % len(profiles)])
@@ -375,6 +392,13 @@ def cmd_roundtrip(args) -> int:
             print(f"FAIL seed={seed}: {e}")
             print(f"value: {encode_json(value)}")
             return EXIT_PROPERTY
+        batch.append(value)
+        if len(batch) == ROUNDTRIP_BATCH or i == args.count - 1:
+            failure = _tron_batch_failure(batch)
+            if failure is not None:
+                print(f"FAIL seeds={seed + 1 - len(batch)}..{seed}: {failure}")
+                return EXIT_PROPERTY
+            batch = []
     print(f"roundtrip: {args.count} values x 3 codecs: all passed")
     return EXIT_OK
 
@@ -424,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tokenizer_flags(p)
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("roundtrip", help="generate documents and check all codecs round-trip")
+    p = sub.add_parser("roundtrip", help="generate documents and check all codecs round-trip, TRON batches too")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_positive_int, default=1000)
     p.add_argument("--profile", choices=("default", "delimiters", "tabular", "mixed"), default="mixed")

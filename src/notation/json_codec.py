@@ -7,13 +7,15 @@ literals exactly as written instead of widening them to floats. One
 walker writes minimal JSON and, given a class index, TRON bodies; strings
 go through the stdlib's C escaper.
 
-Decoding has two paths. The accept path hands the text to the stdlib's C
-scanner, with hooks that keep number literals as written and object
-members as ordered pairs, then builds the nodes in one walk that also
-checks for duplicate keys and nesting past ``MAX_NESTING``. ``Scanner``,
-the reject path, is the strict recursive-descent parser that defines what
-is accepted and what each error says. It reads every text the accept path
-does not take:
+Decoding has two paths, and TRON bodies take the same two. The accept
+path hands the text to the stdlib's C scanner, with hooks that keep number
+literals as written and object members as ordered pairs, then builds the
+nodes in one walk (``_build``) that also checks for duplicate keys and
+nesting past ``MAX_NESTING``. Given a class table, the same walk builds
+TRON instances, which ``tron_codec`` hands to the stdlib as marked arrays.
+``Scanner``, the reject path, is the strict recursive-descent parser that
+defines what is accepted and what each error says. It reads every text the
+accept path does not take:
 
 * text with a raw surrogate code point, sent there before the stdlib
   sees it;
@@ -21,9 +23,9 @@ does not take:
   data and nesting deep enough for a ``RecursionError``;
 * text the stdlib accepts but the walk refuses: a duplicate key, or a
   value deeper than ``MAX_NESTING``;
-* text with a surrogate escape whose value the stdlib built with a lone
-  surrogate in it (it keeps one); a high-low pair is one code point and
-  stays on the accept path.
+* text with a surrogate escape that is not half of a high-low pair, which
+  the stdlib keeps as a lone surrogate. A pair is one code point and stays
+  on the accept path; only the escapes are looked at, not the built value.
 
 Both paths return the same nodes, and every error is ``Scanner``'s, with
 its reason and position. ``Scanner`` reads whitespace, runs of plain
@@ -442,27 +444,54 @@ def _number_node(literal: str) -> Number:
     return _new(Number, (Number, literal))
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-standard constant {name}")
+class _Constants(dict):
+    """What ``parse_constant`` maps NaN, Infinity and -Infinity to; a constant it lacks is rejected."""
 
+    def __missing__(self, name: str):
+        raise ValueError(f"non-standard constant {name}")
+
+
+# The opening and closing marks of a TRON instance, which tron_codec spells
+# as [NaN,"Name",[args...],Infinity] for _marked_decode.
+_OPEN = object()
+_CLOSE = object()
 
 # numbers arrive as Number nodes holding the literal as written, objects as
 # tuples of (key, value) pairs in document order, duplicates included
 _stdlib_decode = json.JSONDecoder(
-    parse_int=_number_node, parse_float=_number_node, parse_constant=_reject_constant, object_pairs_hook=tuple
+    parse_int=_number_node, parse_float=_number_node, parse_constant=_Constants().__getitem__, object_pairs_hook=tuple
+).decode
+_marked_decode = json.JSONDecoder(
+    parse_int=_number_node,
+    parse_float=_number_node,
+    parse_constant=_Constants(NaN=_OPEN, Infinity=_CLOSE).__getitem__,
+    object_pairs_hook=tuple,
 ).decode
 # a \uD800-\uDFFF escape, paired or not; it also matches an escaped
 # backslash before "uD800". Only text that has one can decode to a lone
-# surrogate, so only its value is checked for one
+# surrogate, so only such text is checked for one
 _surrogate_escape = re.compile(r"\\u[dD][89a-fA-F]").search
+# In text the stdlib accepted, every backslash starts an escape, so these
+# matches are the escapes in order: a high-low pair, which the stdlib
+# decodes to one code point; a surrogate escape that is not part of a pair,
+# which it keeps as a lone surrogate (group 1); and any other escape.
+_escapes = re.compile(
+    r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)", re.S
+).findall
+
+_TRUE = _LITERALS["true"]
+_FALSE = _LITERALS["false"]
 
 
-def _build(x, depth: int) -> Value:
+def _build(x, depth: int, classes: dict[str, StructSignature] | None) -> Value:
     """The node tree of the stdlib result ``x``, a value ``depth`` values deep.
 
-    Raises ValueError on a duplicate key, and on a non-empty container at
-    ``MAX_NESTING``, whose children would be past the cap. Text children,
-    the most common, are built in the loops.
+    With a class table, a list ``[_OPEN, name, args, _CLOSE]`` is an
+    instance of a declared class with as many args as it has fields; it is
+    one value, and its args are one value deeper. Raises ValueError on
+    a duplicate key, on a non-empty container at ``MAX_NESTING``, whose
+    children would be past the cap, and on an instance mark anywhere else.
+    Text children, the most common, are built in the loops.
     """
     t = type(x)
     if t is tuple:
@@ -473,7 +502,7 @@ def _build(x, depth: int) -> Value:
         depth += 1
         members = {}
         for k, v in x:
-            members[k] = _new(Text, (Text, v)) if type(v) is str else _build(v, depth)
+            members[k] = _new(Text, (Text, v)) if type(v) is str else _build(v, depth, classes)
         if len(members) != len(x):
             raise ValueError("duplicate key")
         return _new(Object, (Object, tuple(members.items())))
@@ -483,34 +512,57 @@ def _build(x, depth: int) -> Value:
         if depth >= MAX_NESTING:
             raise ValueError("nesting too deep")
         depth += 1
-        return _new(Array, (Array, tuple([_new(Text, (Text, v)) if type(v) is str else _build(v, depth) for v in x])))
+        if x[0] is _OPEN:
+            fields = classes.get(x[1]) if len(x) == 4 and x[3] is _CLOSE else None
+            if fields is None or len(fields) != len(x[2]):
+                raise ValueError("not an instance of a declared class")
+            # declared fields are distinct
+            x = x[2]
+            args = [_new(Text, (Text, v)) if type(v) is str else _build(v, depth, classes) for v in x]
+            return _new(Object, (Object, tuple(zip(fields, args))))
+        return _new(
+            Array, (Array, tuple([_new(Text, (Text, v)) if type(v) is str else _build(v, depth, classes) for v in x]))
+        )
     if t is str:
         return _new(Text, (Text, x))
     if t is Number:
         return x
-    return NULL if x is None else _LITERALS["true" if x else "false"]
+    if x is None:
+        return NULL
+    if x is True:
+        return _TRUE
+    if x is False:
+        return _FALSE
+    raise ValueError("instance mark out of place")
+
+
+def _accept(text: str, decode, classes: dict[str, StructSignature] | None) -> Value | None:
+    """The nodes of ``text`` read by the stdlib's ``decode``, or None when it does not accept them.
+
+    None means the reject path must read the text: it holds a raw surrogate
+    code point, ``decode`` rejects it, ``_build`` refuses its result, or it
+    has a surrogate escape that is not half of a pair.
+    """
+    try:
+        if not text.isascii():
+            text.encode("utf-8")  # raises on a raw surrogate
+        v = _build(decode(text), 1, classes)
+        if _surrogate_escape(text) is not None and any(_escapes(text)):
+            # a lone surrogate cannot be written out as UTF-8
+            return None
+        return v
+    except (ValueError, RecursionError):
+        # UnicodeEncodeError and the stdlib's JSONDecodeError are
+        # ValueErrors; RecursionError is deep nesting in the C scanner
+        return None
 
 
 def decode_json(text: str) -> Value:
     """Parse exactly one JSON value; trailing non-whitespace is an error.
 
-    Text goes to the stdlib parser first, unless it holds a raw surrogate
-    code point. Any text that parser rejects, and any it accepts that holds
-    a duplicate key, nests past ``MAX_NESTING`` or, after a surrogate
-    escape, a lone surrogate (the stdlib keeps one), is parsed again by
-    ``Scanner``, which raises the error with its reason and position.
+    Text goes to the stdlib parser first (``_accept``). Any text it does not
+    accept is parsed again by ``Scanner``, which raises the error with its
+    reason and position.
     """
-    try:
-        if not text.isascii():
-            text.encode("utf-8")  # raises on a raw surrogate
-        v = _build(_stdlib_decode(text), 1)
-        if _surrogate_escape(text) is not None:
-            # a paired escape decodes to one code point; a lone one stays a
-            # surrogate, which cannot be written out as UTF-8
-            _minimal(v).encode("utf-8")
-        return v
-    except (ValueError, RecursionError):
-        # UnicodeEncodeError and the stdlib's JSONDecodeError are
-        # ValueErrors; RecursionError is deep nesting in the C scanner
-        pass
-    return Scanner(text).parse_document()
+    v = _accept(text, _stdlib_decode, None)
+    return Scanner(text).parse_document() if v is None else v

@@ -19,7 +19,6 @@ mandatory on encode and verified on decode.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -187,7 +186,14 @@ def _emit_array(head: str, arr: Array, depth: int, out: list[str]) -> None:
 
 _ARRAY_MARK_RE = re.compile(r"\[([0-9]+)\]")
 _quoted_run = re.compile(r'[^"\\]*').match
+# a quoted token with no escape in it, the usual kind
+_plain_quoted = re.compile(r'"([^"\\]*)"').match
 _bare_key = re.compile(r"[^:\[]*").match
+# the usual entry lines, a bare key and then a scalar ("key: rest", group 2)
+# or nothing ("key:", a nested object)
+_plain_entry = re.compile(r'([^":\[][^:\[]*):(?: (.*))?\Z', re.S).match
+_header_field = re.compile(r"[^,}]*").match
+_is_number = NUMBER_LITERAL_RE.match
 _UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
 _LITERALS = {"null": NULL, "true": Bool(True), "false": Bool(False)}
 _new = tuple.__new__
@@ -196,81 +202,86 @@ _new = tuple.__new__
 MAX_NESTING = 120
 
 
-@dataclass
-class _Line:
-    number: int
-    indent: int
-    content: str
-
-
 class _ToonParser:
+    """Recursive descent over the non-blank lines of a document.
+
+    The lines are three parallel lists: line number, indent level and the
+    content after the indent. ``indents`` ends with a -1 past the last line,
+    which matches no depth, so the loops test one list item for both "at the
+    end" and "not at this depth".
+    """
+
     def __init__(self, text: str):
-        self.lines: list[_Line] = []
+        numbers: list[int] = []
+        indents: list[int] = []
+        contents: list[str] = []
+        cr = "\r" in text
         for i, raw in enumerate(text.split("\n"), start=1):
-            if raw.endswith("\r"):
-                raw = raw[:-1]
-            if "\r" in raw:
-                raise ParseError("bare carriage return in line", line=i)
-            if not raw.strip():
-                continue
+            if cr:
+                if raw.endswith("\r"):
+                    raw = raw[:-1]
+                if "\r" in raw:
+                    raise ParseError("bare carriage return in line", line=i)
             stripped = raw.lstrip(" ")
-            indent_chars = raw[: len(raw) - len(stripped)]
-            if stripped[0] == "\t" or "\t" in indent_chars:
+            if not stripped or stripped.isspace():
+                continue
+            if stripped[0] == "\t":
                 raise IndentError("tab in indentation", line=i)
-            width = len(indent_chars)
+            width = len(raw) - len(stripped)
             if width % INDENT:
                 raise IndentError(f"indentation of {width} is not a multiple of {INDENT}", line=i)
-            self.lines.append(_Line(i, width // INDENT, stripped))
+            numbers.append(i)
+            indents.append(width // INDENT)
+            contents.append(stripped)
+        indents.append(-1)
+        self.numbers = numbers
+        self.indents = indents
+        self.contents = contents
         self.pos = 0
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.lines)
-
-    def peek(self) -> _Line:
-        return self.lines[self.pos]
+    def _unexpected_depth(self) -> IndentError:
+        pos = self.pos
+        return IndentError(f"unexpected indentation depth {self.indents[pos]}", line=self.numbers[pos])
 
     def parse_document(self) -> Object:
         pairs = self.parse_fields(0)
-        if not self.at_end():
-            line = self.peek()
-            raise IndentError(f"unexpected indentation depth {line.indent}", line=line.number)
+        if self.pos < len(self.contents):
+            raise self._unexpected_depth()
         return _new(Object, (Object, tuple(pairs)))
 
     def parse_fields(self, depth: int) -> list[tuple[str, Value]]:
-        if depth > MAX_NESTING and not self.at_end():
-            raise IndentError("nesting too deep", line=self.peek().number)
+        indents = self.indents
+        numbers = self.numbers
+        contents = self.contents
+        pos = self.pos
+        if depth > MAX_NESTING and indents[pos] >= 0:
+            raise IndentError("nesting too deep", line=numbers[pos])
         pairs: list[tuple[str, Value]] = []
         seen: set[str] = set()
-        while not self.at_end() and self.peek().indent == depth:
-            line = self.peek()
-            if line.content.startswith("-"):
+        while indents[pos] == depth:
+            content = contents[pos]
+            if content[0] == "-":
                 break
-            key, value = self.parse_entry(depth)
+            lineno = numbers[pos]
+            self.pos = pos + 1
+            m = _plain_entry(content)
+            if m is not None:
+                key, rest = m.groups()
+                if rest is None:
+                    value = _new(Object, (Object, tuple(self.parse_fields(depth + 1))))
+                else:
+                    value = _parse_scalar_rest(rest, lineno)
+            else:
+                key, idx = _parse_key(content, lineno)
+                value = self._parse_payload(content, idx, depth, lineno)
             if key in seen:
-                raise DuplicateKeyError(key, line=line.number)
+                raise DuplicateKeyError(key, line=lineno)
             seen.add(key)
             pairs.append((key, value))
-        if not self.at_end() and self.peek().indent > depth:
-            line = self.peek()
-            raise IndentError(f"unexpected indentation depth {line.indent}", line=line.number)
+            pos = self.pos
+        if indents[pos] > depth:
+            raise self._unexpected_depth()
         return pairs
-
-    def parse_entry(self, depth: int) -> tuple[str, Value]:
-        line = self.peek()
-        self.pos += 1
-        content = line.content
-        key, idx = self._parse_key(content, line.number)
-        return key, self._parse_payload(content, idx, depth, line.number)
-
-    def _parse_key(self, content: str, lineno: int) -> tuple[str, int]:
-        if content[0] == '"':
-            return _take_quoted(content, 0, lineno)
-        i = _bare_key(content).end()
-        if i == len(content):
-            raise ParseError("expected ':' after key", line=lineno)
-        if i == 0:
-            raise ParseError("empty key must be quoted", line=lineno)
-        return content[:i], i
 
     def _parse_payload(self, content: str, idx: int, depth: int, lineno: int) -> Value:
         if idx < len(content) and content[idx] == "[":
@@ -283,10 +294,12 @@ class _ToonParser:
                 raise ParseError("array length marker too long", line=lineno) from None
             idx = m.end()
             if idx < len(content) and content[idx] == "{":
-                header, idx = self._parse_header(content, idx, lineno)
-                self._expect_colon_eol(content, idx, lineno)
+                header, idx = _parse_header(content, idx, lineno)
+                _expect_colon(content, idx, lineno)
+                if content[idx + 1 :]:
+                    raise ParseError("table header line must end at ':'", line=lineno)
                 return self._parse_table(declared, header, depth, lineno)
-            self._expect_colon(content, idx, lineno)
+            _expect_colon(content, idx, lineno)
             rest = content[idx + 1 :]
             if not rest:
                 return self._parse_items(declared, depth, lineno)
@@ -296,7 +309,7 @@ class _ToonParser:
             if len(cells) != declared:
                 raise LengthMismatchError(declared, len(cells), line=lineno)
             return _new(Array, (Array, tuple(cells)))
-        self._expect_colon(content, idx, lineno)
+        _expect_colon(content, idx, lineno)
         rest = content[idx + 1 :]
         if not rest:
             return _new(Object, (Object, tuple(self.parse_fields(depth + 1))))
@@ -304,57 +317,23 @@ class _ToonParser:
             raise ParseError("expected space after ':'", line=lineno)
         return _parse_scalar_rest(rest[1:], lineno)
 
-    @staticmethod
-    def _expect_colon(content: str, idx: int, lineno: int) -> None:
-        if idx >= len(content) or content[idx] != ":":
-            raise ParseError("expected ':' after key", line=lineno)
-
-    def _expect_colon_eol(self, content: str, idx: int, lineno: int) -> None:
-        self._expect_colon(content, idx, lineno)
-        if content[idx + 1 :]:
-            raise ParseError("table header line must end at ':'", line=lineno)
-
-    def _parse_header(self, content: str, idx: int, lineno: int) -> tuple[list[str], int]:
-        idx += 1  # past '{'
-        fields: list[str] = []
-        while True:
-            if idx >= len(content):
-                raise ParseError("unterminated table header", line=lineno)
-            if content[idx] == '"':
-                name, idx = _take_quoted(content, idx, lineno)
-            else:
-                j = idx
-                while j < len(content) and content[j] not in ",}":
-                    j += 1
-                if j >= len(content):
-                    raise ParseError("unterminated table header", line=lineno)
-                name = content[idx:j]
-                if not name:
-                    raise ParseError("empty table header field", line=lineno)
-                idx = j
-            if name in fields:
-                raise DuplicateKeyError(name, line=lineno)
-            fields.append(name)
-            if idx >= len(content) or content[idx] not in ",}":
-                raise ParseError("expected ',' or '}' in table header", line=lineno)
-            if content[idx] == ",":
-                idx += 1
-                continue
-            return fields, idx + 1
-
     def _parse_table(self, declared: int, header: list[str], depth: int, lineno: int) -> Array:
+        indents = self.indents
+        numbers = self.numbers
+        contents = self.contents
+        pos = self.pos
+        depth += 1
         rows: list[Value] = []
-        while not self.at_end() and self.peek().indent == depth + 1:
-            line = self.peek()
-            self.pos += 1
-            cells = _split_cells(line.content, line.number)
+        while indents[pos] == depth:
+            cells = _split_cells(contents[pos], numbers[pos])
             if len(cells) != len(header):
                 raise ArityMismatchError(len(header), len(cells), row=len(rows) + 1)
             # header fields are distinct (checked in _parse_header)
             rows.append(_new(Object, (Object, tuple(zip(header, cells)))))
-        if not self.at_end() and self.peek().indent > depth + 1:
-            line = self.peek()
-            raise IndentError(f"unexpected indentation depth {line.indent}", line=line.number)
+            pos += 1
+        self.pos = pos
+        if indents[pos] > depth:
+            raise self._unexpected_depth()
         if len(rows) != declared:
             raise LengthMismatchError(declared, len(rows), line=lineno)
         return _new(Array, (Array, tuple(rows)))
@@ -362,35 +341,84 @@ class _ToonParser:
     def _parse_items(self, declared: int, depth: int, lineno: int) -> Array:
         if depth > MAX_NESTING:
             raise IndentError("nesting too deep", line=lineno)
+        indents = self.indents
+        contents = self.contents
+        depth += 1
         items: list[Value] = []
-        while not self.at_end() and self.peek().indent == depth + 1:
-            line = self.peek()
-            if not line.content.startswith("-"):
+        while indents[self.pos] == depth:
+            pos = self.pos
+            content = contents[pos]
+            if content[0] != "-":
                 break
-            self.pos += 1
-            items.append(self._parse_item(line, depth + 1))
-        if not self.at_end() and self.peek().indent > depth + 1:
-            line = self.peek()
-            raise IndentError(f"unexpected indentation depth {line.indent}", line=line.number)
+            self.pos = pos + 1
+            items.append(self._parse_item(content, depth, self.numbers[pos]))
+        if indents[self.pos] > depth:
+            raise self._unexpected_depth()
         if len(items) != declared:
             raise LengthMismatchError(declared, len(items), line=lineno)
         return _new(Array, (Array, tuple(items)))
 
-    def _parse_item(self, line: _Line, depth: int) -> Value:
-        content = line.content
+    def _parse_item(self, content: str, depth: int, lineno: int) -> Value:
         if content == "-":
             return _new(Object, (Object, tuple(self.parse_fields(depth + 1))))
         if not content.startswith("- "):
-            raise ParseError("expected '- ' item", line=line.number)
+            raise ParseError("expected '- ' item", line=lineno)
         rest = content[2:]
         if rest.startswith("["):
-            return self._parse_payload(content, 2, depth, line.number)
-        return _parse_scalar_rest(rest, line.number)
+            return self._parse_payload(content, 2, depth, lineno)
+        return _parse_scalar_rest(rest, lineno)
+
+
+def _parse_key(content: str, lineno: int) -> tuple[str, int]:
+    if content[0] == '"':
+        return _take_quoted(content, 0, lineno)
+    i = _bare_key(content).end()
+    if i == len(content):
+        raise ParseError("expected ':' after key", line=lineno)
+    if i == 0:
+        raise ParseError("empty key must be quoted", line=lineno)
+    return content[:i], i
+
+
+def _expect_colon(content: str, idx: int, lineno: int) -> None:
+    if idx >= len(content) or content[idx] != ":":
+        raise ParseError("expected ':' after key", line=lineno)
+
+
+def _parse_header(content: str, idx: int, lineno: int) -> tuple[list[str], int]:
+    """The field names of ``{f1,f2,...}`` at ``idx``, and the index past ``}``."""
+    idx += 1  # past '{'
+    n = len(content)
+    fields: list[str] = []
+    while True:
+        if idx >= n:
+            raise ParseError("unterminated table header", line=lineno)
+        if content[idx] == '"':
+            name, idx = _take_quoted(content, idx, lineno)
+        else:
+            j = _header_field(content, idx).end()
+            if j >= n:
+                raise ParseError("unterminated table header", line=lineno)
+            name = content[idx:j]
+            if not name:
+                raise ParseError("empty table header field", line=lineno)
+            idx = j
+        if name in fields:
+            raise DuplicateKeyError(name, line=lineno)
+        fields.append(name)
+        if idx >= n or content[idx] not in ",}":
+            raise ParseError("expected ',' or '}' in table header", line=lineno)
+        if content[idx] == ",":
+            idx += 1
+            continue
+        return fields, idx + 1
 
 
 def _take_quoted(s: str, idx: int, lineno: int) -> tuple[str, int]:
     """Read a double-quoted token starting at s[idx]; returns (text, next index)."""
-    assert s[idx] == '"'
+    m = _plain_quoted(s, idx)
+    if m is not None:
+        return m.group(1), m.end()
     idx += 1
     out: list[str] = []
     while True:
@@ -411,7 +439,7 @@ def _classify_bare(token: str) -> Value:
     literal = _LITERALS.get(token)
     if literal is not None:
         return literal
-    if NUMBER_LITERAL_RE.match(token):
+    if _is_number(token):
         return _new(Number, (Number, token))
     return _new(Text, (Text, token))
 
@@ -427,7 +455,20 @@ def _parse_scalar_rest(rest: str, lineno: int) -> Value:
 
 
 def _split_cells(s: str, lineno: int) -> list[Value]:
-    """Comma-separated scalar cells; quoted cells may contain commas."""
+    """Comma-separated scalar cells; quoted cells may contain commas.
+
+    Text with no quote is split by ``str.split``; an empty piece is an empty
+    cell.
+    """
+    if '"' not in s:
+        tokens = s.split(",")
+        if "" in tokens:
+            raise ParseError("empty cell", line=lineno)
+        # _classify_bare of each token, inlined
+        return [
+            _LITERALS.get(t) or (_new(Number, (Number, t)) if _is_number(t) else _new(Text, (Text, t)))
+            for t in tokens
+        ]
     cells: list[Value] = []
     idx = 0
     n = len(s)

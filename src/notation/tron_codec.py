@@ -8,9 +8,17 @@ since positional arguments make key order load-bearing. Compression comes
 entirely from repetition, so a batch encoder shares one class table across
 many documents.
 
-The body decoder is the JSON scanner with one more kind of value, so it
-shares that scanner's regex runs and its string rules (no unpaired
-surrogates); an instance head ``Name(`` is read with one match.
+A body decodes the way ``json_codec`` decodes JSON, on the same two paths.
+The accept path spells each instance ``Name(a1,...)`` outside string
+tokens as the JSON array ``[NaN,"Name",[a1,...],Infinity]`` and hands that
+to the stdlib's C scanner, which reads NaN and Infinity as two private
+marks; JSON's node walk then builds the instances against the class table.
+A body with no ``(`` is JSON text as it stands. ``_TronScanner``, the JSON
+``Scanner`` with class instances as one more kind of value, is the reject
+path: it reads every body the accept path does not take, so it alone says
+what each error is. Both paths share JSON's string rules (no unpaired
+surrogates), its duplicate-key check and its nesting cap, under which an
+instance is one value and its args are one value deeper.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .errors import (
     ParseError,
     UnknownClassError,
 )
-from .json_codec import Scanner, _emit
+from .json_codec import Scanner, _accept, _emit, _marked_decode, _stdlib_decode
 from .values import Array, Object, StructSignature, Value
 
 __all__ = [
@@ -203,26 +211,67 @@ def _parse_class_line(line: str, lineno: int) -> ClassDef:
 def _split_header(text: str) -> tuple[dict[str, StructSignature], str]:
     """Read class lines off the top; returns (classes, body text)."""
     classes: dict[str, StructSignature] = {}
-    rest = text
+    start = 0
     lineno = 0
-    while rest.startswith(_CLASS_PREFIX):
+    while text.startswith(_CLASS_PREFIX, start):
         lineno += 1
-        nl = rest.find("\n")
-        line, rest = (rest, "") if nl < 0 else (rest[:nl], rest[nl + 1 :])
-        cdef = _parse_class_line(line, lineno)
+        nl = text.find("\n", start)
+        end = len(text) if nl < 0 else nl
+        cdef = _parse_class_line(text[start:end], lineno)
         if cdef.name in classes:
             raise DuplicateClassError(cdef.name)
         classes[cdef.name] = cdef.fields
+        start = end + 1
     if classes:
-        if not rest.startswith("\n"):
+        if not text.startswith("\n", start):
             raise ParseError("expected blank line after class declarations", line=lineno + 1)
-        rest = rest[1:]
-    return classes, rest
+        start += 1
+    return classes, text[start:]
+
+
+# The accept path. A body is JSON text once every ``Name(`` outside a string
+# becomes ``[NaN,"Name",[`` and every ``)`` becomes ``],Infinity]``; the
+# stdlib reads NaN and Infinity as the instance marks, and ``_build`` takes
+# an instance only as [OPEN, declared name, args of the declared arity,
+# CLOSE]. A body whose text outside strings already holds NaN or Infinity,
+# or the NUL that joins the pieces below, is left to _TronScanner, which
+# reads every body this path does not accept and so alone says what each
+# error is. Nothing else needs screening: a "(" after no class name stays a
+# "(", and a quote that opens an unterminated string runs to the end or to
+# the first inserted quote, which a class name follows; the stdlib rejects
+# all three.
+
+# the string tokens of a body, in odd places of the split
+_split_strings = re.compile(r'("[^"\\]*(?:\\.[^"\\]*)*")', re.S).split
+_split_heads = re.compile(r"([A-Z]+)\(").split
+
+
+def _as_json(body: str) -> str | None:
+    """The body with its instances spelled as marked JSON arrays, or None."""
+    if "\0" in body:
+        return None
+    pieces = _split_strings(body)
+    outside = "\0".join(pieces[::2])
+    if "NaN" in outside or "Infinity" in outside:
+        return None
+    parts = _split_heads(outside)
+    parts[1::2] = ['[NaN,"' + name + '",[' for name in parts[1::2]]
+    pieces[::2] = "".join(parts).replace(")", "],Infinity]").split("\0")
+    return "".join(pieces)
+
+
+def _decode_body(body: str, classes: dict[str, StructSignature]) -> Value:
+    if "(" not in body:
+        v = _accept(body, _stdlib_decode, None)
+    else:
+        marked = _as_json(body)
+        v = None if marked is None else _accept(marked, _marked_decode, classes)
+    return _TronScanner(body, classes).parse_document() if v is None else v
 
 
 def decode_tron(text: str) -> Value:
     classes, body = _split_header(text)
-    return _TronScanner(body, classes).parse_document()
+    return _decode_body(body, classes)
 
 
 def decode_tron_batch(text: str) -> list[Value]:
@@ -230,9 +279,9 @@ def decode_tron_batch(text: str) -> list[Value]:
     classes, body = _split_header(text)
     roots: list[Value] = []
     for line in body.split("\n"):
-        if not line.strip():
+        if not line or line.isspace():
             continue
-        roots.append(_TronScanner(line, classes).parse_document())
+        roots.append(_decode_body(line, classes))
     if not roots:
         raise ParseError("batch has no document bodies")
     return roots

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from notation import tron_codec
 from notation.cli import main
+from notation.errors import ParseError
+from notation.tron_codec import decode_tron_batch
 
 from conftest import FIXTURES
 
@@ -419,6 +422,44 @@ def test_roundtrip_delimiter_profile_single(capsys):
         ["roundtrip", "--count", "1", "--seed", "7", "--profile", "delimiters"], capsys
     )
     assert code == 0
+
+
+def test_roundtrip_checks_the_tron_batch_codec(monkeypatch, capsys):
+    seen = []
+
+    def lossy_batch_decode(text):
+        roots = decode_tron_batch(text)
+        seen.append(len(roots))
+        return roots[:-1] if len(seen) == 2 else roots
+
+    monkeypatch.setattr(tron_codec, "decode_tron_batch", lossy_batch_decode)
+    code, out, _ = run_cli(["roundtrip", "--count", "20"], capsys)
+    assert code == 1
+    assert "FAIL seeds=8..15: tron-batch" in out
+    assert seen == [8, 8]
+
+    def rejecting_batch_decode(text):
+        raise ParseError("batch has no document bodies")
+
+    monkeypatch.setattr(tron_codec, "decode_tron_batch", rejecting_batch_decode)
+    code, out, _ = run_cli(["roundtrip", "--count", "3", "--seed", "5"], capsys)
+    assert code == 1
+    assert "FAIL seeds=5..7: tron-batch: batch has no document bodies" in out
+
+
+def test_roundtrip_batches_the_last_values_too(monkeypatch, capsys):
+    sizes = []
+
+    def counting_batch_decode(text):
+        roots = decode_tron_batch(text)
+        sizes.append(len(roots))
+        return roots
+
+    monkeypatch.setattr(tron_codec, "decode_tron_batch", counting_batch_decode)
+    code, out, _ = run_cli(["roundtrip", "--count", "19"], capsys)
+    assert code == 0
+    assert out == "roundtrip: 19 values x 3 codecs: all passed\n"
+    assert sizes == [8, 8, 3]
 
 
 def test_roundtrip_count_zero_usage_error(capsys):

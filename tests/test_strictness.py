@@ -6,7 +6,8 @@ decoders and only the sanctioned error type is allowed out. The JSON
 decoder is also held to the stdlib parser's accept/reject decisions, to
 ``Scanner``'s exact values and errors (``decode_json`` reads most text
 with the stdlib's C scanner and leaves the rest to ``Scanner``), and the
-nesting cap to its exact depth.
+nesting cap to its exact depth. The TRON decoders are held to
+``_TronScanner`` the same way.
 """
 
 import json
@@ -16,9 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from notation.errors import CodecError, ParseError
-from notation import json_codec
-from notation.errors import DuplicateKeyError
+from notation import json_codec, tron_codec
+from notation.errors import ArityMismatchError, CodecError, DuplicateKeyError, ParseError, UnknownClassError
 from notation.json_codec import MAX_NESTING, MINIMAL, JsonStyle, Scanner, decode_json, encode_json
 from notation.toon_codec import decode_toon, encode_toon
 from notation.tron_codec import decode_tron, decode_tron_batch, encode_tron, encode_tron_batch
@@ -457,3 +457,146 @@ def test_surrogate_escapes_agree_with_scanner(frame, strings):
         text = "{" + ",".join(f'"{s}{i}":"{s}"' for i, s in enumerate(strings)) + "}"
     assert_agrees_with_scanner(text)
     assert_agrees_with_stdlib(text)
+
+
+# ---------------------------------------------------------------------------
+# The TRON accept path against _TronScanner, the reject path: decode_tron and
+# decode_tron_batch give the same nodes, or the same error class, message and
+# position, as the scanner reading every body.
+
+TRON_HEADER = "class A: a\nclass B: a,b\n\n"
+
+
+def _tron_scanner(text: str) -> Value:
+    classes, body = tron_codec._split_header(text)
+    return tron_codec._TronScanner(body, classes).parse_document()
+
+
+def _tron_batch_scanner(text: str) -> list[Value]:
+    classes, body = tron_codec._split_header(text)
+    roots = [tron_codec._TronScanner(line, classes).parse_document() for line in body.split("\n") if line.strip()]
+    if not roots:
+        raise ParseError("batch has no document bodies")
+    return roots
+
+
+def assert_tron_agrees_with_scanner(text: str) -> None:
+    for decode, scan in ((decode_tron, _tron_scanner), (decode_tron_batch, _tron_batch_scanner)):
+        expected = _scanner_outcome(scan, text)
+        got = _scanner_outcome(decode, text)
+        assert got == expected, text
+        if expected[0] == "value":
+            assert repr(got[1]) == repr(expected[1]), text
+
+
+def _tron_nested(depth: int) -> str:
+    return _nested("A(", ")", depth, "1")[0]
+
+
+# (body after TRON_HEADER; the node class or error class decode_tron answers
+# with; whether the accept path takes the body, so the scanner never runs)
+TRON_PINNED = [
+    ("A([1)]", ParseError, False),
+    ("[[1)", ParseError, False),
+    ("A(1],[2)", ParseError, False),
+    ("A(1]]", ParseError, False),
+    ("A(1],2]", ParseError, False),
+    ("[A(1),[2)", ParseError, False),
+    ("(1)", ParseError, False),
+    ('A("x)', ParseError, False),
+    ('"x A(1)', ParseError, False),
+    ("NaN", ParseError, False),
+    ('[A(1),[NaN,"A",[1],Infinity]]', ParseError, False),
+    ('[A(2),[NaN,"A",[1)]', ParseError, False),
+    ("A(1],Infinity]", ParseError, False),
+    ("A(Infinity)", ParseError, False),
+    ("B(1,-Infinity)", ParseError, False),
+    ('A("A(1)")', Object, True),
+    ('"A(1)"', Text, True),
+    ('["NaN","Infinity",A(")")]', Array, True),
+    (r'B("x\"",")")', Object, True),
+    (r'B("x\\",A(")"))', Object, True),
+    ('A("\x00")', ParseError, False),
+    ("A(1)\x00", ParseError, False),
+    ("1E(2)", ParseError, False),
+    ("A (1)", ParseError, False),
+    ("A()", ArityMismatchError, False),
+    ("C(1)", UnknownClassError, False),
+    ("B(1)", ArityMismatchError, False),
+    ("A(1,2)", ArityMismatchError, False),
+    ('A({"k":1,"k":2})', DuplicateKeyError, False),
+    ('[A({"k":B(1,{"x":1,"x":2})})]', DuplicateKeyError, False),
+    ('{"a":[B(1,A(null)),{"b":true}]}', Object, True),
+    (_tron_nested(MAX_NESTING - 1), Object, True),
+    (_tron_nested(MAX_NESTING), Object, True),
+    (_tron_nested(MAX_NESTING + 1), ParseError, False),
+    # an instance is one value, its args the next
+    ("[" * (MAX_NESTING - 2) + "A(1)" + "]" * (MAX_NESTING - 2), Array, True),
+    ("[" * (MAX_NESTING - 1) + "A(1)" + "]" * (MAX_NESTING - 1), ParseError, False),
+    (r'A("\ud83d\ude00")', Object, True),
+    (r'B("\ud800",1)', ParseError, False),
+    (r'B(1,"\\ud800\udc00")', ParseError, False),
+    (r'B(1,"\\\ud83d\ude00")', Object, True),
+]
+
+
+@pytest.mark.parametrize("body,expected,accepted", TRON_PINNED, ids=range(len(TRON_PINNED)))
+def test_tron_pinned_cases_agree_with_scanner(monkeypatch, body, expected, accepted):
+    text = TRON_HEADER + body
+    assert_tron_agrees_with_scanner(text)
+    outcome = _scanner_outcome(decode_tron, text)
+    if issubclass(expected, CodecError):
+        assert outcome[0] is expected
+    else:
+        assert type(outcome[1]) is expected
+    calls = []
+
+    class CountingScanner(tron_codec._TronScanner):
+        def __init__(self, t, classes):
+            calls.append(t)
+            super().__init__(t, classes)
+
+    monkeypatch.setattr(tron_codec, "_TronScanner", CountingScanner)
+    assert _scanner_outcome(decode_tron, text) == outcome
+    # the scanner reads exactly the bodies the accept path does not take
+    assert calls == ([] if accepted else [body])
+    # and in a batch, exactly the lines it does not take
+    calls.clear()
+    batch = TRON_HEADER + "A(1)\n" + body + '\n{"k":B(2,[3])}'
+    got = _scanner_outcome(decode_tron_batch, batch)
+    if accepted:
+        assert got[0] == "value" and got[1][1] == outcome[1]
+        assert calls == []
+    else:
+        assert got == outcome
+        assert calls == [body]
+
+
+TRON_TOKENS = [*"{}[](),:\" \t\n-.0123456789eEAZ", "A(", "B(", "C(", "AB(", "NaN", "Infinity", "-Infinity"] + [
+    "true",
+    "null",
+    '"k"',
+    '"k":',
+    '"A(1)"',
+    '")"',
+    '"x',
+    '\\"',
+    "\\\\",
+    "\\ud83d\\ude00",
+    "\\ud800",
+    "\x00",
+    "],",
+    ")]",
+    "é",
+]
+TRON_FRAMES = ("{}", "A({})", "[{}]", "B(1,{})", '{{"k":A({})}}', '"{}"')
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(["", TRON_HEADER, "class A: a\nclass AB: k\nclass C: c,d\n\n"]),
+    st.sampled_from(TRON_FRAMES),
+    st.lists(st.sampled_from(TRON_TOKENS), max_size=24).map("".join),
+)
+def test_tron_soup_agrees_with_scanner(header, frame, soup):
+    assert_tron_agrees_with_scanner(header + frame.format(soup))

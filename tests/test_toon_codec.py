@@ -104,12 +104,15 @@ def test_table_row_count_checked():
 
 
 def test_indent_errors():
-    with pytest.raises(IndentError):
-        decode_toon("a:\n   b: 1")  # three spaces under indent_width=2
-    with pytest.raises(IndentError):
-        decode_toon("a:\n\tb: 1")
-    with pytest.raises(IndentError):
-        decode_toon("a: 1\n    b: 2")  # depth jumps past +1
+    for doc, message in (
+        ("a:\n   b: 1", "indentation of 3 is not a multiple of 2"),  # three spaces under indent_width=2
+        ("a:\n\tb: 1", "tab in indentation"),
+        ("a:\n  \tb: 1", "tab in indentation"),
+        ("a: 1\n    b: 2", "unexpected indentation depth 2"),  # depth jumps past +1
+    ):
+        with pytest.raises(IndentError) as e:
+            decode_toon(doc)
+        assert str(e.value) == f"{message} at line 2", doc
 
 
 def test_duplicate_keys_rejected():
@@ -130,10 +133,12 @@ def test_bare_carriage_return_rejected():
         ("a: 1\r\r\nb: 2", 1),
         ("a: 1\n\r \nb: 2", 2),
         ("rows[2]{a,b}:\n  1,2\n  3\r,4", 3),
+        ("k[2]: a,b\rc", 1),
     ):
         with pytest.raises(ParseError) as e:
             decode_toon(doc)
         assert e.value.line == line, doc
+        assert e.value.reason == "bare carriage return in line", doc
 
 
 def test_quoting_rules():
@@ -279,7 +284,35 @@ def test_tables_beat_minimal_json(seed):
 
 
 def test_empty_cell_rejected():
-    with pytest.raises(ParseError):
-        decode_toon("k[3]: a,,b")
-    with pytest.raises(ParseError):
-        decode_toon("k[2]: a,")
+    # a leading, trailing or doubled comma in an inline array and in a table
+    # row, with no quote in the text (split by str.split) and with one
+    for doc, line in (
+        ("k[3]: a,,b", 1),
+        ("k[2]: a,", 1),
+        ("k[3]: ,a,b", 1),
+        ("k[1]: ", 1),
+        ('k[2]: "a",', 1),
+        ("rows[2]{a,b}:\n  ,1\n  2,3", 2),
+        ("rows[2]{a,b}:\n  1,2\n  3,", 3),
+        ("rows[2]{a,b}:\n  1,,2\n  3,4", 2),
+        ('rows[2]{a,b}:\n  "x",,1\n  2,3', 2),
+        ('rows[2]{a,b}:\n  "x,y",1\n  2,', 3),
+    ):
+        with pytest.raises(ParseError) as e:
+            decode_toon(doc)
+        assert type(e.value) is ParseError
+        assert str(e.value) == f"empty cell at line {line}", doc
+
+
+def test_cells_split_at_commas_outside_quotes():
+    # a quote inside a bare cell or header field is part of it; a quoted cell
+    # may hold a comma
+    cases = {
+        'k[2]: a"b,c': {"k": ['a"b', "c"]},
+        'rows[2]{a,b}:\n  x,a"b\n  1,2': {"rows": [{"a": "x", "b": 'a"b'}, {"a": 1, "b": 2}]},
+        'k[2]: "a,b",c': {"k": ["a,b", "c"]},
+        'rows[2]{a,b}:\n  "x,y",1\n  2,"3"': {"rows": [{"a": "x,y", "b": 1}, {"a": 2, "b": "3"}]},
+        'rows[1]{a"b,c}:\n  1,2': {"rows": [{'a"b': 1, "c": 2}]},
+    }
+    for doc, expected in cases.items():
+        assert decode_toon(doc) == from_python(expected), doc
