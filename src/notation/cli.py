@@ -363,15 +363,38 @@ def _tron_batch_failure(roots: list) -> str | None:
     return "tron-batch"
 
 
+def _roundtrip_failure(value) -> str | None:
+    """Which codec does not bring ``value`` back, or None when all three do.
+
+    Explicit comparisons, not ``assert``: ``python -O`` would strip those
+    and report a broken codec as passing.
+    """
+    from .tron_codec import decode_tron
+    from .values import Object
+
+    wrapped = not isinstance(value, Object)
+    codec = "json"
+    try:
+        if decode_json(encode_json(value)) != value:
+            return codec
+        codec = "toon"
+        if decode_toon(encode_toon(value), unwrap=wrapped) != value:
+            return codec
+        codec = "tron"
+        if decode_tron(encode_tron(value)) != value:
+            return codec
+    except CodecError as e:
+        return f"{codec}: {e}"
+    return None
+
+
 def cmd_roundtrip(args) -> int:
     from .values import (
         DEFAULT_PROFILE,
         DELIMITER_PROFILE,
         TABULAR_PROFILE,
-        Object,
         generate,
     )
-    from .tron_codec import decode_tron
 
     profiles = {
         "default": [DEFAULT_PROFILE],
@@ -383,13 +406,9 @@ def cmd_roundtrip(args) -> int:
     for i in range(args.count):
         seed = args.seed + i
         value = generate(seed, profiles[i % len(profiles)])
-        try:
-            assert decode_json(encode_json(value)) == value, "json"
-            wrapped = not isinstance(value, Object)
-            assert decode_toon(encode_toon(value), unwrap=wrapped) == value, "toon"
-            assert decode_tron(encode_tron(value)) == value, "tron"
-        except (AssertionError, CodecError) as e:
-            print(f"FAIL seed={seed}: {e}")
+        failure = _roundtrip_failure(value)
+        if failure is not None:
+            print(f"FAIL seed={seed}: {failure}")
             print(f"value: {encode_json(value)}")
             return EXIT_PROPERTY
         batch.append(value)

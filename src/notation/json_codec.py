@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring
 
 from .errors import DuplicateKeyError, ParseError
-from .values import NULL, Array, Bool, Null, Number, Object, StructSignature, Text, Value
+from .values import NULL, Array, Bool, Null, Number, Object, StructSignature, Text, Value, _collector_paused
 
 __all__ = ["JsonStyle", "MINIMAL", "encode_json", "decode_json", "Scanner"]
 
@@ -557,6 +557,7 @@ def _accept(text: str, decode, classes: dict[str, StructSignature] | None) -> Va
         return None
 
 
+@_collector_paused
 def decode_json(text: str) -> Value:
     """Parse exactly one JSON value; trailing non-whitespace is an error.
 

@@ -39,6 +39,7 @@ from .values import (
     StructSignature,
     Text,
     Value,
+    _collector_paused,
 )
 
 __all__ = [
@@ -493,6 +494,7 @@ def _split_cells(s: str, lineno: int) -> list[Value]:
             raise ParseError("empty cell", line=lineno)
 
 
+@_collector_paused
 def decode_toon(text: str, *, unwrap: bool = False) -> Value:
     """Strict inverse of encode_toon.
 

@@ -33,7 +33,7 @@ from .errors import (
     UnknownClassError,
 )
 from .json_codec import Scanner, _accept, _emit, _marked_decode, _stdlib_decode
-from .values import Array, Object, StructSignature, Value
+from .values import Array, Object, StructSignature, Value, _collector_paused
 
 __all__ = [
     "ClassDef",
@@ -269,11 +269,13 @@ def _decode_body(body: str, classes: dict[str, StructSignature]) -> Value:
     return _TronScanner(body, classes).parse_document() if v is None else v
 
 
+@_collector_paused
 def decode_tron(text: str) -> Value:
     classes, body = _split_header(text)
     return _decode_body(body, classes)
 
 
+@_collector_paused
 def decode_tron_batch(text: str) -> list[Value]:
     """Strict inverse of encode_tron_batch: one document term per body line."""
     classes, body = _split_header(text)

@@ -22,6 +22,8 @@ instead of the named properties.
 
 from __future__ import annotations
 
+import functools
+import gc
 import random
 import re
 from dataclasses import dataclass
@@ -168,6 +170,34 @@ class Object(Value):
 
 
 StructSignature = tuple[str, ...]
+
+
+def _collector_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused.
+
+    A decoder builds thousands of nodes per document, and every node is a
+    tuple the collector tracks and never untracks, so its young collections
+    would scan each new tree again and again. A node tree holds no
+    reference cycle (a node refers only to its class and to nodes built
+    before it), so those scans can never find garbage. The pause is
+    process-wide: cycles made by other threads wait until the call returns.
+
+    When the collector is already off, ``fn`` runs as it is: the wrapper
+    never turns on a collector its caller turned off, and a nested call
+    leaves turning it back on to the outermost one.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def from_python(obj) -> Value:

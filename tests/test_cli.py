@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import notation
 from notation import tron_codec
 from notation.cli import main
 from notation.errors import ParseError
@@ -460,6 +465,32 @@ def test_roundtrip_batches_the_last_values_too(monkeypatch, capsys):
     assert code == 0
     assert out == "roundtrip: 19 values x 3 codecs: all passed\n"
     assert sizes == [8, 8, 3]
+
+
+
+# run under ``python -O`` with decode_tron replaced by one that answers null
+BROKEN_TRON_UNDER_O = """
+import sys
+from notation import tron_codec
+from notation.cli import main
+from notation.values import NULL
+
+print("optimize", sys.flags.optimize)
+tron_codec.decode_tron = lambda text: NULL
+sys.exit(main(["roundtrip", "--count", "5"]))
+"""
+
+
+def test_roundtrip_fails_under_python_O():
+    src = str(Path(notation.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_TRON_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1] == "FAIL seed=0: tron"
 
 
 def test_roundtrip_count_zero_usage_error(capsys):

@@ -10,14 +10,16 @@ nesting cap to its exact depth. The TRON decoders are held to
 ``_TronScanner`` the same way.
 """
 
+import gc
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from notation import json_codec, tron_codec
+from notation import json_codec, toon_codec, tron_codec
 from notation.errors import ArityMismatchError, CodecError, DuplicateKeyError, ParseError, UnknownClassError
 from notation.json_codec import MAX_NESTING, MINIMAL, JsonStyle, Scanner, decode_json, encode_json
 from notation.toon_codec import decode_toon, encode_toon
@@ -33,6 +35,7 @@ from notation.values import (
     Object,
     Text,
     Value,
+    from_python,
     generate,
 )
 
@@ -600,3 +603,99 @@ TRON_FRAMES = ("{}", "A({})", "[{}]", "B(1,{})", '{{"k":A({})}}', '"{}"')
 )
 def test_tron_soup_agrees_with_scanner(header, frame, soup):
     assert_tron_agrees_with_scanner(header + frame.format(soup))
+
+
+# ---------------------------------------------------------------------------
+# The decoders pause the cyclic collector while they build (``values.
+# _collector_paused``). Every way out of a decoder leaves ``gc.isenabled()``
+# as it found it, and no collection starts while a decoder runs.
+
+_DEEP_TOON = "\n".join(("  " * i) + (f"k{i}:" if i < 2999 else f"k{i}: 1") for i in range(3000))
+PAUSE_EXITS = {
+    # decoder: (accepted text, rejected text, text nested past the stack)
+    decode_json: ('{"a":[1,"b"]}', '{"a":}', "[" * 100_000),
+    decode_toon: ("a: 1\nb[2]: x,y", "a: 1\n  b: 2", _DEEP_TOON),
+    decode_tron: ('class A: k\n\n[A(1),"b"]', "class A: k\n\nA(1,2)", "[" * 100_000),
+    decode_tron_batch: ("[1]\n[2]", "", "[1]\n" + "[" * 100_000),
+}
+
+
+@pytest.fixture
+def restore_collector():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("decode", list(PAUSE_EXITS), ids=lambda f: f.__name__)
+def test_decoders_leave_the_collector_as_they_found_it(decode, enabled, restore_collector):
+    accepted, rejected, deep = PAUSE_EXITS[decode]
+    (gc.enable if enabled else gc.disable)()
+    decode(accepted)
+    assert gc.isenabled() is enabled
+    for text in (rejected, deep):
+        with pytest.raises(CodecError):
+            decode(text)
+        assert gc.isenabled() is enabled
+
+
+def test_nested_pause_leaves_the_collector_off_until_the_outer_call_returns(restore_collector):
+    from notation.values import _collector_paused
+
+    seen = []
+
+    @_collector_paused
+    def inner():
+        seen.append(gc.isenabled())
+
+    @_collector_paused
+    def outer():
+        inner()
+        seen.append(gc.isenabled())
+        raise ValueError("out")
+
+    gc.enable()
+    with pytest.raises(ValueError):
+        outer()
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+_CODEC_FILES = {json_codec.__file__, toon_codec.__file__, tron_codec.__file__}
+
+
+def test_no_collection_starts_while_a_decoder_builds(restore_collector):
+    rows = [{"id": i, "name": f"n{i}", "tags": [i, "t", None], "ok": i % 2 == 0} for i in range(1000)]
+    doc = from_python({"rows": rows})  # about 8000 nodes
+    texts = {
+        decode_json: encode_json(doc),
+        decode_toon: encode_toon(doc),
+        decode_tron: encode_tron(doc),
+        decode_tron_batch: encode_tron_batch([doc, doc]),
+    }
+    inside = []
+
+    def count(phase, info):
+        # a collection counts when a codec frame is on the stack
+        frame = sys._getframe(1)
+        while frame is not None:
+            if phase == "start" and frame.f_code.co_filename in _CODEC_FILES:
+                inside.append(info["generation"])
+                return
+            frame = frame.f_back
+
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        for decode, text in texts.items():
+            gc.collect()
+            result = decode(text)
+            assert result == ([doc, doc] if decode is decode_tron_batch else doc)
+    finally:
+        gc.callbacks.remove(count)
+    assert inside == []
+
