@@ -63,10 +63,22 @@ class ToolSchema:
     name: str
     description: str
     parameters: Object
+    # the prompt memo hashes the whole catalog on every run; hashing the
+    # parameters tree each time would walk every node of it
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tool name must be non-empty")
+        object.__setattr__(self, "_hash", hash((self.name, self.description, self.parameters)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a node's hash differs from one process to the next, so a copy or an
+        # unpickled schema computes its own
+        return type(self), (self.name, self.description, self.parameters)
 
     def to_value(self) -> Object:
         return Object(

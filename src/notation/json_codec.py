@@ -94,49 +94,63 @@ def _emit(v: Value, out: list[str], index: dict[StructSignature, str]) -> None:
     t = type(v)
     if t is Text:
         out.append(encode_string(v[1]))
-    elif t is Number:
+        return
+    if t is Number:
         out.append(v[1])
-    elif t is Object:
-        pairs = v[1]
-        if not pairs:
+        return
+    if t is Object:
+        keys = v[1]
+        if not keys:
             out.append("{}")
             return
-        name = index.get(tuple([k for k, _ in pairs])) if index else None
-        out.append("{" if name is None else name + "(")
-        for k, x in pairs:
-            if name is None:
-                out.append(encode_string(k) + ":")
-            t = type(x)
-            if t is Text:
-                out.append(encode_string(x[1]))
-            elif t is Number:
-                out.append(x[1])
-            else:
-                _emit(x, out, index)
-            out.append(",")
-        out[-1] = "}" if name is None else ")"
+        name = index.get(keys) if index else None
+        if name is None:
+            out.append("{")
+            # keys by index: a zip per object costs more than the usual
+            # three or four members take
+            i = 0
+            for x in v[2]:
+                out.append(encode_string(keys[i]) + ":")
+                i += 1
+                t = type(x)
+                if t is Text:
+                    out.append(encode_string(x[1]))
+                elif t is Number:
+                    out.append(x[1])
+                else:
+                    _emit(x, out, index)
+                out.append(",")
+            out[-1] = "}"
+            return
+        out.append(name + "(")
+        items = v[2]
+        close = ")"
     elif t is Array:
         items = v[1]
         if not items:
             out.append("[]")
             return
         out.append("[")
-        for x in items:
-            t = type(x)
-            if t is Text:
-                out.append(encode_string(x[1]))
-            elif t is Number:
-                out.append(x[1])
-            else:
-                _emit(x, out, index)
-            out.append(",")
-        out[-1] = "]"
+        close = "]"
     elif t is Bool:
         out.append("true" if v[1] else "false")
+        return
     elif t is Null:
         out.append("null")
+        return
     else:
         raise TypeError(f"not a Value: {v!r}")
+    # the items of an array or the args of a class instance
+    for x in items:
+        t = type(x)
+        if t is Text:
+            out.append(encode_string(x[1]))
+        elif t is Number:
+            out.append(x[1])
+        else:
+            _emit(x, out, index)
+        out.append(",")
+    out[-1] = close
 
 
 def _encode_pretty(v: Value, width: int, depth: int) -> str:
@@ -148,10 +162,10 @@ def _encode_pretty(v: Value, width: int, depth: int) -> str:
         body = ",\n".join(pad + _encode_pretty(x, width, depth + 1) for x in v.items)
         return f"[\n{body}\n{close}]"
     if isinstance(v, Object):
-        if not v.pairs:
+        if not v[1]:
             return "{}"
         body = ",\n".join(
-            f"{pad}{encode_string(k)}: {_encode_pretty(x, width, depth + 1)}" for k, x in v.pairs
+            f"{pad}{encode_string(k)}: {_encode_pretty(x, width, depth + 1)}" for k, x in zip(v[1], v[2])
         )
         return f"{{\n{body}\n{close}}}"
     return _minimal(v)
@@ -266,7 +280,7 @@ class Scanner:
         pos = _skip_ws(text, self.pos + 1).end()
         if text.startswith("}", pos):
             self.pos = pos + 1
-            return _new(Object, (Object, ()))
+            return _new(Object, (Object, (), ()))
         # a member is one value deeper than this object; at the cap every
         # member goes the general way, where parse_value rejects it
         fast = self.depth < MAX_NESTING
@@ -300,7 +314,7 @@ class Scanner:
             self.pos = pos
             if ch == "}":
                 self.pos += 1
-                return _new(Object, (Object, tuple(members.items())))
+                return _new(Object, (Object, tuple(members), tuple(members.values())))
             if not ch:
                 raise self.error("unexpected end of input")
             raise self.error("expected ',' or '}' in object")
@@ -496,7 +510,7 @@ def _build(x, depth: int, classes: dict[str, StructSignature] | None) -> Value:
     t = type(x)
     if t is tuple:
         if not x:
-            return _new(Object, (Object, ()))
+            return _new(Object, (Object, (), ()))
         if depth >= MAX_NESTING:
             raise ValueError("nesting too deep")
         depth += 1
@@ -505,7 +519,7 @@ def _build(x, depth: int, classes: dict[str, StructSignature] | None) -> Value:
             members[k] = _new(Text, (Text, v)) if type(v) is str else _build(v, depth, classes)
         if len(members) != len(x):
             raise ValueError("duplicate key")
-        return _new(Object, (Object, tuple(members.items())))
+        return _new(Object, (Object, tuple(members), tuple(members.values())))
     if t is list:
         if not x:
             return _new(Array, (Array, ()))
@@ -519,7 +533,7 @@ def _build(x, depth: int, classes: dict[str, StructSignature] | None) -> Value:
             # declared fields are distinct
             x = x[2]
             args = [_new(Text, (Text, v)) if type(v) is str else _build(v, depth, classes) for v in x]
-            return _new(Object, (Object, tuple(zip(fields, args))))
+            return _new(Object, (Object, fields, tuple(args)))
         return _new(
             Array, (Array, tuple([_new(Text, (Text, v)) if type(v) is str else _build(v, depth, classes) for v in x]))
         )

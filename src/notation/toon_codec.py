@@ -77,9 +77,9 @@ def classify_array(arr: Array) -> tuple[ArrayShape, StructSignature | None]:
     if kinds <= _SCALAR_TYPES:
         return ArrayShape.PRIMITIVE_INLINE, None
     if len(items) >= TABLE_MIN_ROWS and kinds == {Object}:
-        sig = items[0].keys
-        if sig and all(x.keys == sig for x in items):
-            cells = [v for x in items for _, v in x[1]]
+        sig = items[0][1]
+        if sig and all(x[1] == sig for x in items):
+            cells = [v for x in items for v in x[2]]
             # an empty cell would read back as a missing one
             if set(map(type, cells)) <= _SCALAR_TYPES and _EMPTY_TEXT not in cells:
                 return ArrayShape.UNIFORM_TABLE, sig
@@ -130,10 +130,10 @@ def encode_toon(v: Value) -> str:
     """
     root = v if type(v) is Object else Object(((WRAP_KEY, v),))
     out: list[str] = []
-    for pair in root[1]:
+    for k, x in zip(root[1], root[2]):
         if out:
             out.append("")
-        _emit_fields((pair,), 0, out)
+        _emit_fields((k,), (x,), 0, out)
     return "\n".join(out)
 
 
@@ -142,14 +142,14 @@ def encode_toon(v: Value) -> str:
 # type(v) and append to one list that encode_toon joins once.
 
 
-def _emit_fields(pairs: tuple[tuple[str, Value], ...], depth: int, out: list[str]) -> None:
+def _emit_fields(keys: StructSignature, values: tuple[Value, ...], depth: int, out: list[str]) -> None:
     pad = " " * (depth * INDENT)
-    for k, v in pairs:
+    for k, v in zip(keys, values):
         head = pad + _encode_key(k)
         t = type(v)
         if t is Object:
             out.append(head + ":")
-            _emit_fields(v[1], depth + 1, out)
+            _emit_fields(v[1], v[2], depth + 1, out)
         elif t is Array:
             _emit_array(head, v, depth, out)
         else:
@@ -167,7 +167,7 @@ def _emit_array(head: str, arr: Array, depth: int, out: list[str]) -> None:
         out.append(f"{head}[{n}]{{" + ",".join(map(_encode_key, sig)) + "}:")
         pad = " " * ((depth + 1) * INDENT)
         for x in items:
-            out.append(pad + ",".join([encode_scalar(c) for _, c in x[1]]))
+            out.append(pad + ",".join(map(encode_scalar, x[2])))
     else:
         out.append(f"{head}[{n}]:")
         dash = " " * ((depth + 1) * INDENT) + "-"
@@ -175,7 +175,7 @@ def _emit_array(head: str, arr: Array, depth: int, out: list[str]) -> None:
             t = type(x)
             if t is Object:
                 out.append(dash)
-                _emit_fields(x[1], depth + 2, out)
+                _emit_fields(x[1], x[2], depth + 2, out)
             elif t is Array:
                 _emit_array(dash + " ", x, depth + 1, out)
             else:
@@ -245,20 +245,20 @@ class _ToonParser:
         return IndentError(f"unexpected indentation depth {self.indents[pos]}", line=self.numbers[pos])
 
     def parse_document(self) -> Object:
-        pairs = self.parse_fields(0)
+        doc = self.parse_fields(0)
         if self.pos < len(self.contents):
             raise self._unexpected_depth()
-        return _new(Object, (Object, tuple(pairs)))
+        return doc
 
-    def parse_fields(self, depth: int) -> list[tuple[str, Value]]:
+    def parse_fields(self, depth: int) -> Object:
+        """The object whose entry lines start at this line, ``depth`` levels in."""
         indents = self.indents
         numbers = self.numbers
         contents = self.contents
         pos = self.pos
         if depth > MAX_NESTING and indents[pos] >= 0:
             raise IndentError("nesting too deep", line=numbers[pos])
-        pairs: list[tuple[str, Value]] = []
-        seen: set[str] = set()
+        members: dict[str, Value] = {}
         while indents[pos] == depth:
             content = contents[pos]
             if content[0] == "-":
@@ -269,20 +269,19 @@ class _ToonParser:
             if m is not None:
                 key, rest = m.groups()
                 if rest is None:
-                    value = _new(Object, (Object, tuple(self.parse_fields(depth + 1))))
+                    value = self.parse_fields(depth + 1)
                 else:
                     value = _parse_scalar_rest(rest, lineno)
             else:
                 key, idx = _parse_key(content, lineno)
                 value = self._parse_payload(content, idx, depth, lineno)
-            if key in seen:
+            if key in members:
                 raise DuplicateKeyError(key, line=lineno)
-            seen.add(key)
-            pairs.append((key, value))
+            members[key] = value
             pos = self.pos
         if indents[pos] > depth:
             raise self._unexpected_depth()
-        return pairs
+        return _new(Object, (Object, tuple(members), tuple(members.values())))
 
     def _parse_payload(self, content: str, idx: int, depth: int, lineno: int) -> Value:
         if idx < len(content) and content[idx] == "[":
@@ -299,7 +298,7 @@ class _ToonParser:
                 _expect_colon(content, idx, lineno)
                 if content[idx + 1 :]:
                     raise ParseError("table header line must end at ':'", line=lineno)
-                return self._parse_table(declared, header, depth, lineno)
+                return self._parse_table(declared, tuple(header), depth, lineno)
             _expect_colon(content, idx, lineno)
             rest = content[idx + 1 :]
             if not rest:
@@ -313,12 +312,12 @@ class _ToonParser:
         _expect_colon(content, idx, lineno)
         rest = content[idx + 1 :]
         if not rest:
-            return _new(Object, (Object, tuple(self.parse_fields(depth + 1))))
+            return self.parse_fields(depth + 1)
         if rest[0] != " ":
             raise ParseError("expected space after ':'", line=lineno)
         return _parse_scalar_rest(rest[1:], lineno)
 
-    def _parse_table(self, declared: int, header: list[str], depth: int, lineno: int) -> Array:
+    def _parse_table(self, declared: int, header: StructSignature, depth: int, lineno: int) -> Array:
         indents = self.indents
         numbers = self.numbers
         contents = self.contents
@@ -329,8 +328,9 @@ class _ToonParser:
             cells = _split_cells(contents[pos], numbers[pos])
             if len(cells) != len(header):
                 raise ArityMismatchError(len(header), len(cells), row=len(rows) + 1)
-            # header fields are distinct (checked in _parse_header)
-            rows.append(_new(Object, (Object, tuple(zip(header, cells)))))
+            # header fields are distinct (checked in _parse_header); every
+            # row shares the one key tuple
+            rows.append(_new(Object, (Object, header, tuple(cells))))
             pos += 1
         self.pos = pos
         if indents[pos] > depth:
@@ -361,7 +361,7 @@ class _ToonParser:
 
     def _parse_item(self, content: str, depth: int, lineno: int) -> Value:
         if content == "-":
-            return _new(Object, (Object, tuple(self.parse_fields(depth + 1))))
+            return self.parse_fields(depth + 1)
         if not content.startswith("- "):
             raise ParseError("expected '- ' item", line=lineno)
         rest = content[2:]
@@ -506,5 +506,5 @@ def decode_toon(text: str, *, unwrap: bool = False) -> Value:
     if unwrap:
         if len(doc) != 1 or doc.keys != (WRAP_KEY,):
             raise ParseError(f"expected a single {WRAP_KEY!r} key to unwrap")
-        return doc.pairs[0][1]
+        return doc[2][0]
     return doc

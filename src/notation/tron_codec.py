@@ -96,10 +96,9 @@ def _classable(sig: StructSignature) -> bool:
 def _count_shapes(v: Value, counts: dict[StructSignature, int]) -> None:
     t = type(v)
     if t is Object:
-        pairs = v[1]
-        sig = tuple([k for k, _ in pairs])
+        sig = v[1]
         counts[sig] = counts.get(sig, 0) + 1
-        for _, x in pairs:
+        for x in v[2]:
             _count_shapes(x, counts)
     elif t is Array:
         for x in v[1]:
@@ -186,7 +185,7 @@ class _TronScanner(Scanner):
         if len(args) != len(fields):
             raise ArityMismatchError(len(fields), len(args), class_name=name)
         # declared fields are distinct (checked in _parse_class_line)
-        return tuple.__new__(Object, (Object, tuple(zip(fields, args))))
+        return tuple.__new__(Object, (Object, fields, tuple(args)))
 
 
 _CLASS_PREFIX = "class "

@@ -5,19 +5,24 @@ Object nodes. Numbers keep their exact decimal literal so "7.5" and "7"
 survive any encode/decode chain byte-for-byte. Objects preserve key
 insertion order and forbid duplicate keys.
 
-Each node is a tuple laid out as ``(cls, field)``: its own class as a tag,
-then one field. That field is the ``str`` of a Text, the literal of a
-Number, the ``bool`` of a Bool, ``None`` for Null, the tuple of items of an
-Array and the tuple of ``(key, value)`` pairs of an Object. Tuple ``==``
-and ``hash`` are then exact about type (``Text("1") != Number("1")``,
+Each node is a tuple that starts with its own class as a tag. A scalar or
+an Array is laid out as ``(cls, field)``: the ``str`` of a Text, the literal
+of a Number, the ``bool`` of a Bool, ``None`` for Null, the tuple of items
+of an Array. An Object is laid out as ``(Object, keys, values)``: the tuple
+of its key strings, which is its shape (``StructSignature``), and the tuple
+of its child nodes in the same order. Objects decoded from one TOON table
+or as instances of one TRON class share one key tuple, and a key tuple
+holds only ``str``, so the cyclic collector untracks it. Tuple ``==`` and
+``hash`` are then exact about type (``Text("1") != Number("1")``,
 ``Bool(True) != Number("1")``) and run in C. The tag's hash is its
 identity, so a node's hash differs from one process to the next; nothing
 may order output by it.
 
-The public constructors check their field as the grammar wants it.
+The public constructors check their fields as the grammar wants them.
 Decoders, which have already made those checks, build nodes directly with
-``tuple.__new__(cls, (cls, field))``, and the hot walkers read ``v[1]``
-instead of the named properties.
+``tuple.__new__(cls, (cls, field))`` or ``tuple.__new__(Object, (Object,
+keys, values))``, and the hot walkers read ``v[1]`` and ``v[2]`` instead of
+the named properties.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ _field = itemgetter(1)
 
 
 class Value(tuple):
-    """Base class for document tree nodes: the tuple ``(cls, field)``."""
+    """Base class for document tree nodes: a tuple whose first item is the node's class."""
 
     __slots__ = ()
 
@@ -135,38 +140,44 @@ class Array(Value):
 
 
 class Object(Value):
-    """Ordered key/value pairs; duplicate keys are rejected at construction."""
+    """Ordered key/value pairs; duplicate keys are rejected at construction.
+
+    Stored as ``(Object, keys, values)``; ``keys`` is the stored key tuple
+    and ``pairs`` is built from the two on each read.
+    """
 
     __slots__ = ()
 
-    pairs = property(_field)
+    keys = property(_field)
 
     def __new__(cls, pairs=()) -> Object:
         if isinstance(pairs, dict):
             pairs = pairs.items()
-        pairs = tuple((k, v) for k, v in pairs)
-        seen = set()
-        for k, _ in pairs:
-            if k in seen:
+        members = {}
+        for k, v in pairs:
+            if k in members:
                 raise ValueError(f"duplicate object key: {k!r}")
-            seen.add(k)
-        return tuple.__new__(cls, (cls, pairs))
+            members[k] = v
+        return tuple.__new__(cls, (cls, tuple(members), tuple(members.values())))
 
     @property
-    def keys(self) -> tuple[str, ...]:
-        return tuple([k for k, _ in self[1]])
+    def pairs(self) -> tuple[tuple[str, Value], ...]:
+        return tuple(zip(self[1], self[2]))
 
     def get(self, key: str) -> Value | None:
-        for k, v in self[1]:
-            if k == key:
-                return v
-        return None
+        try:
+            return self[2][self[1].index(key)]
+        except ValueError:
+            return None
+
+    def __getnewargs__(self):
+        return (self.pairs,)
 
     def __len__(self) -> int:
         return len(self[1])
 
     def __repr__(self) -> str:
-        return f"Object(pairs={self[1]!r})"
+        return f"Object(pairs={self.pairs!r})"
 
 
 StructSignature = tuple[str, ...]

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -437,6 +439,28 @@ def test_mutating_returned_spans_leaves_next_prompt():
     run_trajectory("t", agent, executor, catalog, cfg).spans.clear()
     again = run_trajectory("t", agent, executor, catalog, cfg)
     assert again.spans[: len(expected)] == expected
+
+
+def test_equal_schemas_hash_equal_and_a_second_run_hits_the_prompt_memo():
+    a, b = make_catalog(3), make_catalog(3)
+    assert a == b and all(x is not y for x, y in zip(a, b))
+    assert [hash(x) for x in a] == [hash(x) for x in b]
+    assert hash(dataclasses.replace(a[0])) == hash(a[0])
+    assert hash(a[0]) == hash((a[0].name, a[0].description, a[0].parameters))
+    catalog, executor, agent = simple_run_pieces()
+    clear_memo()
+    first = run_trajectory("t", agent, executor, catalog, LoopConfig())
+    before = agent_mod._prompt_spans.cache_info()
+    assert run_trajectory("t", agent, executor, catalog, LoopConfig()) == first
+    after = agent_mod._prompt_spans.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_copied_schema_is_rebuilt_through_the_constructor():
+    (schema,) = make_catalog(1)
+    for other in (copy.copy(schema), copy.deepcopy(schema), pickle.loads(pickle.dumps(schema))):
+        assert other == schema and hash(other) == hash(schema)
+    assert b"_hash" not in pickle.dumps(schema)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

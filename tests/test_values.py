@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from notation.json_codec import decode_json
+from notation import json_codec, tron_codec
+from notation.json_codec import Scanner, decode_json, encode_json
+from notation.toon_codec import decode_toon, encode_toon
+from notation.tron_codec import decode_tron_batch, encode_tron, encode_tron_batch
 from notation.values import (
     DEFAULT_PROFILE,
     DELIMITER_PROFILE,
@@ -65,6 +68,8 @@ DISTINCT = [
     Object(()),
     Object((("a", Number("1")),)),
     Object((("a", Text("1")),)),
+    Object((("b", Number("1")),)),
+    Object((("a", Number("1")), ("b", Number("1")))),
 ]
 
 
@@ -127,8 +132,8 @@ def test_copy_and_pickle_round_trip(profile):
 
 
 def test_object_rejects_duplicate_keys():
-    with pytest.raises(ValueError):
-        Object((("a", Null()), ("a", Null())))
+    with pytest.raises(ValueError, match="duplicate object key: 'a'"):
+        Object((("a", Null()), ("b", Null()), ("a", Null())))
 
 
 def test_number_keeps_literal():
@@ -220,3 +225,86 @@ def test_permuting_keys_changes_signature(seed):
         return
     permuted = Object(tuple(reversed(v.pairs)))
     assert signature(permuted) != sig
+
+
+# ---------------------------------------------------------------------------
+# The Object layout: (Object, keys, values). Every decode path builds the
+# same nodes as the public constructor, and the objects of one TOON table or
+# one TRON class share one key tuple.
+
+LAYOUT_DOC = {
+    "rows": [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}, {"id": 3, "name": "c"}],
+    "meta": {"k": "v", "n": None, "t": True, "e": {}, "deep": {"x": [1.5, {"y": "z"}]}},
+    "list": [1, {"id": 4, "name": "d"}, [], {}],
+    "": "empty key",
+}
+
+
+def decode_paths(v):
+    """(path, decoded value) for every decode path, each forced where it can be."""
+    text = encode_json(v)
+    tron = encode_tron(v)
+    classes, body = tron_codec._split_header(tron)
+    marked = tron_codec._as_json(body)
+    assert "(" in body and marked is not None
+    paths = {
+        "json accept": json_codec._accept(text, json_codec._stdlib_decode, None),
+        "json Scanner": Scanner(text).parse_document(),
+        "toon": decode_toon(encode_toon(v)),
+        "tron accept": json_codec._accept(marked, json_codec._marked_decode, classes),
+        "tron _TronScanner": tron_codec._TronScanner(body, classes).parse_document(),
+        "tron batch": decode_tron_batch(encode_tron_batch([v, v]))[1],
+    }
+    assert None not in paths.values()
+    return paths
+
+
+def objects_in(v):
+    if type(v) is Object:
+        yield v
+        for x in v[2]:
+            yield from objects_in(x)
+    elif type(v) is Array:
+        for x in v[1]:
+            yield from objects_in(x)
+
+
+def test_every_decode_path_builds_the_constructors_nodes():
+    built = from_python(LAYOUT_DOC)
+    for path, got in decode_paths(built).items():
+        assert got == built and hash(got) == hash(built), path
+        assert repr(got) == repr(built), path
+        for obj in objects_in(got):
+            assert len(obj) == len(obj.keys) == len(obj[2]), path
+            assert type(obj[1]) is tuple and type(obj[2]) is tuple, path
+            assert all(type(k) is str for k in obj.keys), path
+
+
+def test_keys_is_the_stored_tuple_and_pairs_is_built_from_it():
+    v = from_python({"a": 1, "b": [2]})
+    assert v.keys is v[1] and v.keys == ("a", "b")
+    assert v.pairs == (("a", Number("1")), ("b", Array((Number("2"),))))
+    assert Object(v.pairs) == v == Object({"a": Number("1"), "b": Array((Number("2"),))})
+    assert v.get("b") == Array((Number("2"),))
+    assert v.get("c") is None and Object(()).get("a") is None
+
+
+def test_rows_of_a_table_and_instances_of_a_class_share_one_key_tuple():
+    built = from_python(LAYOUT_DOC)
+    for path, got in decode_paths(built).items():
+        if path.startswith("json"):
+            continue
+        rows = got.get("rows").items
+        assert all(r.keys is rows[0].keys for r in rows), path
+        if path.startswith("tron"):
+            # the same class, elsewhere in the document
+            assert got.get("list").items[1].keys is rows[0].keys, path
+    docs = decode_tron_batch(encode_tron_batch([built, built]))
+    assert docs[0].get("rows").items[0].keys is docs[1].get("list").items[1].keys
+
+
+def test_decoded_objects_copy_and_pickle():
+    for got in decode_paths(from_python(LAYOUT_DOC)).values():
+        for other in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+            assert other == got and hash(other) == hash(got)
+            assert repr(other) == repr(got)
