@@ -21,6 +21,7 @@ from notation.agent import (
     run_trajectory,
     without_corruption,
 )
+from notation.formats import BASELINE, FORMATS
 from notation.json_codec import encode_json
 from notation.tokens import ByteCountTokenizer, decompose
 from notation.values import from_python
@@ -60,8 +61,8 @@ def build_pieces(corrupt_count: int):
 
 def main() -> int:
     tok = ByteCountTokenizer()
-    print(f"{'format':<8} {'E':>3} {'iters':>6} {'cascade':>8} {'total':>8} {'vs json':>9}")
-    for fmt in ("toon", "tron"):
+    print(f"{'format':<8} {'E':>3} {'iters':>6} {'cascade':>8} {'total':>8} {'vs ' + BASELINE:>9}")
+    for fmt in (f for f in FORMATS if f != BASELINE):
         for extra in range(0, 4):
             catalog, executor, agent = build_pieces(extra)
             target = run_trajectory(
@@ -72,7 +73,7 @@ def main() -> int:
                 without_corruption(agent),
                 executor,
                 catalog,
-                LoopConfig(format="json", mode="full"),
+                LoopConfig(format=BASELINE, mode="full"),
             )
             t = decompose(target, tok).total
             r = decompose(reference, tok).total

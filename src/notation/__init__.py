@@ -27,7 +27,6 @@ from .tron_codec import (
 from .tokens import (
     BpeTokenizer,
     ByteCountTokenizer,
-    DeltaReport,
     TokenBreakdown,
     Tokenizer,
     WordRegexTokenizer,

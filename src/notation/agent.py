@@ -17,9 +17,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import CodecError
-from .formats import FORMATS, decode_doc, encode_doc
+from .formats import BASELINE, FORMATS, REGISTRY, decode_doc, encode_batch, encode_doc, lookup
 from .json_codec import decode_json, encode_json
-from .tron_codec import encode_tron_batch
 from .values import Array, Object, Text, Value
 
 __all__ = [
@@ -118,12 +117,11 @@ Envelope = Step | Final
 
 @dataclass(frozen=True)
 class LoopConfig:
-    format: str = "json"
+    format: str = BASELINE
     mode: str = "input_only"
     max_iterations: int = 20
     failure_rate: float = 0.0
     seed: int = 0
-    tron_batching: bool = True
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
@@ -137,7 +135,7 @@ class LoopConfig:
 
     @property
     def output_format(self) -> str:
-        return self.format if self.mode == "full" else "json"
+        return self.format if self.mode == "full" else BASELINE
 
 
 class ParseFailure(Exception):
@@ -223,7 +221,7 @@ def parse_envelope_outcome(raw: str, expected_format: str) -> ParseOutcome:
         text = text[line_end + 1 : close_idx]
         if text.endswith("\n"):
             text = text[:-1]
-    document = text if expected_format == "toon" else text.strip()
+    document = text if lookup(expected_format).keeps_indent else text.strip()
     try:
         value = decode_doc(document, expected_format)
     except CodecError as e:
@@ -349,20 +347,6 @@ class TableExecutor:
             raise AbortedTrajectoryError(tool, args_text) from None
 
 
-FORMAT_NOTES = {
-    "json": 'JSON: objects are {"key":value,...}, arrays are [v1,v2,...], strings are double-quoted.',
-    "toon": (
-        "TOON: one field per line as `key: value`; nested objects indent two spaces under "
-        "`key:`; scalar arrays inline as `key[N]: v1,v2,...`; arrays of same-shape objects "
-        "as `key[N]{f1,f2}:` with one comma-separated row per line; other arrays as "
-        "`key[N]:` with `- ` items."
-    ),
-    "tron": (
-        "TRON: optional `class X: f1,f2` lines declare repeated object shapes, then a blank "
-        "line, then a JSON-like body where classed objects appear positionally as X(v1,v2)."
-    ),
-}
-
 _STEP_TEMPLATE = Object(
     (
         ("thought", Text("I need the forecast before answering.")),
@@ -388,23 +372,21 @@ def build_system_prompt_spans(catalog: list[ToolSchema], cfg: LoopConfig) -> lis
     """System prompt as origin-tagged spans; concatenation is the prompt text."""
     if not catalog:
         raise ValueError("catalog must be non-empty")
-    return list(_prompt_spans(tuple(catalog), cfg.format, cfg.output_format, cfg.tron_batching))
+    return list(_prompt_spans(tuple(catalog), cfg.format, cfg.output_format))
 
 
 @lru_cache(maxsize=_PROMPT_MEMO_SIZE)
-def _prompt_spans(
-    catalog: tuple[ToolSchema, ...], fmt: str, out_fmt: str, tron_batching: bool
-) -> tuple[Span, ...]:
+def _prompt_spans(catalog: tuple[ToolSchema, ...], fmt: str, out_fmt: str) -> tuple[Span, ...]:
     intro = [
         "You are a tool-calling agent. Solve the task with the tools below.",
-        f"Tool schemas and results use {fmt.upper()}. {FORMAT_NOTES[fmt]}",
+        f"Tool schemas and results use {fmt.upper()}. {REGISTRY[fmt].note}",
     ]
     if out_fmt != fmt:
-        intro.append(f"Your responses must use {out_fmt.upper()}. {FORMAT_NOTES[out_fmt]}")
+        intro.append(f"Your responses must use {out_fmt.upper()}. {REGISTRY[out_fmt].note}")
     intro.append("\nTools:\n")
     spans = [Span("\n".join(intro) + "\n", "other", "prompt", 0)]
-    if fmt == "tron" and tron_batching:
-        batch = encode_tron_batch([s.to_value() for s in catalog])
+    if REGISTRY[fmt].batched:
+        batch = encode_batch([s.to_value() for s in catalog], fmt)
         spans.append(Span(batch, "schema", "prompt", 0))
     else:
         for i, schema in enumerate(catalog):

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .agent import (
+    MODES,
     AbortedTrajectoryError,
     LoopConfig,
     ScriptExhaustedError,
@@ -24,10 +25,11 @@ from .agent import (
     without_corruption,
 )
 from .errors import CodecError, ParseError
-from .formats import FORMATS, decode_doc, encode_doc, wraps_root
+from .formats import BASELINE, FORMATS, REGISTRY, decode_batch, decode_doc, encode_batch, encode_doc
 from .json_codec import JsonStyle, decode_json, encode_json
 from .tokens import (
     COMPONENTS,
+    TOKENIZERS,
     Tokenizer,
     VocabLoadError,
     decompose,
@@ -36,9 +38,7 @@ from .tokens import (
     mean_pct,
     pct_delta,
 )
-from .toon_codec import decode_toon, encode_toon
-from .tron_codec import encode_tron, encode_tron_batch
-from .values import from_python
+from .values import DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE, Object, from_python, generate
 
 __all__ = ["main"]
 
@@ -66,10 +66,10 @@ def _env_format() -> str | None:
     return fmt
 
 
-def _resolve_format(flag_value: str | None, default: str = "json") -> str:
+def _resolve_format(flag_value: str | None) -> str:
     if flag_value is not None:
         return flag_value
-    return _env_format() or default
+    return _env_format() or BASELINE
 
 
 def _tokenizer_from_args(args) -> Tokenizer:
@@ -127,7 +127,7 @@ def _fmt_delta(v) -> str:
 
 def cmd_convert(args) -> int:
     src_fmt = args.src_format
-    dst_fmt = _resolve_format(args.dst_format, default="json")
+    dst_fmt = _resolve_format(args.dst_format)
     try:
         value = decode_doc(_read_input(args.input), src_fmt, unwrap=args.unwrap)
     except OSError as e:
@@ -136,12 +136,12 @@ def cmd_convert(args) -> int:
     except CodecError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DECODE
-    if dst_fmt == "json":
+    if dst_fmt == BASELINE:
         out = encode_json(value, JsonStyle(indent=args.json_indent))
     else:
         out = encode_doc(value, dst_fmt)
-        if wraps_root(value, dst_fmt):
-            print("note: non-object root wrapped under synthetic 'value' key", file=sys.stderr)
+    if REGISTRY[dst_fmt].wraps_root and not isinstance(value, Object):
+        print("note: non-object root wrapped under synthetic 'value' key", file=sys.stderr)
     try:
         if args.out:
             Path(args.out).write_text(out + "\n", encoding="utf-8")
@@ -157,87 +157,85 @@ def cmd_convert(args) -> int:
 # measure
 
 
-def _measure_corpus(corpus_dir: str, tokenizer: Tokenizer, batch: bool) -> dict:
-    paths = sorted(Path(corpus_dir).glob("*.json"))
+# the report key of each format's delta against the baseline
+DELTA_KEYS = {fmt: f"{fmt}_delta_pct" for fmt in FORMATS if fmt != BASELINE}
+
+
+def _deltas(counts: dict) -> dict:
+    return {key: pct_delta(counts[fmt], counts[BASELINE]) for fmt, key in DELTA_KEYS.items()}
+
+
+def _measure_report(args, tokenizer: Tokenizer) -> dict:
+    paths = sorted(Path(args.corpus_dir).glob("*.json"))
     if not paths:
-        raise FileNotFoundError(f"no .json files in {corpus_dir}")
+        raise FileNotFoundError(f"no .json files in {args.corpus_dir}")
     files = []
     roots = []
-    sums = {"json": 0, "toon": 0, "tron": 0}
+    sums = dict.fromkeys(FORMATS, 0)
     for path in paths:
         value = decode_json(_read_input(str(path)))
         roots.append(value)
-        counts = {
-            "json": tokenizer.count(encode_json(value)),
-            "toon": tokenizer.count(encode_toon(value)),
-            "tron": tokenizer.count(encode_tron(value)),
-        }
+        counts = {fmt: tokenizer.count(encode_doc(value, fmt)) for fmt in FORMATS}
         for k, v in counts.items():
             sums[k] += v
-        row = {"path": str(path), **counts}
-        for fmt in ("toon", "tron"):
-            row[f"{fmt}_delta_pct"] = pct_delta(counts[fmt], counts["json"])
-        files.append(row)
-    mean_of_pct = {fmt: mean_pct([row[f"{fmt}_delta_pct"] for row in files]) for fmt in ("toon", "tron")}
-    absolute = {**sums}
-    for fmt in ("toon", "tron"):
-        absolute[f"{fmt}_delta_pct"] = pct_delta(sums[fmt], sums["json"])
-    aggregates = {"mean_of_percentages": mean_of_pct, "absolute_sum": absolute}
-    if batch:
-        batched = tokenizer.count(encode_tron_batch(roots))
-        aggregates["absolute_sum_batched"] = {
-            "tron": batched,
-            "tron_delta_pct": pct_delta(batched, sums["json"]),
-        }
+        files.append({"path": str(path), **counts, **_deltas(counts)})
+    mean_of_pct = {fmt: mean_pct([row[key] for row in files]) for fmt, key in DELTA_KEYS.items()}
+    aggregates = {"mean_of_percentages": mean_of_pct, "absolute_sum": {**sums, **_deltas(sums)}}
+    if args.batch:
+        batched = aggregates["absolute_sum_batched"] = {}
+        for fmt in FORMATS:
+            if REGISTRY[fmt].batched:
+                batched[fmt] = n = tokenizer.count(encode_batch(roots, fmt))
+                batched[DELTA_KEYS[fmt]] = pct_delta(n, sums[BASELINE])
     return {"tokenizer": tokenizer.name, "files": files, "aggregates": aggregates}
+
+
+def _measure_line(label: str, row: dict, width: int) -> str:
+    """One table line: each format's count and then its delta, blank where row has none."""
+    cells = []
+    for fmt in FORMATS:
+        cells.append(row.get(fmt, ""))
+        if fmt in DELTA_KEYS:
+            cells.append(_fmt_delta(row[DELTA_KEYS[fmt]]) if DELTA_KEYS[fmt] in row else "")
+    return f"{label:<{width}}  " + " ".join(f"{c:>8}" for c in cells)
 
 
 def _render_measure(report: dict) -> str:
     width = max([len("file")] + [len(r["path"]) for r in report["files"]])
-    lines = [
-        f"{'file':<{width}}  {'json':>8} {'toon':>8} {'dTOON%':>8} {'tron':>8} {'dTRON%':>8}"
-    ]
-    for r in report["files"]:
-        lines.append(
-            f"{r['path']:<{width}}  {r['json']:>8} {r['toon']:>8} {_fmt_delta(r['toon_delta_pct']):>8}"
-            f" {r['tron']:>8} {_fmt_delta(r['tron_delta_pct']):>8}"
-        )
+    header = []
+    for fmt in FORMATS:
+        header += [fmt, f"d{fmt.upper()}%"] if fmt in DELTA_KEYS else [fmt]
+    lines = [f"{'file':<{width}}  " + " ".join(f"{c:>8}" for c in header)]
+    lines += [_measure_line(r["path"], r, width) for r in report["files"]]
     agg = report["aggregates"]
-    mop = agg["mean_of_percentages"]
+    mop = {DELTA_KEYS[fmt]: d for fmt, d in agg["mean_of_percentages"].items()}
     lines.append("")
-    lines.append(
-        f"{'aggregate mean-of-percentages':<{width}}  {'':>8} {'':>8} {_fmt_delta(mop['toon']):>8}"
-        f" {'':>8} {_fmt_delta(mop['tron']):>8}"
-    )
-    a = agg["absolute_sum"]
-    lines.append(
-        f"{'aggregate absolute-sum':<{width}}  {a['json']:>8} {a['toon']:>8} {_fmt_delta(a['toon_delta_pct']):>8}"
-        f" {a['tron']:>8} {_fmt_delta(a['tron_delta_pct']):>8}"
-    )
-    if "absolute_sum_batched" in agg:
-        b = agg["absolute_sum_batched"]
-        lines.append(
-            f"{'aggregate absolute-sum, tron batched':<{width}}  {'':>8} {'':>8} {'':>8}"
-            f" {b['tron']:>8} {_fmt_delta(b['tron_delta_pct']):>8}"
-        )
+    lines.append(_measure_line("aggregate mean-of-percentages", mop, width))
+    lines.append(_measure_line("aggregate absolute-sum", agg["absolute_sum"], width))
+    batched = agg.get("absolute_sum_batched", {})
+    for fmt in FORMATS:
+        if fmt in batched:
+            row = {k: batched[k] for k in (fmt, DELTA_KEYS[fmt])}
+            lines.append(_measure_line(f"aggregate absolute-sum, {fmt} batched", row, width))
     return "\n".join(lines)
 
 
-def cmd_measure(args) -> int:
+def _run_report(args, build, render, decode_errors: tuple) -> int:
+    """Load the tokenizer, build the report, print it, write --out: measure and replay."""
     try:
         tokenizer = _tokenizer_from_args(args)
     except VocabLoadError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DECODE
     try:
-        report = _measure_corpus(args.corpus_dir, tokenizer, args.batch)
-    except (CodecError, FileNotFoundError, NotADirectoryError) as e:
+        report = build(args, tokenizer)
+    except decode_errors as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DECODE
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    print(_render_measure(report))
+    print(render(report))
     if args.out:
         try:
             _write_report(args.out, report)
@@ -247,12 +245,15 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
+def cmd_measure(args) -> int:
+    return _run_report(args, _measure_report, _render_measure, (CodecError, FileNotFoundError, NotADirectoryError))
+
+
 # ---------------------------------------------------------------------------
 # replay
 
 
-def _summarize_run(record, tokenizer: Tokenizer) -> dict:
-    breakdown = decompose(record, tokenizer)
+def _summarize_run(record, breakdown) -> dict:
     return {
         "format": record.format,
         "mode": record.mode,
@@ -275,23 +276,23 @@ def _replay_report(args, tokenizer: Tokenizer) -> dict:
         failure_rate=args.failure_rate,
         seed=args.seed,
     )
-    # the reference run is the clean JSON baseline: parse failures model
+    # the reference run is the clean baseline: parse failures model
     # format-unfamiliarity, which the baseline by definition does not have
-    ref_cfg = LoopConfig(format="json", mode=args.mode, max_iterations=args.max_iterations, seed=args.seed)
+    ref_cfg = LoopConfig(format=BASELINE, mode=args.mode, max_iterations=args.max_iterations, seed=args.seed)
     target = run_trajectory(args.task, agent, executor, catalog, target_cfg)
     reference = run_trajectory(args.task, without_corruption(agent), executor, catalog, ref_cfg)
     t_break = decompose(target, tokenizer)
     r_break = decompose(reference, tokenizer)
     deltas = delta_vs_baseline(t_break, r_break)
     aggregates = {
-        "mean_of_percentages": mean_pct([deltas.deltas[c] for c in COMPONENTS if c != "total"]),
-        "absolute_sum": deltas.deltas["total"],
+        "mean_of_percentages": mean_pct([deltas[c] for c in COMPONENTS if c != "total"]),
+        "absolute_sum": deltas["total"],
     }
     return {
         "tokenizer": tokenizer.name,
-        "run": _summarize_run(target, tokenizer),
-        "reference": _summarize_run(reference, tokenizer),
-        "deltas": deltas.deltas,
+        "run": _summarize_run(target, t_break),
+        "reference": _summarize_run(reference, r_break),
+        "deltas": deltas,
         "aggregates": aggregates,
     }
 
@@ -320,88 +321,55 @@ def _render_replay(report: dict) -> str:
 
 
 def cmd_replay(args) -> int:
-    try:
-        tokenizer = _tokenizer_from_args(args)
-    except VocabLoadError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DECODE
-    try:
-        report = _replay_report(args, tokenizer)
-    except (CodecError, ValueError, AbortedTrajectoryError, ScriptExhaustedError, FileNotFoundError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_DECODE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    print(_render_replay(report))
-    if args.out:
-        try:
-            _write_report(args.out, report)
-        except OSError as e:
-            print(f"error: cannot write report: {e}", file=sys.stderr)
-            return EXIT_IO
-    return EXIT_OK
+    errors = (CodecError, ValueError, AbortedTrajectoryError, ScriptExhaustedError, FileNotFoundError)
+    return _run_report(args, _replay_report, _render_replay, errors)
 
 
 # ---------------------------------------------------------------------------
 # roundtrip
 
 
-# generated values per round trip through the TRON batch codec
+# generated values per round trip through a batch codec
 ROUNDTRIP_BATCH = 8
 
+ROUNDTRIP_PROFILES = {
+    "default": [DEFAULT_PROFILE],
+    "delimiters": [DELIMITER_PROFILE],
+    "tabular": [TABULAR_PROFILE],
+    "mixed": [DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE],
+}
 
-def _tron_batch_failure(roots: list) -> str | None:
-    """Why ``roots`` do not come back from the TRON batch codec, or None."""
-    from .tron_codec import decode_tron_batch
 
-    try:
-        if decode_tron_batch(encode_tron_batch(roots)) == roots:
-            return None
-    except CodecError as e:
-        return f"tron-batch: {e}"
-    return "tron-batch"
+def _batch_failure(roots: list) -> str | None:
+    """Which batch codec does not bring ``roots`` back, or None when all do."""
+    for fmt in FORMATS:
+        if REGISTRY[fmt].batched:
+            try:
+                if decode_batch(encode_batch(roots, fmt), fmt) != roots:
+                    return f"{fmt}-batch"
+            except CodecError as e:
+                return f"{fmt}-batch: {e}"
+    return None
 
 
 def _roundtrip_failure(value) -> str | None:
-    """Which codec does not bring ``value`` back, or None when all three do.
+    """Which codec does not bring ``value`` back, or None when all do.
 
     Explicit comparisons, not ``assert``: ``python -O`` would strip those
     and report a broken codec as passing.
     """
-    from .tron_codec import decode_tron
-    from .values import Object
-
-    wrapped = not isinstance(value, Object)
-    codec = "json"
-    try:
-        if decode_json(encode_json(value)) != value:
-            return codec
-        codec = "toon"
-        if decode_toon(encode_toon(value), unwrap=wrapped) != value:
-            return codec
-        codec = "tron"
-        if decode_tron(encode_tron(value)) != value:
-            return codec
-    except CodecError as e:
-        return f"{codec}: {e}"
+    unwrap = not isinstance(value, Object)
+    for fmt in FORMATS:
+        try:
+            if decode_doc(encode_doc(value, fmt), fmt, unwrap=unwrap) != value:
+                return fmt
+        except CodecError as e:
+            return f"{fmt}: {e}"
     return None
 
 
 def cmd_roundtrip(args) -> int:
-    from .values import (
-        DEFAULT_PROFILE,
-        DELIMITER_PROFILE,
-        TABULAR_PROFILE,
-        generate,
-    )
-
-    profiles = {
-        "default": [DEFAULT_PROFILE],
-        "delimiters": [DELIMITER_PROFILE],
-        "tabular": [TABULAR_PROFILE],
-        "mixed": [DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE],
-    }[args.profile]
+    profiles = ROUNDTRIP_PROFILES[args.profile]
     batch: list = []
     for i in range(args.count):
         seed = args.seed + i
@@ -413,23 +381,20 @@ def cmd_roundtrip(args) -> int:
             return EXIT_PROPERTY
         batch.append(value)
         if len(batch) == ROUNDTRIP_BATCH or i == args.count - 1:
-            failure = _tron_batch_failure(batch)
+            failure = _batch_failure(batch)
             if failure is not None:
                 print(f"FAIL seeds={seed + 1 - len(batch)}..{seed}: {failure}")
                 return EXIT_PROPERTY
             batch = []
-    print(f"roundtrip: {args.count} values x 3 codecs: all passed")
+    print(f"roundtrip: {args.count} values x {len(FORMATS)} codecs: all passed")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
 
-MODES_CHOICES = ("input_only", "full")
-
-
 def _add_tokenizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tokenizer", choices=("bytes", "words", "bpe"), default="bytes")
+    p.add_argument("--tokenizer", choices=TOKENIZERS, default="bytes")
     p.add_argument("--vocab", help="BPE source: a directory with vocab.json and merges.txt, or 'VOCAB,MERGES'")
 
 
@@ -439,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="re-encode a document between formats")
     p.add_argument("input", help="input file, or - for stdin")
-    p.add_argument("--from", dest="src_format", choices=FORMATS, default="json")
+    p.add_argument("--from", dest="src_format", choices=FORMATS, default=BASELINE)
     p.add_argument("--to", dest="dst_format", choices=FORMATS, default=None)
     p.add_argument("--json-indent", type=_positive_int, default=None, help="pretty-print JSON output")
     p.add_argument("--unwrap", action="store_true", help="unwrap a synthetic 'value' root on decode")
@@ -458,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--executor", required=True)
     p.add_argument("--format", choices=FORMATS, default=None)
-    p.add_argument("--mode", choices=MODES_CHOICES, default="full")
+    p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--task", default="replay")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--failure-rate", type=_rate, default=0.0)
@@ -470,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="generate documents and check all codecs round-trip, TRON batches too")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_positive_int, default=1000)
-    p.add_argument("--profile", choices=("default", "delimiters", "tabular", "mixed"), default="mixed")
+    p.add_argument("--profile", choices=ROUNDTRIP_PROFILES, default="mixed")
     p.set_defaults(func=cmd_roundtrip)
 
     return parser

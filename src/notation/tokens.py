@@ -30,9 +30,9 @@ __all__ = [
     "ByteCountTokenizer",
     "WordRegexTokenizer",
     "BpeTokenizer",
+    "TOKENIZERS",
     "make_tokenizer",
     "TokenBreakdown",
-    "DeltaReport",
     "decompose",
     "delta_vs_baseline",
     "round_pct",
@@ -220,16 +220,17 @@ class BpeTokenizer(Tokenizer):
         return total
 
 
+TOKENIZERS = {cls.name: cls for cls in (ByteCountTokenizer, WordRegexTokenizer, BpeTokenizer)}
+
+
 def make_tokenizer(kind: str, vocab_path=None, merges_path=None) -> Tokenizer:
-    if kind == "bytes":
-        return ByteCountTokenizer()
-    if kind == "words":
-        return WordRegexTokenizer()
-    if kind == "bpe":
-        if vocab_path is None or merges_path is None:
-            raise VocabLoadError("bpe tokenizer needs vocabulary and merges files")
-        return BpeTokenizer.from_files(vocab_path, merges_path)
-    raise ValueError(f"unknown tokenizer kind: {kind!r}")
+    if kind not in TOKENIZERS:
+        raise ValueError(f"unknown tokenizer kind: {kind!r}")
+    if kind != BpeTokenizer.name:
+        return TOKENIZERS[kind]()
+    if vocab_path is None or merges_path is None:
+        raise VocabLoadError("bpe tokenizer needs vocabulary and merges files")
+    return BpeTokenizer.from_files(vocab_path, merges_path)
 
 
 def round_pct(v: float) -> float:
@@ -275,17 +276,6 @@ class TokenBreakdown:
 COMPONENTS = ("schema_tokens", "call_tokens", "result_tokens", "prompt_tokens", "completion_tokens", "total")
 
 
-@dataclass(frozen=True)
-class DeltaReport:
-    """Signed percentage change per component vs a named baseline; None = n/a."""
-
-    baseline: str
-    deltas: dict[str, float | None]
-
-    def as_dict(self) -> dict:
-        return {"baseline": self.baseline, "deltas": dict(self.deltas)}
-
-
 def decompose(trajectory, tokenizer: Tokenizer) -> TokenBreakdown:
     """Sum tagged span counts out of a trajectory record.
 
@@ -316,7 +306,8 @@ def decompose(trajectory, tokenizer: Tokenizer) -> TokenBreakdown:
     )
 
 
-def delta_vs_baseline(x: TokenBreakdown, base: TokenBreakdown, baseline_name: str = "json") -> DeltaReport:
+def delta_vs_baseline(x: TokenBreakdown, base: TokenBreakdown) -> dict[str, float | None]:
+    """Signed percent change of each component of x against base; None = n/a."""
     xd = x.as_dict()
     bd = base.as_dict()
-    return DeltaReport(baseline=baseline_name, deltas={c: pct_delta(xd[c], bd[c]) for c in COMPONENTS})
+    return {c: pct_delta(xd[c], bd[c]) for c in COMPONENTS}

@@ -20,7 +20,7 @@ from notation.agent import (
     without_corruption,
 )
 from notation.agent import _error_observation  # acceptance oracle rebuilds observations
-from notation.formats import encode_doc
+from notation.formats import FORMATS, encode_doc
 from notation.json_codec import decode_json, encode_json
 from notation.tokens import ByteCountTokenizer, decompose, delta_vs_baseline
 from notation.toon_codec import decode_toon, encode_toon
@@ -233,7 +233,7 @@ def run_cascade_fixture(num_steps, corrupt_positions, pad):
         "hand_json": json_hand,
         "clean_savings": clean_savings,
         "extras": extras,
-        "component_deltas": delta_vs_baseline(toon_breakdown, json_breakdown).deltas,
+        "component_deltas": delta_vs_baseline(toon_breakdown, json_breakdown),
     }
 
 
@@ -277,7 +277,7 @@ def test_criterion_6_cascade_arithmetic():
 def test_criterion_7_decomposition_integrity(capsys):
     with criterion("7 decomposition-integrity", 5.0):
         catalog, executor, agent, _ = build_cascade_pieces(3, {1}, "why did that fail")
-        for fmt in ("json", "toon", "tron"):
+        for fmt in FORMATS:
             for mode in ("input_only", "full"):
                 record = run_trajectory(
                     "t", agent, executor, catalog, LoopConfig(format=fmt, mode=mode)
@@ -289,7 +289,7 @@ def test_criterion_7_decomposition_integrity(capsys):
                 assert components <= breakdown.total
                 assert breakdown.total == breakdown.prompt_tokens + breakdown.completion_tokens
                 self_delta = delta_vs_baseline(breakdown, breakdown)
-                assert all(v == 0.0 for v in self_delta.deltas.values())
+                assert all(v == 0.0 for v in self_delta.values())
 
         # both aggregation modes are emitted and labeled by the CLI
         from notation.cli import main
@@ -317,7 +317,7 @@ def test_criterion_8_envelope_preprocessing():
     with criterion("8 envelope-preprocessing", 1.0):
         args = {"rows": [{"a": 1, "b": 2}, {"a": 3, "b": 4}]}
         passes = 0
-        for fmt in ("json", "toon", "tron"):
+        for fmt in FORMATS:
             doc = encode_doc(step_intent("search", args, thought="look"), fmt)
             expected = parse_envelope_outcome(doc, fmt).envelope
             assert expected is not None

@@ -26,14 +26,13 @@ from notation.agent import (
     run_trajectory,
     without_corruption,
 )
-from notation.formats import decode_doc, encode_doc
+from notation import tron_codec
+from notation.formats import FORMATS, REGISTRY, decode_batch, decode_doc, encode_doc
 from notation.json_codec import decode_json
 from notation.tron_codec import decode_tron_batch
 from notation.values import Number, Object, Text, from_python
 
 from conftest import final_intent, make_catalog, simple_run_pieces, step_intent
-
-FORMATS = ("json", "toon", "tron")
 
 
 def sample_step_doc(fmt: str) -> str:
@@ -164,17 +163,20 @@ def test_prompt_schema_block_decodes_back():
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_prompt_schema_spans_per_format(fmt):
+    """One batch span where the format has a batch codec, else one span per schema."""
     catalog = make_catalog(3)
-    cfg = LoopConfig(format=fmt, tron_batching=False)
-    spans = [s for s in build_system_prompt_spans(catalog, cfg) if s.origin == "schema"]
-    assert len(spans) == 3
-    for span, schema in zip(spans, catalog):
-        assert ToolSchema.from_value(decode_doc(span.text, fmt, unwrap=False)) == schema
+    spans = [s for s in build_system_prompt_spans(catalog, LoopConfig(format=fmt)) if s.origin == "schema"]
+    if REGISTRY[fmt].batched:
+        (span,) = spans
+        roots = decode_batch(span.text, fmt)
+    else:
+        roots = [decode_doc(span.text, fmt, unwrap=False) for span in spans]
+    assert [ToolSchema.from_value(r) for r in roots] == catalog
 
 
 def test_tron_batching_single_class_table():
     catalog = make_catalog(5)
-    cfg = LoopConfig(format="tron", tron_batching=True)
+    cfg = LoopConfig(format="tron")
     spans = [s for s in build_system_prompt_spans(catalog, cfg) if s.origin == "schema"]
     assert len(spans) == 1
     block = spans[0].text
@@ -182,17 +184,6 @@ def test_tron_batching_single_class_table():
     assert class_lines  # shared shapes were extracted once
     roots = decode_tron_batch(block)
     assert [ToolSchema.from_value(r) for r in roots] == catalog
-
-
-def test_tron_batching_off_costs_more_bytes():
-    catalog = make_catalog(5)
-    on = build_system_prompt_spans(catalog, LoopConfig(format="tron", tron_batching=True))
-    off = build_system_prompt_spans(catalog, LoopConfig(format="tron", tron_batching=False))
-    on_bytes = sum(len(s.text.encode()) for s in on if s.origin == "schema")
-    off_bytes = sum(len(s.text.encode()) for s in off if s.origin == "schema")
-    assert off_bytes >= on_bytes
-    off_schema_spans = [s for s in off if s.origin == "schema"]
-    assert len(off_schema_spans) == 5
 
 
 def test_templates_are_stand_alone_documents():
@@ -407,7 +398,7 @@ def test_warm_run_renders_nothing(monkeypatch):
     first = run_trajectory("t", agent, executor, catalog, cfg)
     calls = []
     monkeypatch.setattr(agent_mod, "encode_doc", lambda v, fmt: calls.append(fmt))
-    monkeypatch.setattr(agent_mod, "encode_tron_batch", lambda vs: calls.append("batch"))
+    monkeypatch.setattr(tron_codec, "encode_tron_batch", lambda vs: calls.append("batch"))
     assert run_trajectory("t", agent, executor, catalog, cfg) == first
     assert calls == []
 
@@ -464,10 +455,9 @@ def test_copied_schema_is_rebuilt_through_the_constructor():
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("batching", (True, False))
-def test_edited_description_yields_new_prompt(fmt, batching):
+def test_edited_description_yields_new_prompt(fmt):
     catalog = make_catalog(3)
-    cfg = LoopConfig(format=fmt, tron_batching=batching)
+    cfg = LoopConfig(format=fmt)
     before = prompt_text(catalog, cfg)
     edited = list(catalog)
     edited[1] = dataclasses.replace(catalog[1], description="Edited description.")

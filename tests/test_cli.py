@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import notation
-from notation import tron_codec
+from notation import cli, tron_codec
 from notation.cli import main
 from notation.errors import ParseError
+from notation.formats import FORMATS
+from notation.tokens import decompose
 from notation.tron_codec import decode_tron_batch
 
 from conftest import FIXTURES
@@ -226,7 +229,7 @@ def test_measure_report_matches_table(tmp_path, capsys):
     ]
     # rendered table carries the same numbers as the machine report
     for row in report["files"]:
-        for key in ("json", "toon", "tron"):
+        for key in FORMATS:
             assert str(row[key]) in out
         delta = row["toon_delta_pct"]
         assert (f"{delta:+.1f}" if delta is not None else "n/a") in out
@@ -234,9 +237,23 @@ def test_measure_report_matches_table(tmp_path, capsys):
     assert "absolute-sum" in out
     agg = report["aggregates"]
     assert set(agg) == {"mean_of_percentages", "absolute_sum", "absolute_sum_batched"}
-    sums = {fmt: sum(r[fmt] for r in report["files"]) for fmt in ("json", "toon", "tron")}
+    sums = {fmt: sum(r[fmt] for r in report["files"]) for fmt in FORMATS}
     assert agg["absolute_sum"]["json"] == sums["json"]
     assert agg["absolute_sum"]["toon"] == sums["toon"]
+
+
+def test_measure_batch_golden(tmp_path, monkeypatch, capsys):
+    """The whole measure --batch table and --out report, byte for byte."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("figure3.json", "replay/catalog_weather.json", "replay/executor_weather.json"):
+        shutil.copy(FIXTURES / name, corpus)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["measure", "corpus", "--batch", "--out", "report.json"], capsys)
+    assert code == 0
+    assert out == (FIXTURES / "measure_golden.txt").read_text(encoding="utf-8")
+    report = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert report == (FIXTURES / "measure_golden.json").read_text(encoding="utf-8")
 
 
 def test_measure_tabular_corpus_toon_negative(tmp_path, capsys):
@@ -394,6 +411,19 @@ def test_replay_corrupt_mark_reports_cascade(tmp_path, capsys):
     assert report["run"]["cascade_count"] == 1
     assert report["reference"]["cascade_count"] == 0
     assert report["run"]["iterations"] == report["reference"]["iterations"] + 1
+
+
+def test_replay_tokenizes_each_run_once(monkeypatch, capsys):
+    runs = []
+
+    def counting_decompose(record, tokenizer):
+        runs.append(record.format)
+        return decompose(record, tokenizer)
+
+    monkeypatch.setattr(cli, "decompose", counting_decompose)
+    code, _, _ = run_cli(REPLAY_ARGS + ["--format", "toon"], capsys)
+    assert code == 0
+    assert runs == ["toon", "json"]
 
 
 def test_replay_missing_fixture_exit_2(tmp_path, capsys):

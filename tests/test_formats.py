@@ -1,0 +1,56 @@
+"""The format table's contract: every codec call goes through the codec module.
+
+The table holds each format's module, not its functions, so a function
+swapped on the module (here a counting wrapper; in the benchmark's traced
+run a timing wrapper) sees every call the program makes.
+"""
+
+import shutil
+from collections import Counter
+
+from notation import agent as agent_mod
+from notation import toon_codec, tron_codec
+from notation.agent import LoopConfig, build_system_prompt_spans
+from notation.cli import main
+from notation.formats import encode_batch, encode_doc
+
+from conftest import FIXTURES, make_catalog, sample_document
+
+
+def count_calls(monkeypatch, module, name: str, counts: Counter) -> None:
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_functions_swapped_on_codec_modules_see_every_call(tmp_path, monkeypatch, capsys):
+    counts = Counter()
+    count_calls(monkeypatch, toon_codec, "encode_toon", counts)
+    count_calls(monkeypatch, tron_codec, "encode_tron_batch", counts)
+    doc = sample_document()
+
+    encode_doc(doc, "toon")
+    encode_batch([doc, doc], "tron")
+    assert counts == {"encode_toon": 1, "encode_tron_batch": 1}
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("figure3.json", "replay/catalog_weather.json", "replay/executor_weather.json"):
+        shutil.copy(FIXTURES / name, corpus)
+    assert main(["measure", str(corpus), "--batch"]) == 0
+    assert counts == {"encode_toon": 1 + 3, "encode_tron_batch": 1 + 1}
+
+    assert main(["roundtrip", "--count", "10"]) == 0
+    assert counts == {"encode_toon": 4 + 10, "encode_tron_batch": 2 + 2}
+
+    agent_mod._prompt_spans.cache_clear()
+    catalog = make_catalog(3)
+    build_system_prompt_spans(catalog, LoopConfig(format="tron"))
+    build_system_prompt_spans(catalog, LoopConfig(format="toon", mode="full"))
+    # a TOON prompt encodes each schema and the two response templates
+    assert counts == {"encode_toon": 14 + 3 + 2, "encode_tron_batch": 4 + 1}
+    capsys.readouterr()

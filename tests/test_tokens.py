@@ -313,24 +313,24 @@ def test_delta_vs_self_is_zero():
     catalog, executor, agent = simple_run_pieces()
     record = run_trajectory("find", agent, executor, catalog, LoopConfig(format="json"))
     bd = decompose(record, ByteCountTokenizer())
-    report = delta_vs_baseline(bd, bd)
-    assert all(v == 0.0 for v in report.deltas.values())
+    deltas = delta_vs_baseline(bd, bd)
+    assert all(v == 0.0 for v in deltas.values())
 
 
 def test_delta_arithmetic():
     base = TokenBreakdown(10, 10, 10, 70, 30)
     x = TokenBreakdown(5, 10, 10, 50, 23)
-    report = delta_vs_baseline(x, base)
-    assert report.deltas["schema_tokens"] == -50.0
-    assert report.deltas["total"] == -27.0  # 100 -> 73
+    deltas = delta_vs_baseline(x, base)
+    assert deltas["schema_tokens"] == -50.0
+    assert deltas["total"] == -27.0  # 100 -> 73
 
 
 def test_delta_zero_baseline_is_na():
     base = TokenBreakdown(0, 10, 10, 50, 30)
     x = TokenBreakdown(5, 10, 10, 50, 30)
-    report = delta_vs_baseline(x, base)
-    assert report.deltas["schema_tokens"] is None
-    assert report.deltas["total"] == 0.0
+    deltas = delta_vs_baseline(x, base)
+    assert deltas["schema_tokens"] is None
+    assert deltas["total"] == 0.0
 
 
 def test_pct_delta_and_mean_pct():
