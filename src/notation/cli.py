@@ -321,7 +321,14 @@ def _render_replay(report: dict) -> str:
 
 
 def cmd_replay(args) -> int:
-    errors = (CodecError, ValueError, AbortedTrajectoryError, ScriptExhaustedError, FileNotFoundError)
+    errors = (
+        CodecError,
+        ValueError,
+        AbortedTrajectoryError,
+        ScriptExhaustedError,
+        FileNotFoundError,
+        NotADirectoryError,
+    )
     return _run_report(args, _replay_report, _render_replay, errors)
 
 

@@ -8,11 +8,14 @@ runs plus non-space symbols without building a string per token: each
 character maps to its class (word, space, symbol) through a byte table,
 and ``bytes.count`` finds the symbols and the first character of each
 word run; runs of non-ASCII text are first replaced by ASCII stand-ins of
-the same count. BPE counting takes O(n log n) in the UTF-8 length and
-gives the same counts as greedy lowest-rank merging (lowest rank first,
-leftmost first on ties), with no pre-tokenization. Per-span counts are
-summed, never recomputed over concatenations, so component sums stay
-exactly additive.
+the same count. BPE counting gives the same counts as greedy lowest-rank
+merging over the whole UTF-8 span (lowest rank first, leftmost first on
+ties). It splits the span into chunks at the byte boundaries no merge can
+cross, which the merge table alone determines, and runs a heap over each
+distinct chunk once. A vocabulary that joins every byte pair leaves each
+span one chunk, so the count stays O(n log n) in the UTF-8 length.
+Per-span counts are summed, never recomputed over concatenations, so
+component sums stay exactly additive.
 """
 
 from __future__ import annotations
@@ -131,14 +134,140 @@ def _bytes_to_unicode() -> dict[int, str]:
 _BYTE_MAP = _bytes_to_unicode()
 
 
+# the byte each byte-mapped symbol character stands for
+_BYTE_OF = {ch: b for b, ch in _BYTE_MAP.items()}
+_MAPPED = frozenset(_BYTE_OF)
+
+# Swaps byte 00 with C0 and bytes D8-DF with F8-FF. UTF-8 never holds C0
+# or F8-FF, so the pair code of two bytes of a text (swapped left byte << 8
+# | right byte) is never below 0x100, where a regex class has special
+# characters, and never in the UTF-16 surrogates D800-DFFF: each pair
+# decodes to one code unit.
+_SWAP = bytes.maketrans(
+    b"\x00\xc0" + bytes(range(0xD8, 0xE0)) + bytes(range(0xF8, 0x100)),
+    b"\xc0\x00" + bytes(range(0xF8, 0x100)) + bytes(range(0xD8, 0xE0)),
+)
+# symbol character -> high byte of its pair code, for the bytes UTF-8 holds
+_HIGH = {ch: _SWAP[b] << 8 for ch, b in _BYTE_OF.items() if b != 0xC0 and b < 0xF8}
+
+# the most chunk counts one BpeTokenizer keeps; a full memo starts over
+CHUNK_MEMO_SIZE = 4096
+
+
+def _merge(ranks: dict[tuple[str, str], int], symbols: list[str]) -> list[str]:
+    """Apply merges lowest rank first, leftmost first on equal ranks.
+
+    Works in place: each position links to its live neighbours, and a
+    heap holds a (rank, position) entry per ranked adjacent pair. A merge
+    leaves entries behind whose pair is gone; since each rank names one
+    pair, re-reading the rank at pop time finds them and skips them.
+    """
+    n = len(symbols)
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
+    heap = [
+        (r, i)
+        for i, pair in enumerate(zip(symbols, symbols[1:]))
+        if (r := ranks.get(pair)) is not None
+    ]
+    heapq.heapify(heap)
+    while heap:
+        rank, i = heapq.heappop(heap)
+        j = nxt[i]
+        # a merged-away symbol is None, so its stale entries never match
+        if j == n or ranks.get((symbols[i], symbols[j])) != rank:
+            continue
+        merged = symbols[i] + symbols[j]
+        symbols[i] = merged
+        symbols[j] = None
+        k = nxt[j]
+        nxt[i] = k
+        if k < n:
+            prv[k] = i
+            r = ranks.get((merged, symbols[k]))
+            if r is not None:
+                heapq.heappush(heap, (r, i))
+        p = prv[i]
+        if p >= 0:
+            r = ranks.get((symbols[p], merged))
+            if r is not None:
+                heapq.heappush(heap, (r, p))
+    return [s for s in symbols if s is not None]
+
+
+def _joinable_runs(ranks: dict[tuple[str, str], int]):
+    """``findall`` for runs of joinable pair codes, from the merge table.
+
+    A merge (L, R) joins across the byte pair (a, b) only when L ends in
+    a and R starts with b. A merge naming a character outside the byte
+    map never applies, and a left byte UTF-8 never holds never occurs,
+    so neither adds a pair.
+    """
+    codes = dict.fromkeys(
+        chr(_HIGH[left[-1]] | _BYTE_OF[right[0]])
+        for left, right in ranks
+        if left[-1:] in _HIGH and right and _MAPPED.issuperset(left + right)
+    )
+    # "(?!)" matches nowhere: with no joinable pair every chunk is one byte
+    return re.compile(f"[{''.join(codes)}]+" if codes else "(?!)").findall
+
+
+class _ChunkCounts(dict):
+    """count(chunk) - len(chunk) for each chunk met, keyed by its pair codes.
+
+    A miss runs the heap on the chunk alone. Holds at most
+    CHUNK_MEMO_SIZE chunks.
+    """
+
+    def __init__(self, vocab: dict[str, int], ranks: dict[tuple[str, str], int]):
+        self.vocab = vocab
+        self.ranks = ranks
+
+    def __missing__(self, run: str) -> int:
+        codes = run.encode("utf-16-le")
+        chunk = codes[1:2].translate(_SWAP) + codes[::2]
+        vocab = self.vocab
+        # merged symbols outside the vocabulary fall back to byte tokens
+        tokens = sum(
+            1 if sym in vocab or len(sym) == 1 else len(sym)
+            for sym in _merge(self.ranks, [_BYTE_MAP[b] for b in chunk])
+        )
+        if len(self) >= CHUNK_MEMO_SIZE:
+            self.clear()
+        self[run] = delta = tokens - len(chunk)
+        return delta
+
+
 class BpeTokenizer(Tokenizer):
-    """Greedy lowest-rank pair merging over byte-mapped symbols."""
+    """Greedy lowest-rank pair merging over byte-mapped symbols.
+
+    The count is split into chunks at byte boundaries no merge can cross.
+    A merge (L, R) can only join across the boundary between bytes a and b
+    when L ends in a and R starts with b; the merge table gives the set of
+    such joinable pairs. At a boundary whose pair is not in the set, no
+    symbol ever spans the boundary, and no ranked pair straddles it. So
+    the lowest-rank, leftmost pair of the whole span is always the
+    lowest-rank, leftmost pair of one chunk, and each chunk goes through
+    exactly the merges it would go through alone. The vocabulary fallback
+    is per symbol, so it holds per chunk too. Hence the span's count is
+    its UTF-8 length plus count(chunk) - len(chunk) summed over its
+    chunks of two or more bytes.
+
+    Each adjacent byte pair of a span becomes one UTF-16 code unit, and
+    one character class of the joinable pair codes finds every chunk as a
+    run of them. Each distinct chunk goes through the heap once, behind a
+    memo on the tokenizer of at most CHUNK_MEMO_SIZE chunks. A vocabulary
+    that joins every byte pair leaves each span one chunk, whose heap run
+    is O(n log n) in its length.
+    """
 
     name = "bpe"
 
     def __init__(self, vocab: dict[str, int], merges: list[tuple[str, str]]):
         self.vocab = vocab
         self.ranks = {pair: i for i, pair in enumerate(merges)}
+        self._runs = _joinable_runs(self.ranks)
+        self._chunks = _ChunkCounts(vocab, self.ranks)
 
     @classmethod
     def from_files(cls, vocab_path: str | Path, merges_path: str | Path) -> "BpeTokenizer":
@@ -168,56 +297,15 @@ class BpeTokenizer(Tokenizer):
             merges.append((parts[0], parts[1]))
         return cls(vocab, merges)
 
-    def _merge(self, symbols: list[str]) -> list[str]:
-        """Apply merges lowest rank first, leftmost first on equal ranks.
-
-        Works in place: each position links to its live neighbours, and a
-        heap holds a (rank, position) entry per ranked adjacent pair. A merge
-        leaves entries behind whose pair is gone; since each rank names one
-        pair, re-reading the rank at pop time finds them and skips them.
-        """
-        ranks = self.ranks
-        n = len(symbols)
-        nxt = list(range(1, n + 1))
-        prv = list(range(-1, n - 1))
-        heap = [
-            (r, i)
-            for i, pair in enumerate(zip(symbols, symbols[1:]))
-            if (r := ranks.get(pair)) is not None
-        ]
-        heapq.heapify(heap)
-        while heap:
-            rank, i = heapq.heappop(heap)
-            j = nxt[i]
-            # a merged-away symbol is None, so its stale entries never match
-            if j == n or ranks.get((symbols[i], symbols[j])) != rank:
-                continue
-            merged = symbols[i] + symbols[j]
-            symbols[i] = merged
-            symbols[j] = None
-            k = nxt[j]
-            nxt[i] = k
-            if k < n:
-                prv[k] = i
-                r = ranks.get((merged, symbols[k]))
-                if r is not None:
-                    heapq.heappush(heap, (r, i))
-            p = prv[i]
-            if p >= 0:
-                r = ranks.get((symbols[p], merged))
-                if r is not None:
-                    heapq.heappush(heap, (r, p))
-        return [s for s in symbols if s is not None]
-
     def count(self, text: str) -> int:
-        if not text:
-            return 0
-        symbols = [_BYTE_MAP[b] for b in text.encode("utf-8")]
-        total = 0
-        for sym in self._merge(symbols):
-            # merged symbols outside the vocabulary fall back to byte tokens
-            total += 1 if sym in self.vocab or len(sym) == 1 else len(sym)
-        return total
+        utf8 = text.encode("utf-8")
+        n = len(utf8)
+        if n < 2:
+            return n
+        pairs = bytearray(2 * n - 2)
+        pairs[1::2] = utf8[:-1].translate(_SWAP)
+        pairs[::2] = utf8[1:]
+        return n + sum(map(self._chunks.__getitem__, self._runs(pairs.decode("utf-16-le"))))
 
 
 TOKENIZERS = {cls.name: cls for cls in (ByteCountTokenizer, WordRegexTokenizer, BpeTokenizer)}

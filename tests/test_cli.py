@@ -134,6 +134,7 @@ EXIT_TABLE = [
     ("bad flag choice", ["convert", "{tmp}/in", "--to", "yaml"], b"{}", None, 64),
     ("out-of-range failure rate", REPLAY_ARGS + ["--failure-rate", "2"], None, None, 64),
     ("zero max iterations", REPLAY_ARGS + ["--max-iterations", "0"], None, None, 64),
+    ("replay fixture through a file", ["replay", "--trace", "{tmp}/in/x.jsonl"] + REPLAY_ARGS[3:], b"{}", None, 2),
 ]
 
 
@@ -254,6 +255,21 @@ def test_measure_batch_golden(tmp_path, monkeypatch, capsys):
     assert out == (FIXTURES / "measure_golden.txt").read_text(encoding="utf-8")
     report = (tmp_path / "report.json").read_text(encoding="utf-8")
     assert report == (FIXTURES / "measure_golden.json").read_text(encoding="utf-8")
+
+
+def test_measure_batch_golden_bpe(tmp_path, monkeypatch, capsys):
+    """The same corpus counted with the fixture BPE vocabulary, byte for byte."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("figure3.json", "replay/catalog_weather.json", "replay/executor_weather.json"):
+        shutil.copy(FIXTURES / name, corpus)
+    monkeypatch.chdir(tmp_path)
+    argv = ["measure", "corpus", "--batch", "--tokenizer", "bpe", "--vocab", str(FIXTURES / "bpe")]
+    code, out, _ = run_cli(argv + ["--out", "report.json"], capsys)
+    assert code == 0
+    assert out == (FIXTURES / "measure_golden_bpe.txt").read_text(encoding="utf-8")
+    report = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert report == (FIXTURES / "measure_golden_bpe.json").read_text(encoding="utf-8")
 
 
 def test_measure_tabular_corpus_toon_negative(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from notation.agent import LoopConfig, run_trajectory
+from notation import tokens
 from notation.tokens import (
     BpeTokenizer,
     ByteCountTokenizer,
@@ -221,6 +223,120 @@ def test_bpe_count_matches_reference_on_fixtures(name):
     for path in paths:
         text = path.read_text(encoding="utf-8")
         assert tok.count(text) == reference_bpe_count(tok, text), path
+
+
+def byte_symbols(data: bytes) -> str:
+    """The byte-mapped symbol spelling of data."""
+    return "".join(_BYTE_MAP[b] for b in data)
+
+
+def shuffled(merges: list, seed: int) -> list:
+    """The merges in a fixed shuffled order, so ranks do not follow the list above."""
+    merges = list(merges)
+    random.Random(seed).shuffle(merges)
+    return merges
+
+
+# Every pair of these joins, and chained merges join the joined symbols
+# across punctuation and whitespace, so a chunk boundary is rare.
+_DENSE = [byte_symbols(bytes([b])) for b in b'abc{}[]":, \t\n\r']
+DENSE_MERGES = shuffled(
+    [(x, y) for x in _DENSE for y in _DENSE]
+    + [(byte_symbols(x), byte_symbols(y)) for x, y in [
+        (b'"', b": "), (b'",', b' "'), (b"\n ", b"  "), (b"  ", b"  "), (b'{"', b'a"'),
+        (b"aa", b'":'), (b'a"', b": "), (b'": ', b"["), (b"],", b"\n"), (b"bc", b"a,"),
+    ]],
+    seed=1,
+)
+# Merges whose right side starts with a UTF-8 continuation byte, within
+# and across characters: é is C3 A9, 中 is E4 B8 AD, ب is D8 A8 (a lead
+# byte the pair codes swap), 😀 is F0 9F 98 80; NUL is the other
+# swapped byte.
+CONTINUATION_MERGES = [
+    (byte_symbols(x), byte_symbols(y))
+    for x, y in [
+        (b"\xc3", b"\xa9"), (b"\xc3\xa9", b"a"), (b"a", b"\xc3\xa9"), (b"\xa9", b"\xc3"),
+        (b"\xe4", b"\xb8"), (b"\xe4\xb8", b"\xad"), (b"\xb8", b"\xad"), (b"\xad", b"\xe4"),
+        (b"\xd8", b"\xa8"), (b"\xa8", b"\xd8"), (b"\xd8\xa8", b"\xd8\xa8"),
+        (b"\xf0", b"\x9f"), (b"\x9f", b"\x98"), (b"\xf0\x9f", b"\x98\x80"), (b"\x98", b"\x80"),
+        (b"\x00", b"a"), (b"a", b"\x00"), (b"\x00", b"\x00"), (b"a", b"a"),
+    ]
+]
+# every byte pair joins, so a span of two or more bytes is one chunk
+ALL_PAIRS_MERGES = shuffled([(_BYTE_MAP[a], _BYTE_MAP[b]) for a in range(256) for b in range(256)], seed=2)
+# Merges naming a character outside the byte map (or an empty symbol)
+# can never apply. Read from their end characters alone, "x\u20acx y" and
+# "q z\u20acz" would join the pairs x y and q z.
+FOREIGN_MERGES = [("x\u20acx", "y"), ("q", "z\u20acz"), ("q", "\u20acz"), ("\u20ac", "a"), ("", "b"), ("a", "b")]
+
+
+def every_other_symbol(merges: list) -> dict:
+    """A vocabulary holding every other merged symbol, so some fall back to bytes."""
+    return {a + b: i for i, (a, b) in enumerate(merges[::2])}
+
+
+CHUNK_TOKENIZERS = {
+    name: BpeTokenizer(every_other_symbol(merges), merges)
+    for name, merges in [
+        ("dense", DENSE_MERGES),
+        ("continuation", CONTINUATION_MERGES),
+        ("all_pairs", ALL_PAIRS_MERGES),
+        ("foreign", FOREIGN_MERGES),
+    ]
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_TOKENIZERS))
+@settings(max_examples=300, deadline=None)
+@given(BPE_TEXT)
+@example('{"a": "bca", "aa": [1, 2],\n  "c": {"b": "\t"}}\r\n')
+@example("aéaé\u00e9a \u4e2d\u4e2d \u0628\u0628\u0628 \U0001f600\U0001f600")
+@example("a\x00a\x00\x00\u0628a\u00e9")
+@example("xyqzab\u20ac")
+def test_bpe_chunked_count_matches_reference(name, text):
+    tok = CHUNK_TOKENIZERS[name]
+    assert tok.count(text) == reference_bpe_count(tok, text)
+
+
+def test_bpe_all_pairs_span_is_one_chunk():
+    merges = ALL_PAIRS_MERGES
+    tok = BpeTokenizer(every_other_symbol(merges), merges)
+    text = 'a, "\u00e9\u4e2d": [\x00]\n'
+    assert tok.count(text) == reference_bpe_count(tok, text)
+    assert [len(run) + 1 for run in tok._chunks] == [len(text.encode("utf-8"))]
+
+
+def test_bpe_foreign_merge_adds_no_joinable_pair():
+    tok = BpeTokenizer({"ab": 0}, FOREIGN_MERGES)
+    assert tok.count("xyqzab") == reference_bpe_count(tok, "xyqzab") == 5
+    # only "ab" is a chunk: "xy" and "qz" never meet the heap
+    assert len(tok._chunks) == 1
+    tok._chunks.clear()
+    assert tok.count("xy qz xyqz") == 10
+    assert not tok._chunks
+
+
+def test_bpe_memo_is_per_tokenizer():
+    paths = (FIXTURES / "bpe" / "vocab.json", FIXTURES / "bpe" / "merges.txt")
+    first, second = make_tokenizer("bpe", *paths), make_tokenizer("bpe", *paths)
+    assert first._chunks is not second._chunks
+    first.count('{"name": "forecast", "args": {"city": "Boulder"}}')
+    assert first._chunks
+    assert not second._chunks
+
+
+def test_bpe_memo_bound(monkeypatch):
+    paths = (FIXTURES / "bpe" / "vocab.json", FIXTURES / "bpe" / "merges.txt")
+    texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*")) if p.is_file()]
+    unbounded = make_tokenizer("bpe", *paths)
+    expected = [unbounded.count(text) for text in texts]
+    bound = 8
+    assert len(unbounded._chunks) > 4 * bound  # the bounded memo must start over
+    monkeypatch.setattr(tokens, "CHUNK_MEMO_SIZE", bound)
+    tok = make_tokenizer("bpe", *paths)
+    for text, n in zip(texts, expected):
+        assert tok.count(text) == n == reference_bpe_count(tok, text)
+        assert len(tok._chunks) <= bound
 
 
 def test_bpe_load_errors(tmp_path):
