@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import CodecError
-from .formats import BASELINE, FORMATS, REGISTRY, decode_doc, encode_batch, encode_doc, lookup
+from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_doc, encode_batch, encode_doc, lookup
 from .json_codec import decode_json, encode_json
 from .values import Array, Object, Text, Value
 
@@ -46,8 +46,6 @@ __all__ = [
     "load_executor",
     "load_trace",
 ]
-
-MODES = ("input_only", "full")
 
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"

@@ -13,19 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from .agent import (
-    MODES,
-    AbortedTrajectoryError,
-    LoopConfig,
-    ScriptExhaustedError,
-    load_catalog,
-    load_executor,
-    load_trace,
-    run_trajectory,
-    without_corruption,
-)
 from .errors import CodecError, ParseError
-from .formats import BASELINE, FORMATS, REGISTRY, decode_batch, decode_doc, encode_batch, encode_doc
+from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_batch, decode_doc, encode_batch, encode_doc
 from .json_codec import JsonStyle, decode_json, encode_json
 from .tokens import (
     COMPONENTS,
@@ -75,7 +64,8 @@ def _resolve_format(flag_value: str | None) -> str:
 def _tokenizer_from_args(args) -> Tokenizer:
     vocab = merges = None
     if args.vocab:
-        if "," in args.vocab:
+        # an existing directory wins, so its path may hold a comma
+        if "," in args.vocab and not Path(args.vocab).is_dir():
             vocab, merges = args.vocab.split(",", 1)
         else:
             vocab = str(Path(args.vocab) / "vocab.json")
@@ -265,6 +255,8 @@ def _summarize_run(record, breakdown) -> dict:
 
 
 def _replay_report(args, tokenizer: Tokenizer) -> dict:
+    from .agent import LoopConfig, load_catalog, load_executor, load_trace, run_trajectory, without_corruption
+
     agent = load_trace(args.trace)
     catalog = load_catalog(args.catalog)
     executor = load_executor(args.executor)
@@ -321,6 +313,9 @@ def _render_replay(report: dict) -> str:
 
 
 def cmd_replay(args) -> int:
+    # the replay harness loads here only, so the other commands start without it
+    from .agent import AbortedTrajectoryError, ScriptExhaustedError
+
     errors = (
         CodecError,
         ValueError,
@@ -402,7 +397,10 @@ def cmd_roundtrip(args) -> int:
 
 def _add_tokenizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tokenizer", choices=TOKENIZERS, default="bytes")
-    p.add_argument("--vocab", help="BPE source: a directory with vocab.json and merges.txt, or 'VOCAB,MERGES'")
+    p.add_argument(
+        "--vocab",
+        help="BPE source: a directory with vocab.json and merges.txt, else 'VOCAB,MERGES' split at the first comma",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ from types import ModuleType
 from . import json_codec, toon_codec, tron_codec
 from .values import Value
 
-__all__ = ["Format", "REGISTRY", "FORMATS", "BASELINE", "lookup", "encode_doc", "decode_doc", "encode_batch", "decode_batch"]
+__all__ = ["Format", "REGISTRY", "FORMATS", "BASELINE", "MODES", "lookup", "encode_doc", "decode_doc", "encode_batch", "decode_batch"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,9 @@ FORMATS = tuple(REGISTRY)
 
 # the format every delta is measured against, and the default wherever one is needed
 BASELINE = "json"
+
+# the replay modes: schemas and results go in the target format, and in "full" the calls do too
+MODES = ("input_only", "full")
 
 
 def lookup(fmt: str) -> Format:

@@ -367,6 +367,22 @@ def test_measure_bpe_tokenizer(tmp_path, capsys):
     assert code == 2
 
 
+def test_measure_vocab_directory_with_a_comma(tmp_path, capsys):
+    vocab_dir = tmp_path / "run,1" / "bpe"
+    shutil.copytree(FIXTURES / "bpe", vocab_dir)
+    argv = ["measure", str(FIXTURES / "replay"), "--tokenizer", "bpe", "--vocab"]
+    code, expected, _ = run_cli(argv + [str(FIXTURES / "bpe")], capsys)
+    assert code == 0
+    # an existing directory is read as one, comma or not
+    assert run_cli(argv + [str(vocab_dir)], capsys) == (0, expected, "")
+    # any other value is VOCAB,MERGES, split at the first comma
+    pair = f"{FIXTURES / 'bpe' / 'vocab.json'},{FIXTURES / 'bpe' / 'merges.txt'}"
+    assert run_cli(argv + [pair], capsys) == (0, expected, "")
+    code, _, err = run_cli(argv + [str(tmp_path / "run,1" / "missing")], capsys)
+    assert code == 2
+    assert "cannot read vocabulary file" in err
+
+
 def test_measure_deterministic(tmp_path, capsys):
     corpus = make_corpus(tmp_path)
     outs = []
