@@ -28,13 +28,14 @@ accept path does not take:
   on the accept path; only the escapes are looked at, not the built value.
 
 Both paths return the same nodes, and every error is ``Scanner``'s, with
-its reason and position. ``Scanner`` reads whitespace, runs of plain
-string characters and number literals with one compiled-regex match each,
-so per-character work happens only at an escape. Decoded strings are
-always valid Unicode (RFC 8259 section 8.2): a \\uD800-\\uDFFF escape that
-is not a high-low pair, and a raw surrogate code point in a ``str``
-argument, are both a ``ParseError``, since such a string cannot be written
-out as UTF-8.
+its reason and position. Every text that decodes takes the accept path,
+so ``Scanner`` runs only on text that fails, and in tests that call it
+directly. It is therefore kept as plain recursive descent with no fast
+paths; regex matches read only whitespace, runs of plain string
+characters and number literals. Decoded strings are always valid Unicode
+(RFC 8259 section 8.2): a \\uD800-\\uDFFF escape that is not a high-low
+pair, and a raw surrogate code point in a ``str`` argument, are both a
+``ParseError``, since such a string cannot be written out as UTF-8.
 """
 
 from __future__ import annotations
@@ -174,46 +175,33 @@ def _encode_pretty(v: Value, width: int, depth: int) -> str:
 # ---------------------------------------------------------------------------
 # Strict parsing.
 
-_WS = r"[ \t\n\r]*"
+_skip_ws = re.compile(r"[ \t\n\r]*").match
 # a run of string characters that need no per-character work; surrogate
 # code points are left out so that a lone one in a str argument is rejected
-_PLAIN = r'[^"\\\x00-\x1f\ud800-\udfff]*'
-
-_skip_ws = re.compile(_WS).match
-_string_run = re.compile(_PLAIN).match
+_string_run = re.compile(r'[^"\\\x00-\x1f\ud800-\udfff]*').match
 _hex4 = re.compile(r"[0-9a-fA-F]{4}").match
 # looser than the grammar, so a dangling '.' or exponent gets its own message
 _number = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]*)?([eE][+-]?[0-9]*)?").match
-# a plain string, number or literal and the whitespace after it; the
-# lookahead leaves 01, 1. and 1e to the general path, which reports them
-_SCALAR = (
-    f'(?:"({_PLAIN})"'
-    r"|(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)(?![0-9.eE])"
-    f"|(true|false|null)){_WS}"
-)
-_scalar = re.compile(_WS + _SCALAR).match
-# the usual object member, ws "key" ws : ws, with its value when that is a
-# plain scalar (groups 2-4)
-_member = re.compile(f'{_WS}"({_PLAIN})"{_WS}:{_WS}(?:{_SCALAR})?').match
 
 _SIMPLE_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
+# the one table of literal nodes; toon_codec reads it too
 _LITERALS = {"true": Bool(True), "false": Bool(False), "null": NULL}
 _new = tuple.__new__
 
-# nesting cap keeps hostile input from exhausting the interpreter stack
+# nesting cap keeps hostile input from exhausting the interpreter stack;
+# toon_codec holds its documents to the same cap
 MAX_NESTING = 120
 
 
 class Scanner:
     """Position-tracking recursive-descent scanner over JSON grammar.
 
-    The TRON decoder subclasses the value dispatch to add class instances,
-    so everything lives on one class instead of free functions. Runs of
-    whitespace, plain string characters and number literals are each read
-    with one compiled-regex match. An object member whose value is a plain
-    string, number or literal is one match, head and value, and so is such
-    an array item; every other value takes the general path through
-    ``parse_value``.
+    It defines what is accepted and what each error says, but it runs only
+    on text the accept path refuses, and in tests that call it directly, so
+    it is kept as plain recursive descent: one loop per container, one
+    method per token. The TRON decoder subclasses the value dispatch to add
+    class instances, so everything lives on one class instead of free
+    functions.
     """
 
     def __init__(self, text: str):
@@ -276,110 +264,59 @@ class Scanner:
         raise self.error(f"unexpected character {ch!r}")
 
     def parse_object(self) -> Object:
-        text = self.text
-        pos = _skip_ws(text, self.pos + 1).end()
-        if text.startswith("}", pos):
-            self.pos = pos + 1
+        self.pos += 1
+        self.skip_ws()
+        if self.text.startswith("}", self.pos):
+            self.pos += 1
             return _new(Object, (Object, (), ()))
-        # a member is one value deeper than this object; at the cap every
-        # member goes the general way, where parse_value rejects it
-        fast = self.depth < MAX_NESTING
         members: dict[str, Value] = {}
         while True:
-            m = _member(text, pos) if fast else None
-            if m is not None:
-                key = m.group(1)
-                if key in members:
-                    raise DuplicateKeyError(key, pos=m.start(1) - 1)
-                kind = m.lastindex
-                pos = m.end()
-            else:
-                key = self._parse_key(pos, members)
-                kind = 1
-                pos = self.pos
-            if kind == 2:
-                members[key] = _new(Text, (Text, m.group(2)))
-            elif kind == 3:
-                members[key] = _new(Number, (Number, m.group(3)))
-            elif kind == 4:
-                members[key] = _LITERALS[m.group(4)]
-            else:
-                self.pos = pos
-                members[key] = self.parse_value()
-                pos = _skip_ws(text, self.pos).end()
-            ch = text[pos : pos + 1]
-            if ch == ",":
-                pos += 1
-                continue
-            self.pos = pos
-            if ch == "}":
-                self.pos += 1
+            self.skip_ws()
+            key_pos = self.pos
+            if self.peek() != '"':
+                raise self.error("expected string key")
+            key = self.parse_string()
+            if key in members:
+                raise DuplicateKeyError(key, pos=key_pos)
+            self.skip_ws()
+            self.expect(":")
+            self.skip_ws()
+            members[key] = self.parse_value()
+            if self.closes("}", "object"):
                 return _new(Object, (Object, tuple(members), tuple(members.values())))
-            if not ch:
-                raise self.error("unexpected end of input")
-            raise self.error("expected ',' or '}' in object")
-
-    def _parse_key(self, pos: int, members: dict[str, Value]) -> str:
-        """General path for a member head; leaves self.pos after the ":" and whitespace."""
-        self.pos = pos
-        self.skip_ws()
-        key_pos = self.pos
-        if self.peek() != '"':
-            raise self.error("expected string key")
-        key = self.parse_string()
-        if key in members:
-            raise DuplicateKeyError(key, pos=key_pos)
-        self.skip_ws()
-        self.expect(":")
-        self.skip_ws()
-        return key
 
     def parse_items(self, close: str, what: str) -> list[Value]:
         """Comma-separated values after an opening bracket, through ``close``."""
-        text = self.text
-        pos = _skip_ws(text, self.pos + 1).end()
+        self.pos += 1
+        self.skip_ws()
         items: list[Value] = []
-        if text.startswith(close, pos):
-            self.pos = pos + 1
+        if self.text.startswith(close, self.pos):
+            self.pos += 1
             return items
-        fast = self.depth < MAX_NESTING
         while True:
-            m = _scalar(text, pos) if fast else None
-            if m is not None:
-                kind = m.lastindex
-                if kind == 1:
-                    items.append(_new(Text, (Text, m.group(1))))
-                elif kind == 2:
-                    items.append(_new(Number, (Number, m.group(2))))
-                else:
-                    items.append(_LITERALS[m.group(3)])
-                pos = m.end()
-            else:
-                self.pos = _skip_ws(text, pos).end()
-                items.append(self.parse_value())
-                pos = _skip_ws(text, self.pos).end()
-            ch = text[pos : pos + 1]
-            if ch == ",":
-                pos += 1
-                continue
-            self.pos = pos
-            if ch == close:
-                self.pos += 1
+            self.skip_ws()
+            items.append(self.parse_value())
+            if self.closes(close, what):
                 return items
-            if not ch:
-                raise self.error("unexpected end of input")
-            raise self.error(f"expected ',' or {close!r} in {what}")
+
+    def closes(self, close: str, what: str) -> bool:
+        """Step over whitespace and the comma or ``close`` after an item; True at ``close``."""
+        self.skip_ws()
+        ch = self.text[self.pos : self.pos + 1]
+        if ch == "," or ch == close:
+            self.pos += 1
+            return ch == close
+        if not ch:
+            raise self.error("unexpected end of input")
+        raise self.error(f"expected ',' or {close!r} in {what}")
 
     def parse_string(self) -> str:
         self.expect('"')
         text = self.text
         start = self.pos
-        end = _string_run(text, start).end()
-        if text.startswith('"', end):
-            self.pos = end + 1
-            return text[start:end]
         out: list[str] = []
         while True:
+            end = _string_run(text, start).end()
             out.append(text[start:end])
             self.pos = end
             ch = text[end : end + 1]
@@ -395,7 +332,6 @@ class Scanner:
                     self.pos += 1
                     out.append(self._unicode_escape())
                     start = self.pos
-                end = _string_run(text, start).end()
                 continue
             if not ch:
                 raise self.error("unterminated string")

@@ -28,8 +28,8 @@ from .errors import (
     LengthMismatchError,
     ParseError,
 )
+from .json_codec import MAX_NESTING, _LITERALS
 from .values import (
-    NULL,
     NUMBER_LITERAL_RE,
     Array,
     Bool,
@@ -196,11 +196,7 @@ _plain_entry = re.compile(r'([^":\[][^:\[]*):(?: (.*))?\Z', re.S).match
 _header_field = re.compile(r"[^,}]*").match
 _is_number = NUMBER_LITERAL_RE.match
 _UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
-_LITERALS = {"null": NULL, "true": Bool(True), "false": Bool(False)}
 _new = tuple.__new__
-
-# nesting cap keeps hostile input from exhausting the interpreter stack
-MAX_NESTING = 120
 
 
 class _ToonParser:

@@ -1,7 +1,10 @@
 """The scripts under scripts/ run end to end, each in its own interpreter."""
 
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 from notation.tokens import BpeTokenizer
 
@@ -42,3 +45,43 @@ def test_cascade_sweep(tmp_path):
     assert done.returncode == 0, done.stderr
     rows = done.stdout.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["toon"] * 4 + ["tron"] * 4
+
+
+def copy_src(tmp_path):
+    dest = tmp_path / "other" / "src"
+    shutil.copytree(REPO_ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return dest
+
+
+def test_diff_codecs_finds_no_difference_in_a_copy(tmp_path):
+    other = copy_src(tmp_path)
+    done = run_script("diff_codecs.py", "--against", other.parent, "--cases", 400, cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    summary = done.stdout.splitlines()[-1]
+    assert summary.startswith("diff_codecs: 400 cases (seed 0)")
+    assert " 0 differences " in summary
+    done = run_script("diff_codecs.py", "--against", "no-such-revision", "--cases", 1, cwd=tmp_path)
+    assert done.returncode == 2
+    assert "neither a source directory nor a revision" in done.stderr
+
+
+# (module, text planted over, planted text, what the report must name)
+PLANTS = [
+    ("json_codec.py", '"expected string key"', '"expected a key"', ["expected a key at position"]),
+    # a key that starts with '-' written bare reads back as a list item
+    ("toon_codec.py", r"(?![\s-])", r"(?!\s)", ["  encode_toon\n", "  decode(toon)\n"]),
+]
+
+
+@pytest.mark.parametrize("module,old,new,named", PLANTS, ids=["error message", "toon quoting"])
+def test_diff_codecs_names_a_planted_change(tmp_path, module, old, new, named):
+    other = copy_src(tmp_path)
+    path = other / "notation" / module
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    done = run_script("diff_codecs.py", "--against", other, "--cases", 400, cwd=tmp_path)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert " 0 differences " not in done.stdout.splitlines()[-1]
+    for name in named:
+        assert name in done.stdout

@@ -7,13 +7,15 @@ decoder is also held to the stdlib parser's accept/reject decisions, to
 ``Scanner``'s exact values and errors (``decode_json`` reads most text
 with the stdlib's C scanner and leaves the rest to ``Scanner``), and the
 nesting cap to its exact depth. The TRON decoders are held to
-``_TronScanner`` the same way.
+``_TronScanner`` the same way, and the decoders start either scanner only
+on text that fails.
 """
 
 import gc
 import json
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -603,6 +605,50 @@ TRON_FRAMES = ("{}", "A({})", "[{}]", "B(1,{})", '{{"k":A({})}}', '"{}"')
 )
 def test_tron_soup_agrees_with_scanner(header, frame, soup):
     assert_tron_agrees_with_scanner(header + frame.format(soup))
+
+
+# ---------------------------------------------------------------------------
+# Scanner and _TronScanner are plain recursive descent because the decoders
+# hand them only text that fails: every text that decodes takes the accept
+# path. Each run the decoders start must therefore end in a CodecError.
+
+
+class _RecordedRuns:
+    """Appends how each parse_document run ended to ``runs``."""
+
+    runs: list[str]
+
+    def parse_document(self):
+        try:
+            v = super().parse_document()
+        except CodecError:
+            self.runs.append("error")
+            raise
+        self.runs.append("value")
+        return v
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(GENERATED, min_size=1, max_size=3), st.booleans(), st.lists(MUTATIONS, max_size=3))
+def test_decoders_run_the_scanner_only_on_text_that_fails(docs, pretty, mutations):
+    roots = [generate(seed, profile) for seed, profile in docs]
+    texts = {
+        decode_json: encode_json(roots[0], JsonStyle(indent=2) if pretty else MINIMAL),
+        decode_tron: encode_tron(roots[0]),
+        decode_tron_batch: encode_tron_batch(roots),
+    }
+    runs: list[str] = []
+    scanner = type("RecordedScanner", (_RecordedRuns, Scanner), {"runs": runs})
+    tron_scanner = type("RecordedTronScanner", (_RecordedRuns, tron_codec._TronScanner), {"runs": runs})
+    with mock.patch.object(json_codec, "Scanner", scanner), mock.patch.object(tron_codec, "_TronScanner", tron_scanner):
+        for decode, text in texts.items():
+            for mutation in mutations:
+                text = mutate(text, *mutation)
+            try:
+                decode(text)
+            except CodecError:
+                pass
+    assert "value" not in runs
 
 
 # ---------------------------------------------------------------------------
