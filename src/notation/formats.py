@@ -9,33 +9,39 @@ test's monkeypatch, a tracer's timing wrapper) is the one that runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from types import ModuleType
-
 from . import json_codec, toon_codec, tron_codec
+from ._record import record
 from .values import Value
 
 __all__ = ["Format", "REGISTRY", "FORMATS", "BASELINE", "MODES", "lookup", "encode_doc", "decode_doc", "encode_batch", "decode_batch"]
 
 
-@dataclass(frozen=True)
-class Format:
-    """A format's codec module (``encode_<name>``, ``decode_<name>``) and its traits."""
+class Format(record("Format", "name", "codec", "note", wraps_root=False, keeps_indent=False, batched=False)):
+    """A format's codec module (``encode_<name>``, ``decode_<name>``) and its traits.
 
-    name: str
-    codec: ModuleType
-    note: str  # how the format reads, for the system prompt
-    wraps_root: bool = False  # a non-object root is encoded under a synthetic key
-    keeps_indent: bool = False  # leading whitespace is significant, so never strip() a document
-    batched: bool = False  # the codec also has encode_<name>_batch and decode_<name>_batch
+    ``note`` (a str) says how the format reads, for the system prompt; ``wraps_root``
+    means a non-object root is encoded under a synthetic key; ``keeps_indent``
+    means leading whitespace is significant, so a document is never
+    ``strip()``-ped; ``batched`` means the codec also has
+    ``encode_<name>_batch`` and ``decode_<name>_batch``.
+    """
 
-    def __post_init__(self) -> None:
-        # the codec's attribute names, fixed here so that no call builds a string
-        set_ = object.__setattr__
-        set_(self, "encoder", f"encode_{self.name}")
-        set_(self, "decoder", f"decode_{self.name}")
-        set_(self, "batch_encoder", f"{self.encoder}_batch")
-        set_(self, "batch_decoder", f"{self.decoder}_batch")
+    # no __slots__: the instance dict holds the codec's attribute names,
+    # fixed here so that no call builds a string
+    def __new__(cls, *args, **kwargs) -> Format:
+        self = super().__new__(cls, *args, **kwargs)
+        encoder = f"encode_{self.name}"
+        decoder = f"decode_{self.name}"
+        self.__dict__.update(
+            encoder=encoder, decoder=decoder, batch_encoder=f"{encoder}_batch", batch_decoder=f"{decoder}_batch"
+        )
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 REGISTRY = {

@@ -42,24 +42,29 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 
+from ._record import record
 from .errors import DuplicateKeyError, ParseError
 from .values import NULL, Array, Bool, Null, Number, Object, StructSignature, Text, Value, _collector_paused
 
 __all__ = ["JsonStyle", "MINIMAL", "encode_json", "decode_json", "Scanner"]
 
 
-@dataclass(frozen=True)
-class JsonStyle:
+class JsonStyle(record("JsonStyle", indent=None)):
     """indent=None emits minimal JSON; an int emits pretty output."""
 
-    indent: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.indent is not None and self.indent < 1:
-            raise ValueError("indent width must be >= 1")
+    def __new__(cls, *args, **kwargs) -> JsonStyle:
+        self = super().__new__(cls, *args, **kwargs)
+        indent = self.indent
+        if indent is not None:
+            if not isinstance(indent, int) or isinstance(indent, bool):
+                raise ValueError(f"indent width must be an int or None, not {type(indent).__name__}")
+            if indent < 1:
+                raise ValueError("indent width must be >= 1")
+        return self
 
 
 MINIMAL = JsonStyle()

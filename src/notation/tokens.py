@@ -23,8 +23,9 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
+
+from ._record import record
 
 __all__ = [
     "VocabLoadError",
@@ -338,27 +339,21 @@ def mean_pct(deltas: list[float | None]) -> float | None:
     return round_pct(sum(known) / len(known)) if known else None
 
 
-@dataclass(frozen=True)
-class TokenBreakdown:
-    schema_tokens: int
-    call_tokens: int
-    result_tokens: int
-    prompt_tokens: int
-    completion_tokens: int
+class TokenBreakdown(
+    record("TokenBreakdown", "schema_tokens", "call_tokens", "result_tokens", "prompt_tokens", "completion_tokens")
+):
+    """Token counts (ints) by span origin and by direction; ``total`` is prompt plus completion."""
+
+    __slots__ = ()
 
     @property
     def total(self) -> int:
         return self.prompt_tokens + self.completion_tokens
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "schema_tokens": self.schema_tokens,
-            "call_tokens": self.call_tokens,
-            "result_tokens": self.result_tokens,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "total": self.total,
-        }
+        d = self._asdict()
+        d["total"] = self.total
+        return d
 
 
 COMPONENTS = ("schema_tokens", "call_tokens", "result_tokens", "prompt_tokens", "completion_tokens", "total")

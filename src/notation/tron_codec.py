@@ -24,8 +24,8 @@ instance is one value and its args are one value deeper.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import (
     ArityMismatchError,
     DuplicateClassError,
@@ -48,30 +48,36 @@ __all__ = [
 DEFAULT_MIN_OCCURRENCES = 2
 
 
-@dataclass(frozen=True)
-class ClassDef:
-    name: str
-    fields: StructSignature
+class ClassDef(record("ClassDef", "name", "fields")):
+    """A class name (str) and its fields, the key tuple of the shape it stands for."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ClassDef:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.fields:
             raise ValueError("a class needs at least one field")
+        return self
 
     def header_line(self) -> str:
         return f"class {self.name}: {','.join(self.fields)}"
 
 
-@dataclass(frozen=True)
-class ClassTable:
-    defs: tuple[ClassDef, ...]
+class ClassTable(record("ClassTable", "defs")):
+    """A tuple of ``ClassDef``; no two share a name or a field tuple."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ClassTable:
+        self = super().__new__(cls, *args, **kwargs)
         names = [d.name for d in self.defs]
         sigs = [d.fields for d in self.defs]
         if len(set(names)) != len(names) or len(set(sigs)) != len(sigs):
             raise ValueError("class table must map names and signatures one-to-one")
+        return self
 
     def __len__(self) -> int:
+        # the number of classes, not of fields
         return len(self.defs)
 
     def header_lines(self) -> list[str]:

@@ -31,8 +31,9 @@ import functools
 import gc
 import random
 import re
-from dataclasses import dataclass
 from operator import itemgetter
+
+from ._record import record
 
 __all__ = [
     "Value",
@@ -301,32 +302,46 @@ SAFE_WORDS = ("id", "name", "size", "alpha", "beta", "gamma", "delta", "note", "
 SHORT_CELLS = ("a", "bb", "ccc", "x1", "y2", "ok", "no", "up", "down", "7a")
 
 
-@dataclass(frozen=True)
-class GenProfile:
+class GenProfile(
+    record(
+        "GenProfile",
+        max_depth=4,
+        max_array_len=8,
+        max_object_keys=5,
+        max_key_len=12,
+        string_pool=DELIMITER_STRINGS,
+        key_pool=SAFE_WORDS,
+        tabular=False,
+        min_rows=3,
+        max_rows=8,
+        min_cols=2,
+        max_cols=5,
+        cell_pool=SHORT_CELLS,
+    )
+):
     """Bounds and string pools for the deterministic generator."""
 
-    max_depth: int = 4
-    max_array_len: int = 8
-    max_object_keys: int = 5
-    max_key_len: int = 12
-    string_pool: tuple[str, ...] = DELIMITER_STRINGS
-    key_pool: tuple[str, ...] = SAFE_WORDS
-    tabular: bool = False
-    min_rows: int = 3
-    max_rows: int = 8
-    min_cols: int = 2
-    max_cols: int = 5
-    cell_pool: tuple[str, ...] = SHORT_CELLS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> GenProfile:
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 <= self.max_depth <= 8):
             raise ValueError("max_depth must be in [0, 8]")
         if not (0 <= self.max_array_len <= 64):
             raise ValueError("max_array_len must be in [0, 64]")
+        if self.max_object_keys < 0:
+            raise ValueError("max_object_keys must be >= 0")
         if not (1 <= self.max_key_len <= 16):
             raise ValueError("max_key_len must be in [1, 16]")
         if self.tabular and self.min_rows < 1:
             raise ValueError("tabular profiles need at least one row")
+        if self.tabular and self.min_rows > self.max_rows:
+            raise ValueError("min_rows must not exceed max_rows")
+        if self.tabular and self.min_cols > self.max_cols:
+            raise ValueError("min_cols must not exceed max_cols")
+        if not self.cell_pool:
+            raise ValueError("cell_pool must not be empty")
+        return self
 
 
 DEFAULT_PROFILE = GenProfile(key_pool=SAFE_WORDS)

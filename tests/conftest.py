@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,28 @@ def sample_document():
             ],
         }
     )
+
+
+def check_record(make, other, field: str, *, picklable: bool = True) -> None:
+    """The value-record contract, for a record that ``make()`` builds afresh.
+
+    Two builds are equal and hash alike, ``other`` (a record with a
+    different ``field``) is not equal, assigning an attribute raises
+    ``AttributeError``, and ``copy`` gives back an equal record, as do
+    ``deepcopy`` and ``pickle`` when the record holds no module.
+    """
+    a, b = make(), make()
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert a != other
+    for name in (field, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(other, field))
+    assert a == b
+    assert copy.copy(a) == a
+    if picklable:
+        assert copy.deepcopy(a) == a
+        assert pickle.loads(pickle.dumps(a)) == a
 
 
 @pytest.fixture()

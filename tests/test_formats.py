@@ -5,16 +5,19 @@ swapped on the module (here a counting wrapper; in the benchmark's traced
 run a timing wrapper) sees every call the program makes.
 """
 
+import copy
 import shutil
 from collections import Counter
 
+import pytest
+
 from notation import agent as agent_mod
-from notation import toon_codec, tron_codec
+from notation import json_codec, toon_codec, tron_codec
 from notation.agent import LoopConfig, build_system_prompt_spans
 from notation.cli import main
-from notation.formats import encode_batch, encode_doc
+from notation.formats import REGISTRY, Format, encode_batch, encode_doc
 
-from conftest import FIXTURES, make_catalog, sample_document
+from conftest import FIXTURES, check_record, make_catalog, sample_document
 
 
 def count_calls(monkeypatch, module, name: str, counts: Counter) -> None:
@@ -54,3 +57,28 @@ def test_functions_swapped_on_codec_modules_see_every_call(tmp_path, monkeypatch
     # a TOON prompt encodes each schema and the two response templates
     assert counts == {"encode_toon": 14 + 3 + 2, "encode_tron_batch": 4 + 1}
     capsys.readouterr()
+
+
+def test_format_record_contract():
+    f = REGISTRY["tron"]
+    assert (f.encoder, f.decoder, f.batch_encoder, f.batch_decoder) == (
+        "encode_tron",
+        "decode_tron",
+        "encode_tron_batch",
+        "decode_tron_batch",
+    )
+    for entry in REGISTRY.values():
+        for name in ("encoder", "decoder"):
+            assert callable(getattr(entry.codec, getattr(entry, name)))
+    assert repr(f) == f"Format(name='tron', codec={tron_codec!r}, note={f.note!r}, wraps_root=False, keeps_indent=False, batched=True)"
+
+    def make():
+        return Format("toon", toon_codec, "note", wraps_root=True)
+
+    check_record(make, Format("toon", toon_codec, "note"), "wraps_root", picklable=False)
+    for name in ("encoder", "batch_decoder"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, "encode_json")
+    assert copy.copy(f).batch_encoder == "encode_tron_batch"
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'note'"):
+        Format("json", json_codec)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from notation.errors import DuplicateKeyError, ParseError
-from notation.json_codec import JsonStyle, decode_json, encode_json
+from notation.json_codec import MINIMAL, JsonStyle, decode_json, encode_json
 from notation.values import (
     DEFAULT_PROFILE,
     DELIMITER_PROFILE,
@@ -14,7 +14,7 @@ from notation.values import (
     generate,
 )
 
-from conftest import FIXTURES, sample_document
+from conftest import FIXTURES, check_record, sample_document
 
 # the pretty listing the minimal golden file is derived from
 PRETTY_SAMPLE = """\
@@ -173,3 +173,19 @@ def test_object_key_order_preserved():
     assert isinstance(v, Object)
     assert v.keys == ("b", "a")
     assert encode_json(v) == text
+
+
+def test_style_record_contract():
+    assert repr(JsonStyle()) == "JsonStyle(indent=None)"
+    assert repr(JsonStyle(indent=2)) == "JsonStyle(indent=2)"
+    assert JsonStyle() == MINIMAL
+    check_record(lambda: JsonStyle(indent=2), JsonStyle(indent=3), "indent")
+    for indent in (0, -1):
+        with pytest.raises(ValueError, match="indent width must be >= 1"):
+            JsonStyle(indent=indent)
+
+
+@pytest.mark.parametrize("indent", [2.0, "2", True, False])
+def test_style_rejects_a_non_int_indent(indent):
+    with pytest.raises(ValueError, match="indent width"):
+        JsonStyle(indent=indent)

@@ -79,13 +79,25 @@ def fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-LOADED = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('notation'))))"
+# standard-library modules that only ``replay`` may load: ``dataclasses``
+# imports ``inspect``, which brings in ``ast``, ``dis`` and ``tokenize``
+HEAVY = ("dataclasses", "inspect")
+
+# put before the code under test, and LOADED after it: LOADED prints the
+# notation modules, and each HEAVY module that the interpreter's own
+# start-up had not loaded already
+BEFORE = "import sys; before = set(sys.modules); "
+LOADED = (
+    "import json; print(json.dumps(sorted(m for m in sys.modules"
+    f" if m.startswith('notation') or m in {HEAVY!r} and m not in before)))"
+)
 
 
 def test_import_notation_loads_only_the_model_and_codecs():
-    loaded = fresh("import notation; " + LOADED)
+    loaded = fresh(BEFORE + "import notation; " + LOADED)
     assert "notation.agent" not in loaded
     assert "notation.tokens" not in loaded
+    assert not set(HEAVY) & set(loaded)
     assert {"notation.values", "notation.json_codec", "notation.toon_codec", "notation.tron_codec"} <= set(loaded)
 
 
@@ -100,13 +112,15 @@ def test_import_notation_loads_only_the_model_and_codecs():
     ids=["import", "measure", "convert", "roundtrip"],
 )
 def test_cli_commands_do_not_load_the_replay_harness(call):
-    loaded = fresh(f"from notation import cli; {call}; " + LOADED)
+    loaded = fresh(BEFORE + f"from notation import cli; {call}; " + LOADED)
     assert "notation.cli" in loaded
     assert "notation.agent" not in loaded
+    assert not set(HEAVY) & set(loaded)
 
 
 def test_replay_loads_the_harness_and_succeeds():
-    loaded = fresh(f"from notation import cli; assert cli.main({REPLAY!r}) == 0; " + LOADED)
+    # the replay harness keeps its dataclasses, so this path may load HEAVY
+    loaded = fresh(BEFORE + f"from notation import cli; assert cli.main({REPLAY!r}) == 0; " + LOADED)
     assert "notation.agent" in loaded
 
 

@@ -25,7 +25,7 @@ from notation.tokens import (
 )
 from notation.agent import Span
 
-from conftest import FIXTURES, simple_run_pieces
+from conftest import FIXTURES, check_record, simple_run_pieces
 
 
 def test_empty_counts_zero():
@@ -439,6 +439,26 @@ def test_delta_arithmetic():
     deltas = delta_vs_baseline(x, base)
     assert deltas["schema_tokens"] == -50.0
     assert deltas["total"] == -27.0  # 100 -> 73
+
+
+def test_breakdown_record_contract():
+    bd = TokenBreakdown(1, 2, 3, 40, 5)
+    assert repr(bd) == (
+        "TokenBreakdown(schema_tokens=1, call_tokens=2, result_tokens=3, prompt_tokens=40, completion_tokens=5)"
+    )
+    check_record(lambda: TokenBreakdown(1, 2, 3, 40, 5), TokenBreakdown(1, 2, 3, 40, 6), "completion_tokens")
+    assert bd.total == 45
+    assert bd.as_dict() == {
+        "schema_tokens": 1,
+        "call_tokens": 2,
+        "result_tokens": 3,
+        "prompt_tokens": 40,
+        "completion_tokens": 5,
+        "total": 45,
+    }
+    assert list(bd.as_dict()) == list(tokens.COMPONENTS)
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'completion_tokens'"):
+        TokenBreakdown(1, 2, 3, 4)
 
 
 def test_delta_zero_baseline_is_na():

@@ -33,7 +33,7 @@ from notation.values import (
     generate,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, check_record
 
 
 def tron_golden_joined() -> str:
@@ -253,12 +253,26 @@ def test_empty_batch_rejected():
 
 
 def test_class_table_bijection_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="class table must map names and signatures one-to-one"):
         ClassTable((ClassDef("A", ("x",)), ClassDef("A", ("y",))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="class table must map names and signatures one-to-one"):
         ClassTable((ClassDef("A", ("x",)), ClassDef("B", ("x",))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a class needs at least one field"):
         ClassDef("A", ())
+
+
+def test_class_records_contract():
+    def table():
+        return ClassTable((ClassDef("A", ("x", "y")), ClassDef("B", ("z",))))
+
+    assert repr(ClassDef("A", ("x", "y"))) == "ClassDef(name='A', fields=('x', 'y'))"
+    assert repr(table()) == "ClassTable(defs=(ClassDef(name='A', fields=('x', 'y')), ClassDef(name='B', fields=('z',))))"
+    check_record(lambda: ClassDef("A", ("x", "y")), ClassDef("B", ("x", "y")), "name")
+    check_record(table, ClassTable((ClassDef("A", ("x", "y")),)), "defs")
+    assert len(table()) == 2
+    assert len(ClassTable(())) == 0 and not ClassTable(())
+    assert table().header_lines() == ["class A: x,y", "class B: z"]
+    assert ClassDef(fields=("q",), name="C").header_line() == "class C: q"
 
 
 def test_min_occurrences_one_classes_singletons():

@@ -13,6 +13,7 @@ from notation.values import (
     DEFAULT_PROFILE,
     DELIMITER_PROFILE,
     NULL,
+    SAFE_WORDS,
     TABULAR_PROFILE,
     Array,
     Bool,
@@ -25,7 +26,7 @@ from notation.values import (
     generate,
 )
 
-from conftest import sample_document
+from conftest import check_record, sample_document
 
 
 def signature(v):
@@ -201,12 +202,41 @@ def test_generate_tabular_shape():
 
 
 def test_profile_bounds_enforced():
-    with pytest.raises(ValueError):
-        GenProfile(max_depth=9)
-    with pytest.raises(ValueError):
-        GenProfile(max_array_len=65)
-    with pytest.raises(ValueError):
-        GenProfile(max_key_len=17)
+    # every profile the generator could not draw from is refused up front
+    for kwargs, message in [
+        ({"max_depth": 9}, r"max_depth must be in \[0, 8\]"),
+        ({"max_array_len": 65}, r"max_array_len must be in \[0, 64\]"),
+        ({"max_key_len": 17}, r"max_key_len must be in \[1, 16\]"),
+        ({"tabular": True, "min_rows": 0, "max_rows": 2}, "tabular profiles need at least one row"),
+        ({"tabular": True, "min_rows": 5, "max_rows": 2}, "min_rows must not exceed max_rows"),
+        ({"tabular": True, "min_cols": 4, "max_cols": 2}, "min_cols must not exceed max_cols"),
+        ({"max_object_keys": -1}, "max_object_keys must be >= 0"),
+        ({"cell_pool": ()}, "cell_pool must not be empty"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            GenProfile(**kwargs)
+
+
+SMALL_PROFILE_REPR = (
+    "GenProfile(max_depth=2, max_array_len=8, max_object_keys=5, max_key_len=12, string_pool=('s',), "
+    "key_pool=('k',), tabular=False, min_rows=3, max_rows=8, min_cols=2, max_cols=5, cell_pool=('c',))"
+)
+
+
+def test_profile_record_contract():
+    def make():
+        return GenProfile(2, string_pool=("s",), key_pool=("k",), cell_pool=("c",))
+
+    assert repr(make()) == SMALL_PROFILE_REPR
+    check_record(make, GenProfile(3, string_pool=("s",), key_pool=("k",), cell_pool=("c",)), "max_depth")
+    assert GenProfile() == GenProfile(key_pool=SAFE_WORDS)
+    assert TABULAR_PROFILE.tabular and TABULAR_PROFILE.min_rows == 3
+
+
+def test_profile_replace_checks_the_new_fields():
+    assert DEFAULT_PROFILE._replace(max_depth=2).max_depth == 2
+    with pytest.raises(ValueError, match="max_depth"):
+        DEFAULT_PROFILE._replace(max_depth=9)
 
 
 @settings(max_examples=200)
