@@ -12,14 +12,14 @@ trajectory record tracks span-by-span for the token meter.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
+from ._record import Sealed, record
 from .errors import CodecError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_doc, encode_batch, encode_doc, lookup
 from .json_codec import decode_json, encode_json
-from .values import Array, Object, Text, Value
+from .values import Array, Bool, Object, Text, Value
 
 __all__ = [
     "ToolSchema",
@@ -55,19 +55,16 @@ STEP_KEYS = frozenset(("thought", "action", "arguments"))
 FINAL_KEYS = frozenset(("final_answer",))
 
 
-@dataclass(frozen=True)
-class ToolSchema:
-    name: str
-    description: str
-    parameters: Object
-    # the prompt memo hashes the whole catalog on every run; hashing the
-    # parameters tree each time would walk every node of it
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+class ToolSchema(record("ToolSchema", "name", "description", "parameters"), Sealed):
+    # no __slots__: the instance dict holds the hash. The prompt memo hashes
+    # the whole catalog on every run; hashing the parameters tree each time
+    # would walk every node of it
+    def __new__(cls, *args, **kwargs) -> ToolSchema:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.name:
             raise ValueError("tool name must be non-empty")
-        object.__setattr__(self, "_hash", hash((self.name, self.description, self.parameters)))
+        self.__dict__["_hash"] = tuple.__hash__(self)
+        return self
 
     def __hash__(self) -> int:
         return self._hash
@@ -75,7 +72,7 @@ class ToolSchema:
     def __reduce__(self):
         # a node's hash differs from one process to the next, so a copy or an
         # unpickled schema computes its own
-        return type(self), (self.name, self.description, self.parameters)
+        return type(self), tuple(self)
 
     def to_value(self) -> Object:
         return Object(
@@ -98,30 +95,24 @@ class ToolSchema:
         return cls(name.value, desc.value, params)
 
 
-@dataclass(frozen=True)
-class Step:
-    thought: str
-    action: str
-    arguments: Value
+class Step(record("Step", "thought", "action", "arguments")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Final:
-    answer: str
+class Final(record("Final", "answer")):
+    __slots__ = ()
 
 
 Envelope = Step | Final
 
 
-@dataclass(frozen=True)
-class LoopConfig:
-    format: str = BASELINE
-    mode: str = "input_only"
-    max_iterations: int = 20
-    failure_rate: float = 0.0
-    seed: int = 0
+class LoopConfig(
+    record("LoopConfig", format=BASELINE, mode="input_only", max_iterations=20, failure_rate=0.0, seed=0)
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> LoopConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         if self.mode not in MODES:
@@ -130,6 +121,7 @@ class LoopConfig:
             raise ValueError("max_iterations must be >= 1")
         if not (0.0 <= self.failure_rate <= 1.0):
             raise ValueError("failure_rate must be in [0, 1]")
+        return self
 
     @property
     def output_format(self) -> str:
@@ -183,13 +175,8 @@ def _value_to_envelope(v: Value) -> Envelope:
     raise ParseFailure("shape", f"unexpected key set {sorted(keys)}")
 
 
-@dataclass
-class ParseOutcome:
-    envelope: Envelope | None
-    failure: ParseFailure | None
-    think_stripped: bool
-    fence_extracted: bool
-    document: str
+class ParseOutcome(record("ParseOutcome", "envelope", "failure", "think_stripped", "fence_extracted", "document")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -256,33 +243,27 @@ def corrupt_text(text: str, kind: str) -> str:
 # Trajectory records.
 
 
-@dataclass(frozen=True)
-class Span:
-    text: str
-    origin: str  # schema | call | result | other
-    direction: str  # prompt | completion
-    turn: int
+class Span(record("Span", "text", "origin", "direction", "turn")):
+    """``origin`` is schema, call, result or other; ``direction`` is prompt or completion."""
+
+    __slots__ = ()
 
 
-@dataclass
-class TurnRecord:
-    index: int
-    raw_text: str
-    think_stripped: bool
-    fence_extracted: bool
-    outcome: str  # "step" | "final" | a ParseFailure stage
-    error: str | None = None
+class TurnRecord(
+    record("TurnRecord", "index", "raw_text", "think_stripped", "fence_extracted", "outcome", error=None)
+):
+    """``outcome`` is "step", "final" or a ParseFailure stage; ``index`` shadows ``tuple.index``."""
+
+    __slots__ = ()
 
 
-@dataclass
-class TrajectoryRecord:
-    format: str
-    mode: str
-    task: str
-    turns: list[TurnRecord] = field(default_factory=list)
-    spans: list[Span] = field(default_factory=list)
-    status: str = "iteration_cap"  # "final" | "iteration_cap"
-    final_answer: str | None = None
+class TrajectoryRecord(
+    record("TrajectoryRecord", "format", "mode", "task", "turns", "spans", "status", "final_answer")
+):
+    """One run, built when it ends: ``turns`` and ``spans`` are lists, ``status``
+    is "final" or "iteration_cap", and ``final_answer`` is None unless final."""
+
+    __slots__ = ()
 
     @property
     def iterations(self) -> int:
@@ -302,12 +283,12 @@ class TrajectoryRecord:
 # Script, executor, prompt.
 
 
-@dataclass(frozen=True)
-class ScriptTurn:
-    intent: Object  # envelope-shaped document
-    corrupt: str | None = None  # mutator kind applied to the first emission
-    think: str | None = None  # emitted as a leading think block
-    fenced: bool = False  # wrap the document in a code fence
+class ScriptTurn(record("ScriptTurn", "intent", corrupt=None, think=None, fenced=False)):
+    """An envelope-shaped ``intent``; the mutator kind ``corrupt`` is applied to
+    its first emission, ``think`` is emitted as a leading think block, and
+    ``fenced`` wraps the document in a code fence."""
+
+    __slots__ = ()
 
 
 class ScriptedAgent:
@@ -327,9 +308,7 @@ class ScriptedAgent:
 
 def without_corruption(agent: ScriptedAgent) -> ScriptedAgent:
     """Same script with every corruption mark removed (for reference runs)."""
-    return ScriptedAgent(
-        [ScriptTurn(t.intent, None, t.think, t.fenced) for t in agent.turns]
-    )
+    return ScriptedAgent([t._replace(corrupt=None) for t in agent.turns])
 
 
 class TableExecutor:
@@ -452,9 +431,10 @@ def run_trajectory(
     cfg: LoopConfig,
 ) -> TrajectoryRecord:
     """Drive the loop to a final answer, the iteration cap, or an abort."""
-    record = TrajectoryRecord(format=cfg.format, mode=cfg.mode, task=task)
-    record.spans.extend(build_system_prompt_spans(catalog, cfg))
-    record.spans.append(Span(f"\nTask: {task}\n", "other", "prompt", 0))
+    spans = build_system_prompt_spans(catalog, cfg)
+    spans.append(Span(f"\nTask: {task}\n", "other", "prompt", 0))
+    turns: list[TurnRecord] = []
+    status, answer = "iteration_cap", None
     tool_names = {s.name for s in catalog}
     out_fmt = cfg.output_format
     rng = random.Random(cfg.seed)
@@ -469,44 +449,32 @@ def run_trajectory(
             raw = corrupt_text(raw, rng.choice(MUTATOR_KINDS))
         attempts += 1
         outcome = parse_envelope_outcome(raw, out_fmt)
-        record.spans.extend(_completion_spans(raw, outcome, iteration))
-        if outcome.failure is not None:
-            record.turns.append(
-                TurnRecord(
-                    iteration,
-                    raw,
-                    outcome.think_stripped,
-                    outcome.fence_extracted,
-                    outcome.failure.stage,
-                    outcome.failure.detail,
-                )
-            )
-            obs = _error_observation(outcome.failure.stage, out_fmt)
-            record.spans.append(Span(f"\n{obs}\n", "other", "prompt", iteration))
+        spans.extend(_completion_spans(raw, outcome, iteration))
+        failure, envelope = outcome.failure, outcome.envelope
+        if failure is not None:
+            kind, error = failure.stage, failure.detail
+        else:
+            kind, error = "final" if isinstance(envelope, Final) else "step", None
+        turns.append(TurnRecord(iteration, raw, outcome.think_stripped, outcome.fence_extracted, kind, error))
+        if failure is not None:
+            obs = _error_observation(failure.stage, out_fmt)
+            spans.append(Span(f"\n{obs}\n", "other", "prompt", iteration))
             continue
-        envelope = outcome.envelope
         if isinstance(envelope, Final):
-            record.turns.append(
-                TurnRecord(iteration, raw, outcome.think_stripped, outcome.fence_extracted, "final")
-            )
-            record.status = "final"
-            record.final_answer = envelope.answer
+            status, answer = "final", envelope.answer
             break
         assert isinstance(envelope, Step)
-        record.turns.append(
-            TurnRecord(iteration, raw, outcome.think_stripped, outcome.fence_extracted, "step")
-        )
         if envelope.action not in tool_names:
             raise AbortedTrajectoryError(envelope.action, "<not in catalog>")
         args_text = encode_json(envelope.arguments)
         result = executor.lookup(envelope.action, args_text)
         result_doc = _render_doc(result, cfg.format)
-        record.spans.append(Span("\n", "other", "prompt", iteration))
-        record.spans.append(Span(result_doc, "result", "prompt", iteration))
-        record.spans.append(Span("\n", "other", "prompt", iteration))
+        spans.append(Span("\n", "other", "prompt", iteration))
+        spans.append(Span(result_doc, "result", "prompt", iteration))
+        spans.append(Span("\n", "other", "prompt", iteration))
         idx += 1
         attempts = 0
-    return record
+    return TrajectoryRecord(cfg.format, cfg.mode, task, turns, spans, status, answer)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +507,10 @@ def load_executor(path: str | Path) -> TableExecutor:
     return TableExecutor(table)
 
 
+# the optional fields of a trace line: name, node type, JSON type
+_TRACE_MARKS = (("corrupt", Text, "string"), ("think", Text, "string"), ("fenced", Bool, "boolean"))
+
+
 def load_trace(path: str | Path) -> ScriptedAgent:
     """Trace fixture: JSON lines of {turn, role, text, corrupt?, think?, fenced?}.
 
@@ -564,20 +536,16 @@ def load_trace(path: str | Path) -> ScriptedAgent:
         intent = decode_json(text.value)
         if not isinstance(intent, Object):
             raise ValueError(f"trace line {lineno}: intent must be an object document")
-        corrupt = rec.get("corrupt")
-        think = rec.get("think")
-        fenced = rec.get("fenced")
-        kind = corrupt.value if isinstance(corrupt, Text) else None
-        if kind is not None and kind not in MUTATOR_KINDS:
-            raise ValueError(f"trace line {lineno}: unknown mutator {kind!r}")
-        turns.append(
-            ScriptTurn(
-                intent=intent,
-                corrupt=kind,
-                think=think.value if isinstance(think, Text) else None,
-                fenced=bool(getattr(fenced, "value", False)),
-            )
-        )
+        marks = {}
+        for name, node, kind in _TRACE_MARKS:
+            mark = rec.get(name)
+            if mark is not None:
+                if not isinstance(mark, node):
+                    raise ValueError(f"trace line {lineno}: {name} must be a JSON {kind}")
+                marks[name] = mark.value
+        if "corrupt" in marks and marks["corrupt"] not in MUTATOR_KINDS:
+            raise ValueError(f"trace line {lineno}: unknown mutator {marks['corrupt']!r}")
+        turns.append(ScriptTurn(intent, **marks))
     if not turns:
         raise ValueError("trace fixture has no agent turns")
     return ScriptedAgent(turns)

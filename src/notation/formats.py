@@ -10,13 +10,13 @@ test's monkeypatch, a tracer's timing wrapper) is the one that runs.
 from __future__ import annotations
 
 from . import json_codec, toon_codec, tron_codec
-from ._record import record
+from ._record import Sealed, record
 from .values import Value
 
 __all__ = ["Format", "REGISTRY", "FORMATS", "BASELINE", "MODES", "lookup", "encode_doc", "decode_doc", "encode_batch", "decode_batch"]
 
 
-class Format(record("Format", "name", "codec", "note", wraps_root=False, keeps_indent=False, batched=False)):
+class Format(record("Format", "name", "codec", "note", wraps_root=False, keeps_indent=False, batched=False), Sealed):
     """A format's codec module (``encode_<name>``, ``decode_<name>``) and its traits.
 
     ``note`` (a str) says how the format reads, for the system prompt; ``wraps_root``
@@ -36,12 +36,6 @@ class Format(record("Format", "name", "codec", "note", wraps_root=False, keeps_i
             encoder=encoder, decoder=decoder, batch_encoder=f"{encoder}_batch", batch_decoder=f"{decoder}_batch"
         )
         return self
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 REGISTRY = {

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import pickle
 
@@ -14,6 +13,7 @@ from notation.agent import (
     ScriptExhaustedError,
     ScriptTurn,
     ScriptedAgent,
+    Span,
     Step,
     TableExecutor,
     ToolSchema,
@@ -26,13 +26,13 @@ from notation.agent import (
     run_trajectory,
     without_corruption,
 )
-from notation import tron_codec
+from notation import cli, tron_codec
 from notation.formats import FORMATS, REGISTRY, decode_batch, decode_doc, encode_doc
 from notation.json_codec import decode_json
 from notation.tron_codec import decode_tron_batch
 from notation.values import Number, Object, Text, from_python
 
-from conftest import final_intent, make_catalog, simple_run_pieces, step_intent
+from conftest import FIXTURES, check_record, final_intent, make_catalog, simple_run_pieces, step_intent
 
 
 def sample_step_doc(fmt: str) -> str:
@@ -424,7 +424,7 @@ def test_mutating_returned_spans_leaves_next_prompt():
     cfg = LoopConfig(format="tron")
     expected = list(build_system_prompt_spans(catalog, cfg))
     spans = build_system_prompt_spans(catalog, cfg)
-    spans[0] = dataclasses.replace(spans[0], text="changed")
+    spans[0] = spans[0]._replace(text="changed")
     del spans[1:]
     assert build_system_prompt_spans(catalog, cfg) == expected
     run_trajectory("t", agent, executor, catalog, cfg).spans.clear()
@@ -436,7 +436,7 @@ def test_equal_schemas_hash_equal_and_a_second_run_hits_the_prompt_memo():
     a, b = make_catalog(3), make_catalog(3)
     assert a == b and all(x is not y for x, y in zip(a, b))
     assert [hash(x) for x in a] == [hash(x) for x in b]
-    assert hash(dataclasses.replace(a[0])) == hash(a[0])
+    assert hash(a[0]._replace()) == hash(a[0])
     assert hash(a[0]) == hash((a[0].name, a[0].description, a[0].parameters))
     catalog, executor, agent = simple_run_pieces()
     clear_memo()
@@ -445,6 +445,37 @@ def test_equal_schemas_hash_equal_and_a_second_run_hits_the_prompt_memo():
     assert run_trajectory("t", agent, executor, catalog, LoopConfig()) == first
     after = agent_mod._prompt_spans.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_agent_record_contract():
+    (schema,) = make_catalog(1)
+    check_record(lambda: make_catalog(1)[0], schema._replace(name="other"), "name")
+    check_record(lambda: LoopConfig(format="toon"), LoopConfig(), "format")
+    check_record(lambda: Span("x", "call", "completion", 1), Span("x", "call", "completion", 2), "turn")
+    check_record(lambda: ScriptTurn(final_intent(), think="hm"), ScriptTurn(final_intent()), "think")
+    assert repr(LoopConfig()) == (
+        "LoopConfig(format='json', mode='input_only', max_iterations=20, failure_rate=0.0, seed=0)"
+    )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LoopConfig(mode="sideways"), "unknown mode"),
+        (lambda: LoopConfig._make(["json", "sideways", 20, 0.0, 0]), "unknown mode"),
+        (lambda: LoopConfig()._replace(mode="sideways"), "unknown mode"),
+        (lambda: LoopConfig(max_iterations=0), "max_iterations must be >= 1"),
+        (lambda: LoopConfig._make(["json", "full", 0, 0.0, 0]), "max_iterations must be >= 1"),
+        (lambda: LoopConfig()._replace(max_iterations=0), "max_iterations must be >= 1"),
+        (lambda: ToolSchema("", "d", Object(())), "tool name must be non-empty"),
+        (lambda: ToolSchema._make(["", "d", Object(())]), "tool name must be non-empty"),
+        (lambda: make_catalog(1)[0]._replace(name=""), "tool name must be non-empty"),
+    ],
+    ids=[f"{what}-{path}" for what in ("mode", "max_iterations", "name") for path in ("new", "make", "replace")],
+)
+def test_record_checks_run_on_every_build_path(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_copied_schema_is_rebuilt_through_the_constructor():
@@ -460,7 +491,7 @@ def test_edited_description_yields_new_prompt(fmt):
     cfg = LoopConfig(format=fmt)
     before = prompt_text(catalog, cfg)
     edited = list(catalog)
-    edited[1] = dataclasses.replace(catalog[1], description="Edited description.")
+    edited[1] = catalog[1]._replace(description="Edited description.")
     after = prompt_text(edited, cfg)
     assert "Edited description." in after and "Edited description." not in before
     assert prompt_text(catalog, cfg) == before
@@ -554,3 +585,18 @@ def test_trace_loader_rejects_bad_records(tmp_path):
     )
     with pytest.raises(ValueError):
         load_trace(bad)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("fenced", "false"), ("fenced", 1), ("fenced", None), ("corrupt", 1), ("corrupt", None), ("think", ["hm"])],
+)
+def test_trace_loader_rejects_mistyped_marks(tmp_path, capsys, field, value):
+    final = json.dumps({"turn": 0, "role": "agent", "text": json.dumps({"final_answer": "ok"})})
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(final + "\n" + json.dumps({"turn": 1, "role": "agent", "text": "{}", field: value}) + "\n")
+    with pytest.raises(ValueError, match=f"trace line 2: {field} must be a JSON"):
+        load_trace(trace)
+    replay = ["replay", "--trace", str(trace), "--catalog", str(FIXTURES / "replay" / "catalog_weather.json")]
+    assert cli.main(replay + ["--executor", str(FIXTURES / "replay" / "executor_weather.json")]) == 2
+    assert f"trace line 2: {field} must be a JSON" in capsys.readouterr().err

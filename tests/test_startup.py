@@ -79,7 +79,7 @@ def fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# standard-library modules that only ``replay`` may load: ``dataclasses``
+# standard-library modules that no command may load: ``dataclasses``
 # imports ``inspect``, which brings in ``ast``, ``dis`` and ``tokenize``
 HEAVY = ("dataclasses", "inspect")
 
@@ -119,9 +119,9 @@ def test_cli_commands_do_not_load_the_replay_harness(call):
 
 
 def test_replay_loads_the_harness_and_succeeds():
-    # the replay harness keeps its dataclasses, so this path may load HEAVY
     loaded = fresh(BEFORE + f"from notation import cli; assert cli.main({REPLAY!r}) == 0; " + LOADED)
     assert "notation.agent" in loaded
+    assert not set(HEAVY) & set(loaded)
 
 
 def test_every_export_is_its_submodules_object():
