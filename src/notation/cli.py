@@ -16,17 +16,6 @@ from pathlib import Path
 from .errors import CodecError, ParseError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_batch, decode_doc, encode_batch, encode_doc
 from .json_codec import JsonStyle, decode_json, encode_json
-from .tokens import (
-    COMPONENTS,
-    TOKENIZERS,
-    Tokenizer,
-    VocabLoadError,
-    decompose,
-    delta_vs_baseline,
-    make_tokenizer,
-    mean_pct,
-    pct_delta,
-)
 from .values import DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE, Object, from_python, generate
 
 __all__ = ["main"]
@@ -39,6 +28,9 @@ EXIT_USAGE = 64
 
 ENV_FORMAT = "NOTATION_FORMAT"
 
+# the --tokenizer choices: the keys of tokens.TOKENIZERS, which only measure and replay load
+TOKENIZER_NAMES = ("bytes", "words", "bpe")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit 2; 2 means decode here
@@ -46,31 +38,18 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
-
-def _env_format() -> str | None:
-    fmt = os.environ.get(ENV_FORMAT)
-    if fmt is not None and fmt not in FORMATS:
-        print(f"error: {ENV_FORMAT} must be one of {', '.join(FORMATS)}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return fmt
+    def _print_message(self, message, file=None):  # argparse drops a failed write; main reports it
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def _resolve_format(flag_value: str | None) -> str:
-    if flag_value is not None:
-        return flag_value
-    return _env_format() or BASELINE
-
-
-def _tokenizer_from_args(args) -> Tokenizer:
-    vocab = merges = None
-    if args.vocab:
-        # an existing directory wins, so its path may hold a comma
-        if "," in args.vocab and not Path(args.vocab).is_dir():
-            vocab, merges = args.vocab.split(",", 1)
-        else:
-            vocab = str(Path(args.vocab) / "vocab.json")
-            merges = str(Path(args.vocab) / "merges.txt")
-    return make_tokenizer(args.tokenizer, vocab, merges)
+    """The flag's format, else the environment's, else the baseline."""
+    fmt = flag_value or os.environ.get(ENV_FORMAT, BASELINE)
+    if fmt not in FORMATS:
+        print(f"error: {ENV_FORMAT} must be one of {', '.join(FORMATS)}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return fmt
 
 
 def _read_input(path: str) -> str:
@@ -102,11 +81,6 @@ def _rate(arg: str) -> float:
     return x
 
 
-def _write_report(path: str, report: dict) -> None:
-    text = encode_json(from_python(report), JsonStyle(indent=2))
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
 def _fmt_delta(v) -> str:
     return "n/a" if v is None else f"{v:+.1f}"
 
@@ -118,6 +92,13 @@ def _fmt_delta(v) -> str:
 def cmd_convert(args) -> int:
     src_fmt = args.src_format
     dst_fmt = _resolve_format(args.dst_format)
+    if args.json_indent is not None and dst_fmt != BASELINE:
+        print(f"error: --json-indent applies only to {BASELINE} output", file=sys.stderr)
+        return EXIT_USAGE
+    if args.unwrap and not REGISTRY[src_fmt].wraps_root:
+        wrapping = ", ".join(f for f in FORMATS if REGISTRY[f].wraps_root)
+        print(f"error: --unwrap applies only to {wrapping} input", file=sys.stderr)
+        return EXIT_USAGE
     try:
         value = decode_doc(_read_input(args.input), src_fmt, unwrap=args.unwrap)
     except OSError as e:
@@ -132,11 +113,11 @@ def cmd_convert(args) -> int:
         out = encode_doc(value, dst_fmt)
     if REGISTRY[dst_fmt].wraps_root and not isinstance(value, Object):
         print("note: non-object root wrapped under synthetic 'value' key", file=sys.stderr)
+    if not args.out:
+        print(out)  # main reports a closed stdout
+        return EXIT_OK
     try:
-        if args.out:
-            Path(args.out).write_text(out + "\n", encoding="utf-8")
-        else:
-            print(out)
+        Path(args.out).write_text(out + "\n", encoding="utf-8")
     except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return EXIT_IO
@@ -151,11 +132,12 @@ def cmd_convert(args) -> int:
 DELTA_KEYS = {fmt: f"{fmt}_delta_pct" for fmt in FORMATS if fmt != BASELINE}
 
 
-def _deltas(counts: dict) -> dict:
-    return {key: pct_delta(counts[fmt], counts[BASELINE]) for fmt, key in DELTA_KEYS.items()}
+def _measure_report(args, tokenizer) -> dict:
+    from .tokens import mean_pct, pct_delta
 
+    def deltas(counts: dict) -> dict:
+        return {key: pct_delta(counts[fmt], counts[BASELINE]) for fmt, key in DELTA_KEYS.items()}
 
-def _measure_report(args, tokenizer: Tokenizer) -> dict:
     paths = sorted(Path(args.corpus_dir).glob("*.json"))
     if not paths:
         raise FileNotFoundError(f"no .json files in {args.corpus_dir}")
@@ -168,9 +150,9 @@ def _measure_report(args, tokenizer: Tokenizer) -> dict:
         counts = {fmt: tokenizer.count(encode_doc(value, fmt)) for fmt in FORMATS}
         for k, v in counts.items():
             sums[k] += v
-        files.append({"path": str(path), **counts, **_deltas(counts)})
+        files.append({"path": str(path), **counts, **deltas(counts)})
     mean_of_pct = {fmt: mean_pct([row[key] for row in files]) for fmt, key in DELTA_KEYS.items()}
-    aggregates = {"mean_of_percentages": mean_of_pct, "absolute_sum": {**sums, **_deltas(sums)}}
+    aggregates = {"mean_of_percentages": mean_of_pct, "absolute_sum": {**sums, **deltas(sums)}}
     if args.batch:
         batched = aggregates["absolute_sum_batched"] = {}
         for fmt in FORMATS:
@@ -212,8 +194,19 @@ def _render_measure(report: dict) -> str:
 
 def _run_report(args, build, render, decode_errors: tuple) -> int:
     """Load the tokenizer, build the report, print it, write --out: measure and replay."""
+    # the token meters load here only, so convert and roundtrip start without them
+    from .tokens import VocabLoadError, make_tokenizer
+
+    vocab = merges = None
+    if args.vocab:
+        # an existing directory wins, so its path may hold a comma
+        if "," in args.vocab and not Path(args.vocab).is_dir():
+            vocab, merges = args.vocab.split(",", 1)
+        else:
+            vocab = str(Path(args.vocab) / "vocab.json")
+            merges = str(Path(args.vocab) / "merges.txt")
     try:
-        tokenizer = _tokenizer_from_args(args)
+        tokenizer = make_tokenizer(args.tokenizer, vocab, merges)
     except VocabLoadError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DECODE
@@ -227,8 +220,9 @@ def _run_report(args, build, render, decode_errors: tuple) -> int:
         return EXIT_IO
     print(render(report))
     if args.out:
+        text = encode_json(from_python(report), JsonStyle(indent=2))
         try:
-            _write_report(args.out, report)
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
         except OSError as e:
             print(f"error: cannot write report: {e}", file=sys.stderr)
             return EXIT_IO
@@ -254,8 +248,9 @@ def _summarize_run(record, breakdown) -> dict:
     }
 
 
-def _replay_report(args, tokenizer: Tokenizer) -> dict:
+def _replay_report(args, tokenizer) -> dict:
     from .agent import LoopConfig, load_catalog, load_executor, load_trace, run_trajectory, without_corruption
+    from .tokens import decompose, delta_vs_baseline, mean_pct
 
     agent = load_trace(args.trace)
     catalog = load_catalog(args.catalog)
@@ -277,7 +272,7 @@ def _replay_report(args, tokenizer: Tokenizer) -> dict:
     r_break = decompose(reference, tokenizer)
     deltas = delta_vs_baseline(t_break, r_break)
     aggregates = {
-        "mean_of_percentages": mean_pct([deltas[c] for c in COMPONENTS if c != "total"]),
+        "mean_of_percentages": mean_pct([d for c, d in deltas.items() if c != "total"]),
         "absolute_sum": deltas["total"],
     }
     return {
@@ -300,7 +295,7 @@ def _render_replay(report: dict) -> str:
         "",
         f"{'component':<20} {ref['format']:>10} {run['format']:>10} {'delta%':>8}",
     ]
-    for comp in COMPONENTS:
+    for comp in report["deltas"]:
         lines.append(
             f"{comp:<20} {ref['breakdown'][comp]:>10} {run['breakdown'][comp]:>10}"
             f" {_fmt_delta(report['deltas'][comp]):>8}"
@@ -396,7 +391,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def _add_tokenizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tokenizer", choices=TOKENIZERS, default="bytes")
+    p.add_argument("--tokenizer", choices=TOKENIZER_NAMES, default="bytes")
     p.add_argument(
         "--vocab",
         help="BPE source: a directory with vocab.json and merges.txt, else 'VOCAB,MERGES' split at the first comma",
@@ -447,9 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError as e:
+        # the reader has gone: say so once, and let the exit flush write to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

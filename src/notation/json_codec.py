@@ -4,8 +4,9 @@ Minimal-style output is the baseline every byte/token delta is measured
 against, so the encoder emits raw UTF-8 (no \\uXXXX escaping beyond the
 mandatory quote/backslash/control cases) and the parser keeps number
 literals exactly as written instead of widening them to floats. One
-walker writes minimal JSON and, given a class index, TRON bodies; strings
-go through the stdlib's C escaper.
+walker writes minimal JSON and, given a class index, TRON bodies; pretty
+JSON is its pieces re-spaced, and strings go through the stdlib's C
+escaper.
 
 Decoding has two paths, and TRON bodies take the same two. The accept
 path hands the text to the stdlib's C scanner, with hooks that keep number
@@ -76,15 +77,24 @@ encode_string = encode_basestring
 
 
 def encode_json(v: Value, style: JsonStyle = MINIMAL) -> str:
-    if style.indent is None:
-        return _minimal(v)
-    return _encode_pretty(v, style.indent, 0)
-
-
-def _minimal(v: Value) -> str:
-    out: list[str] = []
-    _emit(v, out, {})
-    return "".join(out)
+    """The JSON text of ``v``: ``_emit``'s pieces, re-spaced when ``style`` has an indent, then joined."""
+    pieces: list[str] = []
+    _emit(v, pieces, {})
+    if style.indent is not None:
+        step = " " * style.indent
+        pad = "\n"
+        for i, p in enumerate(pieces):
+            if p == ",":
+                pieces[i] = "," + pad
+            elif p[-1] == ":":  # a key; no scalar piece ends in a colon
+                pieces[i] = p + " "
+            elif p == "{" or p == "[":
+                pad += step
+                pieces[i] = p + pad
+            elif p == "}" or p == "]":
+                pad = pad[: -len(step)]
+                pieces[i] = pad + p
+    return "".join(pieces)
 
 
 def _emit(v: Value, out: list[str], index: dict[StructSignature, str]) -> None:
@@ -95,7 +105,9 @@ def _emit(v: Value, out: list[str], index: dict[StructSignature, str]) -> None:
     Every container appends a separator after each child and then overwrites
     the last one with its closing bracket. Text and Number children, the
     most common, are written inside the container loops, which saves a call
-    per scalar.
+    per scalar. With no class index every piece is one token (an opening or
+    closing bracket, a comma, a ``"key":``, a scalar, or an empty ``{}`` or
+    ``[]``), and ``encode_json``'s re-spacing loop relies on that.
     """
     t = type(v)
     if t is Text:
@@ -157,24 +169,6 @@ def _emit(v: Value, out: list[str], index: dict[StructSignature, str]) -> None:
             _emit(x, out, index)
         out.append(",")
     out[-1] = close
-
-
-def _encode_pretty(v: Value, width: int, depth: int) -> str:
-    pad = " " * (width * (depth + 1))
-    close = " " * (width * depth)
-    if isinstance(v, Array):
-        if not v.items:
-            return "[]"
-        body = ",\n".join(pad + _encode_pretty(x, width, depth + 1) for x in v.items)
-        return f"[\n{body}\n{close}]"
-    if isinstance(v, Object):
-        if not v[1]:
-            return "{}"
-        body = ",\n".join(
-            f"{pad}{encode_string(k)}: {_encode_pretty(x, width, depth + 1)}" for k, x in zip(v[1], v[2])
-        )
-        return f"{{\n{body}\n{close}}}"
-    return _minimal(v)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import notation
-from notation import cli, tron_codec
+from notation import cli, tokens, tron_codec
 from notation.cli import main
 from notation.errors import ParseError
 from notation.formats import FORMATS
@@ -132,6 +132,8 @@ EXIT_TABLE = [
     ("unknown flag", ["convert", "{tmp}/in", "--no-such-flag"], b"{}", None, 64),
     ("bad flag value", ["convert", "{tmp}/in", "--json-indent", "0"], b"{}", None, 64),
     ("bad flag choice", ["convert", "{tmp}/in", "--to", "yaml"], b"{}", None, 64),
+    ("json indent, toon output", ["convert", "{tmp}/in", "--to", "toon", "--json-indent", "2"], b"{}", None, 64),
+    ("unwrap, json input", ["convert", "{tmp}/in", "--unwrap"], b"[1]", None, 64),
     ("out-of-range failure rate", REPLAY_ARGS + ["--failure-rate", "2"], None, None, 64),
     ("zero max iterations", REPLAY_ARGS + ["--max-iterations", "0"], None, None, 64),
     ("replay fixture through a file", ["replay", "--trace", "{tmp}/in/x.jsonl"] + REPLAY_ARGS[3:], b"{}", None, 2),
@@ -182,6 +184,25 @@ def test_env_var_sets_format(monkeypatch, capsys):
     code, out, _ = run_cli(["convert", str(FIXTURES / "figure3.json"), "--to", "json"], capsys)
     assert code == 0
     assert out.rstrip("\n") == (FIXTURES / "figure3.json").read_text().rstrip("\n")
+
+
+@pytest.mark.parametrize(
+    "env, argv, flag",
+    [
+        ("toon", ["--json-indent", "2"], "--json-indent"),
+        ("tron", ["--to", "toon", "--json-indent", "2"], "--json-indent"),
+        (None, ["--from", "tron", "--unwrap"], "--unwrap"),
+    ],
+)
+def test_convert_refuses_a_flag_that_cannot_apply(monkeypatch, capsys, env, argv, flag):
+    if env is None:
+        monkeypatch.delenv("NOTATION_FORMAT", raising=False)
+    else:
+        monkeypatch.setenv("NOTATION_FORMAT", env)
+    code, out, err = run_cli(["convert", str(FIXTURES / "figure3.json")] + argv, capsys)
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"error: {flag} applies only to ")
 
 
 def test_env_var_invalid_rejected(monkeypatch, capsys):
@@ -452,10 +473,15 @@ def test_replay_tokenizes_each_run_once(monkeypatch, capsys):
         runs.append(record.format)
         return decompose(record, tokenizer)
 
-    monkeypatch.setattr(cli, "decompose", counting_decompose)
+    # cli imports the token meters when replay runs, so it finds the patched one
+    monkeypatch.setattr(tokens, "decompose", counting_decompose)
     code, _, _ = run_cli(REPLAY_ARGS + ["--format", "toon"], capsys)
     assert code == 0
     assert runs == ["toon", "json"]
+
+
+def test_tokenizer_choices_are_the_meters():
+    assert cli.TOKENIZER_NAMES == tuple(tokens.TOKENIZERS)
 
 
 def test_replay_missing_fixture_exit_2(tmp_path, capsys):
@@ -560,3 +586,41 @@ def test_roundtrip_count_zero_usage_error(capsys):
         main(["roundtrip", "--count", "0"])
     assert e.value.code == 64
     assert "--count: must be >= 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# a reader that has gone
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", str(FIXTURES / "figure3.json"), "--json-indent", "2"],
+        ["measure", str(FIXTURES / "replay"), "--tokenizer", "words"],
+        REPLAY_ARGS,
+        ["roundtrip", "--count", "5"],
+        ["--help"],
+    ],
+    ids=["convert", "measure", "replay", "roundtrip", "help"],
+)
+def test_closed_stdout_is_an_io_error(argv, unbuffered):
+    src = str(Path(notation.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        # the console script's own call
+        code = f"import sys; from notation.cli import main; sys.exit(main({argv!r}))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3, done.stderr
+    # one line: no traceback, and no "Exception ignored" from the exit flush
+    assert done.stderr.startswith("error: cannot write output: ")
+    assert done.stderr.count("\n") == 1, done.stderr

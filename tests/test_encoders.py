@@ -11,11 +11,12 @@ generated document.
 import json
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from notation import toon_codec
-from notation.json_codec import JsonStyle, encode_json, encode_string
+from notation.json_codec import MAX_NESTING, JsonStyle, decode_json, encode_json, encode_string
 from notation.toon_codec import WRAP_KEY, ArrayShape, classify_array, encode_toon
 from notation.tron_codec import ClassDef, ClassTable, class_name_for, encode_tron, encode_tron_batch
 from notation.values import (
@@ -29,6 +30,7 @@ from notation.values import (
     Number,
     Object,
     Text,
+    from_python,
     generate,
 )
 
@@ -254,11 +256,43 @@ SPECIAL_TEXT = st.text(
 def test_documents_encode_as_the_references_do(seed, profile):
     v = generate(seed, profile)
     assert encode_json(v) == reference_term(v, {})
-    assert encode_json(v, JsonStyle(indent=2)) == reference_pretty(v, 2)
-    assert encode_json(v, JsonStyle(indent=3)) == reference_pretty(v, 3)
+    for width in (1, 2, 3, 4):
+        assert encode_json(v, JsonStyle(indent=width)) == reference_pretty(v, width)
     assert encode_toon(v) == reference_toon(v)
     assert all(classify_array(arr) == reference_classify(arr) for arr in arrays_in(v))
     assert encode_tron(v) == reference_tron([v])
+
+
+# pretty JSON re-spaces minimal JSON's pieces by what each one is, so these
+# aim at pieces that look like another kind: keys and strings that read as a
+# bracket, a comma or a key, empty containers, and a root with no container
+PUNCTUATION = ["{", "[", "]", ",", ":", "a:", '""', ""]
+AT_THE_CAP = []
+for _ in range(MAX_NESTING - 1):
+    AT_THE_CAP = [AT_THE_CAP]
+PRETTY_CASES = {
+    "punctuation keys and values": {s: s for s in PUNCTUATION},
+    "punctuation items": PUNCTUATION,
+    "punctuation nested": {s: [s, {s: [s]}] for s in PUNCTUATION},
+    "empty containers in an array": [[], {}],
+    "empty object as a value": {"a": {}},
+    "empty array root": [],
+    "empty object root": {},
+    "number root": 1.5,
+    "string root": "a:",
+    "bracket string root": "{",
+    "null root": None,
+    "arrays MAX_NESTING deep": AT_THE_CAP,
+}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+@pytest.mark.parametrize("doc", list(PRETTY_CASES.values()), ids=list(PRETTY_CASES))
+def test_pretty_json_pinned_cases(doc, width):
+    v = from_python(doc)
+    text = encode_json(v, JsonStyle(indent=width))
+    assert text == reference_pretty(v, width)
+    assert decode_json(text) == v
 
 
 @settings(max_examples=60, deadline=None)

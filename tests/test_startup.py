@@ -102,19 +102,21 @@ def test_import_notation_loads_only_the_model_and_codecs():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, meters",
     [
-        "pass",
-        "cli.main(['measure', 'fixtures/replay', '--tokenizer', 'words'])",
-        "cli.main(['convert', 'fixtures/figure3.json', '--to', 'toon'])",
-        "cli.main(['roundtrip', '--count', '20'])",
+        ("pass", False),
+        ("cli.main(['measure', 'fixtures/replay', '--tokenizer', 'words'])", True),
+        ("cli.main(['convert', 'fixtures/figure3.json', '--to', 'toon'])", False),
+        ("cli.main(['roundtrip', '--count', '20'])", False),
     ],
     ids=["import", "measure", "convert", "roundtrip"],
 )
-def test_cli_commands_do_not_load_the_replay_harness(call):
+def test_cli_commands_do_not_load_the_replay_harness(call, meters):
     loaded = fresh(BEFORE + f"from notation import cli; {call}; " + LOADED)
     assert "notation.cli" in loaded
     assert "notation.agent" not in loaded
+    # only measure and replay load the token meters
+    assert ("notation.tokens" in loaded) == meters
     assert not set(HEAVY) & set(loaded)
 
 
