@@ -26,8 +26,6 @@ from .values import (
 from .json_codec import JsonStyle, decode_json, encode_json
 from .toon_codec import classify_array, decode_toon, encode_toon
 from .tron_codec import (
-    ClassDef,
-    ClassTable,
     decode_tron,
     decode_tron_batch,
     encode_tron,

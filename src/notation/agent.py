@@ -411,9 +411,8 @@ def _completion_spans(raw: str, outcome: ParseOutcome, turn: int) -> list[Span]:
     if not outcome.ok or not isinstance(outcome.envelope, Step):
         return [Span(raw, "other", "completion", turn)]
     doc = outcome.document
-    i = raw.find(doc) if doc else -1
-    if i < 0:
-        return [Span(raw, "other", "completion", turn)]
+    # doc is in raw: parse_envelope_outcome only slices raw, and no empty text decodes to a Step
+    i = raw.find(doc)
     spans = []
     if raw[:i]:
         spans.append(Span(raw[:i], "other", "completion", turn))

@@ -194,6 +194,9 @@ def _render_measure(report: dict) -> str:
 
 def _run_report(args, build, render, decode_errors: tuple) -> int:
     """Load the tokenizer, build the report, print it, write --out: measure and replay."""
+    if args.vocab is not None and args.tokenizer != "bpe":
+        print("error: --vocab applies only to --tokenizer bpe", file=sys.stderr)
+        return EXIT_USAGE
     # the token meters load here only, so convert and roundtrip start without them
     from .tokens import VocabLoadError, make_tokenizer
 

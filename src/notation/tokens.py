@@ -273,21 +273,15 @@ class BpeTokenizer(Tokenizer):
     @classmethod
     def from_files(cls, vocab_path: str | Path, merges_path: str | Path) -> "BpeTokenizer":
         try:
-            raw = Path(vocab_path).read_text(encoding="utf-8")
-        except OSError as e:
-            raise VocabLoadError(f"cannot read vocabulary file: {e}") from e
-        try:
-            vocab = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise VocabLoadError(f"vocabulary file is not valid JSON: {e}") from e
+            vocab = json.loads(_read_vocab_file(vocab_path, "vocabulary"))
+        except (json.JSONDecodeError, RecursionError) as e:
+            # RecursionError: nesting deeper than the stdlib decoder reads
+            raise VocabLoadError(f"vocabulary file {vocab_path} is not valid JSON: {e}") from e
         if not isinstance(vocab, dict) or not all(
             isinstance(k, str) and isinstance(v, int) for k, v in vocab.items()
         ):
             raise VocabLoadError("vocabulary must map token strings to integer ids")
-        try:
-            merge_text = Path(merges_path).read_text(encoding="utf-8")
-        except OSError as e:
-            raise VocabLoadError(f"cannot read merges file: {e}") from e
+        merge_text = _read_vocab_file(merges_path, "merges")
         merges: list[tuple[str, str]] = []
         for lineno, line in enumerate(merge_text.splitlines(), start=1):
             if not line.strip() or line.startswith("#"):
@@ -307,6 +301,15 @@ class BpeTokenizer(Tokenizer):
         pairs[1::2] = utf8[:-1].translate(_SWAP)
         pairs[::2] = utf8[1:]
         return n + sum(map(self._chunks.__getitem__, self._runs(pairs.decode("utf-16-le"))))
+
+
+def _read_vocab_file(path: str | Path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise VocabLoadError(f"cannot read {what} file: {e}") from e
+    except UnicodeDecodeError as e:
+        raise VocabLoadError(f"{what} file {path} is not UTF-8: {e}") from e
 
 
 TOKENIZERS = {cls.name: cls for cls in (ByteCountTokenizer, WordRegexTokenizer, BpeTokenizer)}

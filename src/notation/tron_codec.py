@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 
-from ._record import record
 from .errors import (
     ArityMismatchError,
     DuplicateClassError,
@@ -36,8 +35,6 @@ from .json_codec import Scanner, _accept, _emit, _marked_decode, _stdlib_decode
 from .values import Array, Object, StructSignature, Value, _collector_paused
 
 __all__ = [
-    "ClassDef",
-    "ClassTable",
     "extract_classes",
     "encode_tron",
     "encode_tron_batch",
@@ -46,42 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_MIN_OCCURRENCES = 2
-
-
-class ClassDef(record("ClassDef", "name", "fields")):
-    """A class name (str) and its fields, the key tuple of the shape it stands for."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> ClassDef:
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.fields:
-            raise ValueError("a class needs at least one field")
-        return self
-
-    def header_line(self) -> str:
-        return f"class {self.name}: {','.join(self.fields)}"
-
-
-class ClassTable(record("ClassTable", "defs")):
-    """A tuple of ``ClassDef``; no two share a name or a field tuple."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> ClassTable:
-        self = super().__new__(cls, *args, **kwargs)
-        names = [d.name for d in self.defs]
-        sigs = [d.fields for d in self.defs]
-        if len(set(names)) != len(names) or len(set(sigs)) != len(sigs):
-            raise ValueError("class table must map names and signatures one-to-one")
-        return self
-
-    def __len__(self) -> int:
-        # the number of classes, not of fields
-        return len(self.defs)
-
-    def header_lines(self) -> list[str]:
-        return [d.header_line() for d in self.defs]
 
 
 def class_name_for(i: int) -> str:
@@ -111,8 +72,8 @@ def _count_shapes(v: Value, counts: dict[StructSignature, int]) -> None:
             _count_shapes(x, counts)
 
 
-def extract_classes(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> ClassTable:
-    """Count object shapes across all roots; shapes seen often enough get a class.
+def extract_classes(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> dict[StructSignature, str]:
+    """The class index: {fields: name} for each shape seen often enough across all roots.
 
     Discovery order is a depth-first, field-order walk of the roots in
     sequence, so naming is deterministic.
@@ -123,22 +84,21 @@ def extract_classes(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCUR
     for root in roots:
         _count_shapes(root, counts)
     qualifying = [sig for sig, n in counts.items() if n >= min_occurrences and _classable(sig)]
-    return ClassTable(tuple(ClassDef(class_name_for(i), sig) for i, sig in enumerate(qualifying)))
+    return {sig: class_name_for(i) for i, sig in enumerate(qualifying)}
 
 
 # ---------------------------------------------------------------------------
 # Encoding.
 
 
-def _render(table: ClassTable, roots: list[Value]) -> str:
+def _render(index: dict[StructSignature, str], roots: list[Value]) -> str:
     """The class lines and a blank line, if any, then one body line per root.
 
-    A body is the JSON walker's output with this table's class index.
+    A body is the JSON walker's output with this class index.
     """
-    index = {d.fields: d.name for d in table.defs}
-    out: list[str] = []
-    if index:
-        out.append("\n".join(table.header_lines()) + "\n\n")
+    out = [f"class {name}: {','.join(fields)}\n" for fields, name in index.items()]
+    if out:
+        out.append("\n")
     for root in roots:
         _emit(root, out, index)
         out.append("\n")
@@ -197,7 +157,7 @@ class _TronScanner(Scanner):
 _CLASS_PREFIX = "class "
 
 
-def _parse_class_line(line: str, lineno: int) -> ClassDef:
+def _parse_class_line(line: str, lineno: int) -> tuple[str, StructSignature]:
     rest = line[len(_CLASS_PREFIX) :]
     sep = rest.find(": ")
     if sep < 0:
@@ -210,7 +170,7 @@ def _parse_class_line(line: str, lineno: int) -> ClassDef:
         raise ParseError("empty field in class declaration", line=lineno)
     if len(set(fields)) != len(fields):
         raise ParseError("repeated field in class declaration", line=lineno)
-    return ClassDef(name, tuple(fields))
+    return name, tuple(fields)
 
 
 def _split_header(text: str) -> tuple[dict[str, StructSignature], str]:
@@ -222,10 +182,10 @@ def _split_header(text: str) -> tuple[dict[str, StructSignature], str]:
         lineno += 1
         nl = text.find("\n", start)
         end = len(text) if nl < 0 else nl
-        cdef = _parse_class_line(text[start:end], lineno)
-        if cdef.name in classes:
-            raise DuplicateClassError(cdef.name)
-        classes[cdef.name] = cdef.fields
+        name, fields = _parse_class_line(text[start:end], lineno)
+        if name in classes:
+            raise DuplicateClassError(name)
+        classes[name] = fields
         start = end + 1
     if classes:
         if not text.startswith("\n", start):

@@ -134,6 +134,8 @@ EXIT_TABLE = [
     ("bad flag choice", ["convert", "{tmp}/in", "--to", "yaml"], b"{}", None, 64),
     ("json indent, toon output", ["convert", "{tmp}/in", "--to", "toon", "--json-indent", "2"], b"{}", None, 64),
     ("unwrap, json input", ["convert", "{tmp}/in", "--unwrap"], b"[1]", None, 64),
+    ("vocab, bytes tokenizer", ["measure", "{tmp}/dir", "--vocab", str(FIXTURES / "bpe")], None, None, 64),
+    ("vocab, replay words tokenizer", REPLAY_ARGS + ["--tokenizer", "words", "--vocab", str(FIXTURES / "bpe")], None, None, 64),
     ("out-of-range failure rate", REPLAY_ARGS + ["--failure-rate", "2"], None, None, 64),
     ("zero max iterations", REPLAY_ARGS + ["--max-iterations", "0"], None, None, 64),
     ("replay fixture through a file", ["replay", "--trace", "{tmp}/in/x.jsonl"] + REPLAY_ARGS[3:], b"{}", None, 2),
@@ -402,6 +404,26 @@ def test_measure_vocab_directory_with_a_comma(tmp_path, capsys):
     code, _, err = run_cli(argv + [str(tmp_path / "run,1" / "missing")], capsys)
     assert code == 2
     assert "cannot read vocabulary file" in err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("vocab.json", b'{"a": 0, "\xff": 1}'),
+        ("merges.txt", b"a \xff\n"),
+        ("vocab.json", b"[" * 200000),
+    ],
+    ids=["vocab not UTF-8", "merges not UTF-8", "vocab nested too deeply"],
+)
+def test_measure_unreadable_vocab_exit_2(tmp_path, capsys, name, text):
+    vocab_dir = tmp_path / "bpe"
+    shutil.copytree(FIXTURES / "bpe", vocab_dir)
+    (vocab_dir / name).write_bytes(text)
+    argv = ["measure", str(FIXTURES / "replay"), "--tokenizer", "bpe", "--vocab", str(vocab_dir)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert str(vocab_dir / name) in err
 
 
 def test_measure_deterministic(tmp_path, capsys):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from notation import toon_codec
 from notation.json_codec import MAX_NESTING, JsonStyle, decode_json, encode_json, encode_string
 from notation.toon_codec import WRAP_KEY, ArrayShape, classify_array, encode_toon
-from notation.tron_codec import ClassDef, ClassTable, class_name_for, encode_tron, encode_tron_batch
+from notation.tron_codec import class_name_for, encode_tron, encode_tron_batch
 from notation.values import (
     DEFAULT_PROFILE,
     DELIMITER_PROFILE,
@@ -113,15 +113,15 @@ def reference_classes(roots, min_occurrences=2):
     for root in roots:
         _walk_objects(root, visit)
     qualifying = [sig for sig, n in counts.items() if n >= min_occurrences]
-    return ClassTable(tuple(ClassDef(class_name_for(i), sig) for i, sig in enumerate(qualifying)))
+    return {sig: class_name_for(i) for i, sig in enumerate(qualifying)}
 
 
 def reference_tron(roots):
-    table = reference_classes(roots)
-    index = {d.fields: d.name for d in table.defs}
+    index = reference_classes(roots)
     bodies = [reference_term(root, index) for root in roots]
-    if len(table):
-        return "\n".join(table.header_lines()) + "\n\n" + "\n".join(bodies)
+    if index:
+        header = "\n".join(f"class {name}: {','.join(fields)}" for fields, name in index.items())
+        return header + "\n\n" + "\n".join(bodies)
     return "\n".join(bodies)
 
 

@@ -21,8 +21,6 @@ EXPORTS = {
     "json_codec": ["JsonStyle", "decode_json", "encode_json"],
     "toon_codec": ["classify_array", "decode_toon", "encode_toon"],
     "tron_codec": [
-        "ClassDef",
-        "ClassTable",
         "decode_tron",
         "decode_tron_batch",
         "encode_tron",

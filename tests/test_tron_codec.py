@@ -12,8 +12,6 @@ from notation.errors import (
 )
 from notation.json_codec import encode_json
 from notation.tron_codec import (
-    ClassDef,
-    ClassTable,
     class_name_for,
     decode_tron,
     decode_tron_batch,
@@ -33,7 +31,7 @@ from notation.values import (
     generate,
 )
 
-from conftest import FIXTURES, check_record
+from conftest import FIXTURES
 
 
 def tron_golden_joined() -> str:
@@ -66,27 +64,21 @@ def test_class_naming_sequence():
 
 
 def test_extract_classes_sample(sample_value):
-    table = extract_classes([sample_value], 2)
-    assert len(table) == 1
-    assert table.defs[0].name == "A"
-    assert table.defs[0].fields == ("id", "name", "distanceKm")
+    assert extract_classes([sample_value], 2) == {("id", "name", "distanceKm"): "A"}
 
 
 def test_extract_classes_single_object_below_threshold():
-    table = extract_classes([from_python({"a": 1})], 2)
-    assert len(table) == 0
+    assert extract_classes([from_python({"a": 1})], 2) == {}
 
 
 def test_extract_counts_across_batch():
     schema = {"params": [{"type": "int", "doc": "x"}, {"type": "str", "doc": "y"}, {"type": "bool", "doc": "z"}]}
     a = from_python(schema)
     b = from_python(schema)
-    table = extract_classes([a, b], 2)
     oracle = brute_force_signature_counts([a, b])
     assert oracle[("type", "doc")] == 6
     assert oracle[("params",)] == 2
-    names = {d.fields for d in table.defs}
-    assert names == {("params",), ("type", "doc")}
+    assert list(extract_classes([a, b], 2).items()) == [(("params",), "A"), (("type", "doc"), "B")]
 
 
 @settings(max_examples=150, deadline=None)
@@ -94,13 +86,25 @@ def test_extract_counts_across_batch():
 def test_extract_classes_matches_brute_force(seed, min_occ):
     v = generate(seed, DEFAULT_PROFILE)
     counts = brute_force_signature_counts([v])
-    table = extract_classes([v], min_occ)
-    expected = {
+    qualifying = [
         sig
         for sig, n in counts.items()
         if n >= min_occ and sig and all(f and "," not in f and "\n" not in f and "\r" not in f for f in sig)
-    }
-    assert {d.fields for d in table.defs} == expected
+    ]
+    index = extract_classes([v], min_occ)
+    # same shapes, in discovery order, named A, B, C, ...
+    assert list(index.items()) == [(sig, class_name_for(i)) for i, sig in enumerate(qualifying)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=3))
+def test_header_is_one_class_line_per_index_item(seed, min_occ):
+    v = generate(seed, DEFAULT_PROFILE)
+    index = extract_classes([v], min_occ)
+    # a single document's body is one line, so the last blank line ends the header
+    head, blank, body = encode_tron(v, min_occ).rpartition("\n\n")
+    assert "\n" not in body
+    assert (head.split("\n") if blank else []) == [f"class {name}: {','.join(fields)}" for fields, name in index.items()]
 
 
 def test_golden_encode(sample_value):
@@ -173,9 +177,7 @@ def test_nested_instances():
         }
     )
     text = encode_tron(v)
-    table = extract_classes([v], 2)
-    sigs = {d.fields for d in table.defs}
-    assert sigs == {("inner",), ("x", "y")}
+    assert set(extract_classes([v], 2)) == {("inner",), ("x", "y")}
     # instances nest inside instance args
     assert "A(B(" in text or "B(A(" in text
     assert decode_tron(text) == v
@@ -184,7 +186,7 @@ def test_nested_instances():
 def test_unclassable_keys_fall_back_to_json_objects():
     v = from_python({"a,b": 1, "c": 2})
     doubled = from_python([{"a,b": 1, "c": 2}, {"a,b": 3, "c": 4}])
-    assert len(extract_classes([doubled], 2)) == 0
+    assert extract_classes([doubled], 2) == {}
     text = encode_tron(doubled)
     assert text == encode_json(doubled)
     assert decode_tron(text) == doubled
@@ -250,29 +252,6 @@ def test_empty_batch_rejected():
         encode_tron_batch([])
     with pytest.raises(ParseError):
         decode_tron_batch("class A: x\n\n")
-
-
-def test_class_table_bijection_enforced():
-    with pytest.raises(ValueError, match="class table must map names and signatures one-to-one"):
-        ClassTable((ClassDef("A", ("x",)), ClassDef("A", ("y",))))
-    with pytest.raises(ValueError, match="class table must map names and signatures one-to-one"):
-        ClassTable((ClassDef("A", ("x",)), ClassDef("B", ("x",))))
-    with pytest.raises(ValueError, match="a class needs at least one field"):
-        ClassDef("A", ())
-
-
-def test_class_records_contract():
-    def table():
-        return ClassTable((ClassDef("A", ("x", "y")), ClassDef("B", ("z",))))
-
-    assert repr(ClassDef("A", ("x", "y"))) == "ClassDef(name='A', fields=('x', 'y'))"
-    assert repr(table()) == "ClassTable(defs=(ClassDef(name='A', fields=('x', 'y')), ClassDef(name='B', fields=('z',))))"
-    check_record(lambda: ClassDef("A", ("x", "y")), ClassDef("B", ("x", "y")), "name")
-    check_record(table, ClassTable((ClassDef("A", ("x", "y")),)), "defs")
-    assert len(table()) == 2
-    assert len(ClassTable(())) == 0 and not ClassTable(())
-    assert table().header_lines() == ["class A: x,y", "class B: z"]
-    assert ClassDef(fields=("q",), name="C").header_line() == "class C: q"
 
 
 def test_min_occurrences_one_classes_singletons():
