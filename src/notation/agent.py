@@ -12,10 +12,9 @@ trajectory record tracks span-by-span for the token meter.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from pathlib import Path
 
-from ._record import Sealed, record
+from ._record import record
 from .errors import CodecError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_doc, encode_batch, encode_doc, lookup
 from .json_codec import decode_json, encode_json
@@ -55,24 +54,14 @@ STEP_KEYS = frozenset(("thought", "action", "arguments"))
 FINAL_KEYS = frozenset(("final_answer",))
 
 
-class ToolSchema(record("ToolSchema", "name", "description", "parameters"), Sealed):
-    # no __slots__: the instance dict holds the hash. The prompt memo hashes
-    # the whole catalog on every run; hashing the parameters tree each time
-    # would walk every node of it
+class ToolSchema(record("ToolSchema", "name", "description", "parameters")):
+    __slots__ = ()
+
     def __new__(cls, *args, **kwargs) -> ToolSchema:
         self = super().__new__(cls, *args, **kwargs)
         if not self.name:
             raise ValueError("tool name must be non-empty")
-        self.__dict__["_hash"] = tuple.__hash__(self)
         return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # a node's hash differs from one process to the next, so a copy or an
-        # unpickled schema computes its own
-        return type(self), tuple(self)
 
     def to_value(self) -> Object:
         return Object(
@@ -307,8 +296,8 @@ class ScriptedAgent:
 
 
 def without_corruption(agent: ScriptedAgent) -> ScriptedAgent:
-    """Same script with every corruption mark removed (for reference runs)."""
-    return ScriptedAgent([t._replace(corrupt=None) for t in agent.turns])
+    """Same script with every corruption mark removed (for reference runs); clean turns are reused."""
+    return ScriptedAgent([t if t.corrupt is None else t._replace(corrupt=None) for t in agent.turns])
 
 
 class TableExecutor:
@@ -337,22 +326,37 @@ _FINAL_TEMPLATE = Object((("final_answer", Text("The forecast is sunny.")),))
 
 # A sweep renders the same fixture values over and over: one catalog, and a
 # few dozen intents and tool results, each in a few formats. So the loop
-# renders each once per format and keeps the text, in memos whose sizes
-# bound what a long-lived process holds. Nodes are immutable tuples whose
-# == and hash are exact about type, so a value is a sound key. Parsing is
-# never memoized: its failures are what the loop counts.
+# renders each once per format and keeps the text. The memos are keyed by
+# the identity of the values, since a tuple does not cache its hash and
+# hashing a tool-result tree on every turn would walk all of it. Each entry
+# holds the objects it is keyed by, so their ids cannot be reused while it
+# lives; an equal but distinct value is rendered again. A full memo starts
+# over, so the sizes bound what a long-lived process holds. Parsing is never
+# memoized: its failures are what the loop counts.
 _PROMPT_MEMO_SIZE = 16
 _DOC_MEMO_SIZE = 1024
+# (ids of the catalog's schemas, format, output format) -> (catalog, spans)
+_prompt_memo: dict[tuple, tuple[tuple[ToolSchema, ...], tuple[Span, ...]]] = {}
+# (id of the value, format) -> (value, text)
+_doc_memo: dict[tuple[int, str], tuple[Value, str]] = {}
 
 
 def build_system_prompt_spans(catalog: list[ToolSchema], cfg: LoopConfig) -> list[Span]:
     """System prompt as origin-tagged spans; concatenation is the prompt text."""
     if not catalog:
         raise ValueError("catalog must be non-empty")
-    return list(_prompt_spans(tuple(catalog), cfg.format, cfg.output_format))
+    catalog = tuple(catalog)
+    key = (tuple(map(id, catalog)), cfg.format, cfg.output_format)
+    try:
+        spans = _prompt_memo[key][1]
+    except KeyError:
+        if len(_prompt_memo) >= _PROMPT_MEMO_SIZE:
+            _prompt_memo.clear()
+        spans = _prompt_spans(catalog, cfg.format, cfg.output_format)
+        _prompt_memo[key] = catalog, spans
+    return list(spans)
 
 
-@lru_cache(maxsize=_PROMPT_MEMO_SIZE)
 def _prompt_spans(catalog: tuple[ToolSchema, ...], fmt: str, out_fmt: str) -> tuple[Span, ...]:
     intro = [
         "You are a tool-calling agent. Solve the task with the tools below.",
@@ -381,9 +385,16 @@ def _prompt_spans(catalog: tuple[ToolSchema, ...], fmt: str, out_fmt: str) -> tu
     return tuple(spans)
 
 
-@lru_cache(maxsize=_DOC_MEMO_SIZE)
 def _render_doc(v: Value, fmt: str) -> str:
-    return encode_doc(v, fmt)
+    try:
+        return _doc_memo[id(v), fmt][1]
+    except KeyError:
+        pass
+    if len(_doc_memo) >= _DOC_MEMO_SIZE:
+        _doc_memo.clear()
+    text = encode_doc(v, fmt)
+    _doc_memo[id(v), fmt] = v, text
+    return text
 
 
 def _error_observation(stage: str, out_fmt: str) -> str:
@@ -485,7 +496,12 @@ def load_catalog(path: str | Path) -> list[ToolSchema]:
     doc = decode_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, Array):
         raise ValueError("catalog fixture must be a JSON array")
-    return [ToolSchema.from_value(item) for item in doc.items]
+    catalog = [ToolSchema.from_value(item) for item in doc.items]
+    first: dict[str, int] = {}
+    for n, schema in enumerate(catalog, start=1):
+        if first.setdefault(schema.name, n) != n:
+            raise ValueError(f"catalog entry {n}: tool {schema.name!r} repeats entry {first[schema.name]}")
+    return catalog
 
 
 def load_executor(path: str | Path) -> TableExecutor:
@@ -494,7 +510,7 @@ def load_executor(path: str | Path) -> TableExecutor:
     if not isinstance(doc, Array):
         raise ValueError("executor fixture must be a JSON array")
     table: dict[tuple[str, str], Value] = {}
-    for item in doc.items:
+    for n, item in enumerate(doc.items, start=1):
         if not isinstance(item, Object):
             raise ValueError("executor entry must be an object")
         tool = item.get("tool")
@@ -502,7 +518,12 @@ def load_executor(path: str | Path) -> TableExecutor:
         result = item.get("result")
         if not isinstance(tool, Text) or args is None or result is None:
             raise ValueError("executor entry needs tool, args and result")
-        table[(tool.value, encode_json(args))] = result
+        key = (tool.value, encode_json(args))
+        # an exact repeat is harmless; a second result for one call would replace the first
+        if table.setdefault(key, result) != result:
+            raise ValueError(
+                f"executor entry {n}: tool {key[0]!r} with args {key[1]} has a different result than an earlier entry"
+            )
     return TableExecutor(table)
 
 

@@ -371,18 +371,22 @@ def decompose(trajectory, tokenizer: Tokenizer) -> TokenBreakdown:
     sums = {origin: 0 for origin in SPAN_ORIGINS}
     prompt = 0
     completion = 0
-    spans = getattr(trajectory, "spans", trajectory)
-    for span in spans:
-        if span.origin not in SPAN_ORIGINS:
-            raise UntaggedSpanError(f"span has unknown origin {span.origin!r}")
-        if span.direction not in ("prompt", "completion"):
-            raise UntaggedSpanError(f"span has unknown direction {span.direction!r}")
-        n = tokenizer.count(span.text)
-        sums[span.origin] += n
-        if span.direction == "prompt":
+    count = tokenizer.count
+    for span in getattr(trajectory, "spans", trajectory):
+        origin = span.origin
+        # a tuple test, so an unhashable origin is refused here too
+        if origin not in SPAN_ORIGINS:
+            raise UntaggedSpanError(f"span has unknown origin {origin!r}")
+        direction = span.direction
+        if direction == "prompt":
+            n = count(span.text)
             prompt += n
-        else:
+        elif direction == "completion":
+            n = count(span.text)
             completion += n
+        else:
+            raise UntaggedSpanError(f"span has unknown direction {direction!r}")
+        sums[origin] += n
     return TokenBreakdown(
         schema_tokens=sums["schema"],
         call_tokens=sums["call"],

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import re
 
 import pytest
 
@@ -245,6 +246,18 @@ def test_reference_strips_corruption():
     assert record.cascade_count == 0
 
 
+def test_reference_reuses_each_clean_turn(fixtures_dir):
+    agent = load_trace(fixtures_dir / "replay" / "trace_weather.jsonl")
+    marked = ScriptedAgent(agent.turns + [ScriptTurn(final_intent(), corrupt="truncate_line", think="hm")])
+    reference = without_corruption(marked)
+    assert len(reference.turns) == len(marked.turns)
+    for turn, ref in zip(marked.turns, reference.turns):
+        if turn.corrupt is None:
+            assert ref is turn
+        else:
+            assert ref == turn._replace(corrupt=None)
+
+
 def test_executor_receives_minimal_json_args():
     seen = {}
 
@@ -364,8 +377,8 @@ def test_spans_concatenate_to_conversation():
 
 
 def clear_memo():
-    agent_mod._prompt_spans.cache_clear()
-    agent_mod._render_doc.cache_clear()
+    agent_mod._prompt_memo.clear()
+    agent_mod._doc_memo.clear()
 
 
 def outcome_of(*args):
@@ -432,7 +445,7 @@ def test_mutating_returned_spans_leaves_next_prompt():
     assert again.spans[: len(expected)] == expected
 
 
-def test_equal_schemas_hash_equal_and_a_second_run_hits_the_prompt_memo():
+def test_equal_schemas_hash_equal_and_a_second_run_hits_the_prompt_memo(monkeypatch):
     a, b = make_catalog(3), make_catalog(3)
     assert a == b and all(x is not y for x, y in zip(a, b))
     assert [hash(x) for x in a] == [hash(x) for x in b]
@@ -440,11 +453,40 @@ def test_equal_schemas_hash_equal_and_a_second_run_hits_the_prompt_memo():
     assert hash(a[0]) == hash((a[0].name, a[0].description, a[0].parameters))
     catalog, executor, agent = simple_run_pieces()
     clear_memo()
+    builds = []
+    build = agent_mod._prompt_spans
+    monkeypatch.setattr(agent_mod, "_prompt_spans", lambda *args: builds.append(args) or build(*args))
     first = run_trajectory("t", agent, executor, catalog, LoopConfig())
-    before = agent_mod._prompt_spans.cache_info()
     assert run_trajectory("t", agent, executor, catalog, LoopConfig()) == first
-    after = agent_mod._prompt_spans.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert len(builds) == 1 and len(agent_mod._prompt_memo) == 1
+    # an equal but distinct catalog is a new entry, with the same prompt
+    copied = [s._replace() for s in catalog]
+    assert build_system_prompt_spans(copied, LoopConfig()) == build_system_prompt_spans(catalog, LoopConfig())
+    assert len(builds) == 2 and len(agent_mod._prompt_memo) == 2
+
+
+def test_fresh_values_render_as_encode_doc():
+    # CPython hands a freed object's id to the next object at once, so a memo
+    # that did not hold its values would answer for a dead one here
+    clear_memo()
+    for i in range(300):
+        v = from_python({"id": i, "rows": [{"n": i, "s": "x" * (i % 7)}]})
+        for fmt in FORMATS:
+            assert agent_mod._render_doc(v, fmt) == encode_doc(v, fmt), (i, fmt)
+
+
+def test_memos_hold_no_more_than_their_bounds():
+    clear_memo()
+    catalog = make_catalog(2)
+    for i in range(3 * agent_mod._DOC_MEMO_SIZE):
+        agent_mod._render_doc(from_python({"i": i}), FORMATS[i % len(FORMATS)])
+        assert len(agent_mod._doc_memo) <= agent_mod._DOC_MEMO_SIZE
+    for i in range(3 * agent_mod._PROMPT_MEMO_SIZE):
+        schemas = [s._replace(description=f"d{i}") for s in catalog]
+        spans = build_system_prompt_spans(schemas, LoopConfig(format=FORMATS[i % len(FORMATS)]))
+        assert spans == list(agent_mod._prompt_spans(tuple(schemas), FORMATS[i % len(FORMATS)], "json"))
+        assert len(agent_mod._prompt_memo) <= agent_mod._PROMPT_MEMO_SIZE
+    clear_memo()
 
 
 def test_agent_record_contract():
@@ -551,6 +593,24 @@ def test_fixture_loaders(tmp_path):
     record = run_trajectory("t", agent, executor, catalog, LoopConfig())
     assert record.status == "final"
     assert record.cascade_count == 1
+
+
+def test_loaders_refuse_a_repeated_call_or_tool(tmp_path):
+    replay = FIXTURES / "replay"
+    executor = json.loads((replay / "executor_weather.json").read_text(encoding="utf-8"))
+    catalog = json.loads((replay / "catalog_weather.json").read_text(encoding="utf-8"))
+    fixture = tmp_path / "fixture.json"
+    # an exact repeat of an entry is the same table
+    fixture.write_text(json.dumps(executor + [executor[0]]))
+    assert load_executor(fixture).table == load_executor(replay / "executor_weather.json").table
+    fixture.write_text(json.dumps(executor + [{**executor[0], "result": [1]}]))
+    message = 'executor entry 3: tool \'forecast\' with args {"city":"Boulder","hours":3} has a different result'
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_executor(fixture)
+    for repeat in (catalog[1], {**catalog[1], "description": "Again."}):
+        fixture.write_text(json.dumps(catalog + [repeat]))
+        with pytest.raises(ValueError, match="^catalog entry 3: tool 'air_quality' repeats entry 2$"):
+            load_catalog(fixture)
 
 
 def test_trace_lines_end_at_newline_only(tmp_path):

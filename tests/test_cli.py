@@ -114,6 +114,12 @@ def test_convert_huge_length_marker_exit_2(tmp_path, capsys):
     assert "ParseError" in err
 
 
+def weather_fixture_with(name: str, repeat) -> bytes:
+    """A weather fixture with ``repeat(first entry)`` appended, as file bytes."""
+    entries = json.loads((FIXTURES / "replay" / name).read_text(encoding="utf-8"))
+    return json.dumps(entries + [repeat(entries[0])]).encode()
+
+
 # one input per failure class; {tmp} is the test's directory, where
 # "in" holds the file bytes and "dir" is a directory
 EXIT_TABLE = [
@@ -139,6 +145,27 @@ EXIT_TABLE = [
     ("out-of-range failure rate", REPLAY_ARGS + ["--failure-rate", "2"], None, None, 64),
     ("zero max iterations", REPLAY_ARGS + ["--max-iterations", "0"], None, None, 64),
     ("replay fixture through a file", ["replay", "--trace", "{tmp}/in/x.jsonl"] + REPLAY_ARGS[3:], b"{}", None, 2),
+    (
+        "executor entry with a second result",
+        REPLAY_ARGS[:6] + ["{tmp}/in"],
+        weather_fixture_with("executor_weather.json", lambda e: {**e, "result": {"city": "Nowhere"}}),
+        None,
+        2,
+    ),
+    (
+        "catalog tool named twice",
+        REPLAY_ARGS[:4] + ["{tmp}/in"] + REPLAY_ARGS[5:],
+        weather_fixture_with("catalog_weather.json", lambda e: {**e, "description": "Again."}),
+        None,
+        2,
+    ),
+    (
+        "catalog tool repeated exactly",
+        REPLAY_ARGS[:4] + ["{tmp}/in"] + REPLAY_ARGS[5:],
+        weather_fixture_with("catalog_weather.json", lambda e: e),
+        None,
+        2,
+    ),
 ]
 
 
@@ -454,6 +481,25 @@ def test_replay_clean_run(tmp_path, capsys):
     assert "absolute-sum" in out
     for comp, value in report["deltas"].items():
         assert (f"{value:+.1f}" if value is not None else "n/a") in out
+
+
+def test_replay_matches_the_golden(tmp_path, capsys):
+    """The weather fixtures in every format and mode, at failure rates 0 and 0.3
+    and seeds 0 and 1: exit code, stdout, stderr and the --out report."""
+    golden = json.loads((FIXTURES / "replay_golden.json").read_text(encoding="utf-8"))
+    assert [run["flags"] for run in golden] == [
+        f"--format {fmt} --mode {mode} --failure-rate {rate} --seed {seed}"
+        for fmt in FORMATS
+        for mode in ("input_only", "full")
+        for rate in ("0", "0.3")
+        for seed in (0, 1)
+    ]
+    for run in golden:
+        out = tmp_path / "replay.json"
+        out.unlink(missing_ok=True)
+        code, stdout, stderr = run_cli(REPLAY_ARGS + run["flags"].split() + ["--out", str(out)], capsys)
+        report = out.read_text(encoding="utf-8") if out.exists() else None
+        assert (code, stdout, stderr, report) == (run["exit"], run["stdout"], run["stderr"], run["report"]), run["flags"]
 
 
 def test_replay_json_vs_json_all_zero(capsys):

@@ -50,7 +50,7 @@ def test_functions_swapped_on_codec_modules_see_every_call(tmp_path, monkeypatch
     assert main(["roundtrip", "--count", "10"]) == 0
     assert counts == {"encode_toon": 4 + 10, "encode_tron_batch": 2 + 2}
 
-    agent_mod._prompt_spans.cache_clear()
+    agent_mod._prompt_memo.clear()
     catalog = make_catalog(3)
     build_system_prompt_spans(catalog, LoopConfig(format="tron"))
     build_system_prompt_spans(catalog, LoopConfig(format="toon", mode="full"))

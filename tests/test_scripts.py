@@ -45,6 +45,7 @@ def test_cascade_sweep(tmp_path):
     assert done.returncode == 0, done.stderr
     rows = done.stdout.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["toon"] * 4 + ["tron"] * 4
+    assert done.stdout == (FIXTURES / "cascade_sweep_golden.txt").read_text(encoding="utf-8")
 
 
 def copy_src(tmp_path):

@@ -381,10 +381,18 @@ def test_decompose_empty_trajectory():
 
 
 def test_decompose_rejects_untagged_spans():
-    with pytest.raises(UntaggedSpanError):
-        decompose([Span("x", "mystery", "prompt", 0)], ByteCountTokenizer())
-    with pytest.raises(UntaggedSpanError):
-        decompose([Span("x", "schema", "sideways", 0)], ByteCountTokenizer())
+    good = Span("y", "other", "prompt", 0)
+    for origin, direction, message in [
+        ("mystery", "prompt", "span has unknown origin 'mystery'"),
+        (["schema"], "prompt", "span has unknown origin ['schema']"),
+        (None, "completion", "span has unknown origin None"),
+        ("schema", "sideways", "span has unknown direction 'sideways'"),
+        ("call", ["prompt"], "span has unknown direction ['prompt']"),
+        # the origin is checked first
+        ("mystery", "sideways", "span has unknown origin 'mystery'"),
+    ]:
+        with pytest.raises(UntaggedSpanError, match=f"^{re.escape(message)}$"):
+            decompose([good, Span("x", origin, direction, 0), good], ByteCountTokenizer())
 
 
 def test_decompose_single_turn_components():
