@@ -141,6 +141,12 @@ def _measure_report(args, tokenizer) -> dict:
     paths = sorted(Path(args.corpus_dir).glob("*.json"))
     if not paths:
         raise FileNotFoundError(f"no .json files in {args.corpus_dir}")
+    for path in paths:
+        # the table and the report name each file, and both are UTF-8
+        try:
+            str(path).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"file name is not UTF-8: {ascii(str(path))}") from None
     files = []
     roots = []
     sums = dict.fromkeys(FORMATS, 0)

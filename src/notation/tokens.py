@@ -8,7 +8,8 @@ runs plus non-space symbols without building a string per token: each
 character maps to its class (word, space, symbol) through a byte table,
 and ``bytes.count`` finds the symbols and the first character of each
 word run; runs of non-ASCII text are first replaced by ASCII stand-ins of
-the same count. BPE counting gives the same counts as greedy lowest-rank
+the same count, each run's stand-in worked out once and kept in a bounded
+memo. BPE counting gives the same counts as greedy lowest-rank
 merging over the whole UTF-8 span (lowest rank first, leftmost first on
 ties). It splits the span into chunks at the byte boundaries no merge can
 cross, which the merge table alone determines, and runs a heap over each
@@ -86,14 +87,14 @@ def _char_class(ch: str) -> str:
 # ASCII byte -> its class character; count() only translates ASCII
 _CLASS_TABLE = "".join(_char_class(chr(b)) for b in range(128)).encode("ascii").ljust(256, b"!")
 
-# a non-ASCII character and what follows it up to the next ASCII word
-# character or ASCII control that is not a space
-_non_ascii_runs = re.compile(r"[^\x00-\x7f][^\x00-\x08\x0e-\x1b0-9A-Za-z\x7f]*").sub
+# splits text around its runs, each a non-ASCII character and what follows
+# it up to the next ASCII word character or ASCII control that is not a
+# space; the runs land at the odd indexes
+_split_runs = re.compile(r"([^\x00-\x7f][^\x00-\x08\x0e-\x1b0-9A-Za-z\x7f]*)").split
 
 
-def _ascii_standin(m: re.Match) -> str:
+def _ascii_standin(run: str) -> str:
     """ASCII text with the run's token count and its first and last class."""
-    run = m.group()
     if len(run) == 1:
         return _char_class(run)
     n = _WORD_RE.subn("", run)[1]  # the token count, without a list of tokens
@@ -101,6 +102,31 @@ def _ascii_standin(m: re.Match) -> str:
     if n == 1 and first == last == "w":
         return "w"
     return first + " " + "!" * (n - (first != " ") - (last != " ")) + " " + last
+
+
+# the most runs the stand-in memo keeps; a full memo starts over
+STANDIN_MEMO_SIZE = 4096
+# a longer run gets its stand-in on each use and is never kept
+STANDIN_MEMO_MAX_LEN = 64
+
+
+class _Standins(dict):
+    """The ASCII stand-in of each non-ASCII run met.
+
+    Holds at most STANDIN_MEMO_SIZE runs of at most STANDIN_MEMO_MAX_LEN
+    characters each.
+    """
+
+    def __missing__(self, run: str) -> str:
+        standin = _ascii_standin(run)
+        if len(run) <= STANDIN_MEMO_MAX_LEN:
+            if len(self) >= STANDIN_MEMO_SIZE:
+                self.clear()
+            self[run] = standin
+        return standin
+
+
+_standins = _Standins()
 
 
 class WordRegexTokenizer(Tokenizer):
@@ -114,7 +140,10 @@ class WordRegexTokenizer(Tokenizer):
 
     def count(self, text: str) -> int:
         if not text.isascii():
-            text = _non_ascii_runs(_ascii_standin, text)
+            parts = _split_runs(text)
+            # a memo hit costs no Python call
+            parts[1::2] = map(_standins.__getitem__, parts[1::2])
+            text = "".join(parts)
         c = text.encode("ascii").translate(_CLASS_TABLE)
         return c.count(b"!") + c.count(b" w") + c.count(b"!w") + c.startswith(b"w")
 

@@ -105,11 +105,40 @@ def _quote(s: str) -> str:
     return '"' + _quote_specials(lambda m: _QUOTE_ESCAPES[m.group()], s) + '"'
 
 
+# the most strings each quoting memo keeps; a full memo starts over
+QUOTE_MEMO_SIZE = 4096
+# a longer string is quoted on each use and never kept
+QUOTE_MEMO_MAX_LEN = 128
+
+
+class _Quoted(dict):
+    """The TOON text of each string met, bare or quoted under one rule.
+
+    A miss applies the rule. Holds at most QUOTE_MEMO_SIZE strings of at
+    most QUOTE_MEMO_MAX_LEN characters each.
+    """
+
+    def __init__(self, is_bare):
+        self.is_bare = is_bare
+
+    def __missing__(self, s: str) -> str:
+        text = s if self.is_bare(s) else _quote(s)
+        if len(s) <= QUOTE_MEMO_MAX_LEN:
+            if len(self) >= QUOTE_MEMO_SIZE:
+                self.clear()
+            self[s] = text
+        return text
+
+
+# the rules differ ("-x" is a bare scalar but a quoted key), so each has its own memo
+_scalar_text = _Quoted(_is_bare_scalar)
+_key_text = _Quoted(_is_bare_key)
+
+
 def encode_scalar(v: Value) -> str:
     t = type(v)
     if t is Text:
-        s = v[1]
-        return s if _is_bare_scalar(s) else _quote(s)
+        return _scalar_text[v[1]]
     if t is Number:
         return v[1]
     if t is Bool:
@@ -120,7 +149,7 @@ def encode_scalar(v: Value) -> str:
 
 
 def _encode_key(s: str) -> str:
-    return s if _is_bare_key(s) else _quote(s)
+    return _key_text[s]
 
 
 def encode_toon(v: Value) -> str:
@@ -145,9 +174,11 @@ def encode_toon(v: Value) -> str:
 def _emit_fields(keys: StructSignature, values: tuple[Value, ...], depth: int, out: list[str]) -> None:
     pad = " " * (depth * INDENT)
     for k, v in zip(keys, values):
-        head = pad + _encode_key(k)
+        head = pad + _key_text[k]
         t = type(v)
-        if t is Object:
+        if t is Text:
+            out.append(head + ": " + _scalar_text[v[1]])
+        elif t is Object:
             out.append(head + ":")
             _emit_fields(v[1], v[2], depth + 1, out)
         elif t is Array:
@@ -164,7 +195,7 @@ def _emit_array(head: str, arr: Array, depth: int, out: list[str]) -> None:
     if shape is ArrayShape.PRIMITIVE_INLINE:
         out.append(f"{head}[{n}]: " + ",".join(map(encode_scalar, items)) if n else f"{head}[0]:")
     elif shape is ArrayShape.UNIFORM_TABLE:
-        out.append(f"{head}[{n}]{{" + ",".join(map(_encode_key, sig)) + "}:")
+        out.append(f"{head}[{n}]{{" + ",".join(map(_key_text.__getitem__, sig)) + "}:")
         pad = " " * ((depth + 1) * INDENT)
         for x in items:
             out.append(pad + ",".join(map(encode_scalar, x[2])))

@@ -60,15 +60,17 @@ def _classable(sig: StructSignature) -> bool:
     return bool(sig) and all(f and "," not in f and "\n" not in f and "\r" not in f for f in sig)
 
 
-def _count_shapes(v: Value, counts: dict[StructSignature, int]) -> None:
-    t = type(v)
-    if t is Object:
+def _count_shapes(v: Object | Array, counts: dict[StructSignature, int]) -> None:
+    """Count the shapes in v; scalar children are tested here, not visited."""
+    if type(v) is Object:
         sig = v[1]
         counts[sig] = counts.get(sig, 0) + 1
-        for x in v[2]:
-            _count_shapes(x, counts)
-    elif t is Array:
-        for x in v[1]:
+        children = v[2]
+    else:
+        children = v[1]
+    for x in children:
+        t = type(x)
+        if t is Object or t is Array:
             _count_shapes(x, counts)
 
 
@@ -81,8 +83,7 @@ def extract_classes(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCUR
     if min_occurrences < 1:
         raise ValueError("min_occurrences must be >= 1")
     counts: dict[StructSignature, int] = {}
-    for root in roots:
-        _count_shapes(root, counts)
+    _count_shapes(Array(roots), counts)
     qualifying = [sig for sig, n in counts.items() if n >= min_occurrences and _classable(sig)]
     return {sig: class_name_for(i) for i, sig in enumerate(qualifying)}
 

@@ -16,7 +16,7 @@ from notation.formats import FORMATS
 from notation.tokens import decompose
 from notation.tron_codec import decode_tron_batch
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO_ROOT
 
 REPLAY_ARGS = [
     "replay",
@@ -322,6 +322,17 @@ def test_measure_batch_golden_bpe(tmp_path, monkeypatch, capsys):
     assert report == (FIXTURES / "measure_golden_bpe.json").read_text(encoding="utf-8")
 
 
+def test_measure_batch_golden_words(tmp_path, monkeypatch, capsys):
+    """Accented, CJK and emoji text and TOON's quoting cases, counted in words, byte for byte."""
+    monkeypatch.chdir(REPO_ROOT)
+    report_file = tmp_path / "report.json"
+    argv = ["measure", "fixtures/measure_mixed", "--batch", "--tokenizer", "words", "--out", str(report_file)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (FIXTURES / "measure_golden_words.txt").read_text(encoding="utf-8")
+    assert report_file.read_text(encoding="utf-8") == (FIXTURES / "measure_golden_words.json").read_text(encoding="utf-8")
+
+
 def test_measure_tabular_corpus_toon_negative(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -377,6 +388,23 @@ def test_measure_fail_closed_on_bad_file(tmp_path, capsys):
     code, out, err = run_cli(["measure", str(corpus)], capsys)
     assert code == 2
     assert out == ""
+
+
+def test_measure_refuses_a_file_name_that_is_not_utf8(tmp_path, capsys):
+    corpus = make_corpus(tmp_path)
+    try:
+        Path(os.fsdecode(os.fsencode(corpus) + b"/\xff.json")).write_text("{}")
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    if not any("\udcff" in p.name for p in corpus.iterdir()):
+        pytest.skip("the filesystem changed the file name")
+    report_file = tmp_path / "report.json"
+    code, out, err = run_cli(["measure", str(corpus), "--out", str(report_file)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert ascii(str(corpus / "\udcff.json")) in err
+    assert not report_file.exists()
 
 
 def test_measure_empty_dir_exit_2(tmp_path, capsys):

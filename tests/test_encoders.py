@@ -332,3 +332,44 @@ def test_toon_quotes_every_space_at_an_edge():
         for s in (c, c + "x", "x" + c, "x" + c + "x", c + "-1"):
             assert toon_codec.encode_scalar(Text(s)) == reference_toon_scalar(Text(s))
             assert toon_codec._encode_key(s) == reference_toon_key(s)
+
+
+# "-x" is a bare scalar but a quoted key; a bracket or brace quotes only a key
+@pytest.mark.parametrize("s,scalar,key", [("-x", "-x", '"-x"'), ("a]", "a]", '"a]"'), ("}k", "}k", '"}k"')])
+@pytest.mark.parametrize("first", ["key", "scalar"])
+def test_quoting_memos_keep_each_rule(s, scalar, key, first):
+    toon_codec._scalar_text.clear()
+    toon_codec._key_text.clear()
+    encode = {"key": lambda: toon_codec._encode_key(s), "scalar": lambda: toon_codec.encode_scalar(Text(s))}
+    other = "scalar" if first == "key" else "key"
+    expected = {"key": key, "scalar": scalar}
+    for kind in (first, other, first, other):
+        assert encode[kind]() == expected[kind]
+    assert (scalar, key) == (reference_toon_scalar(Text(s)), reference_toon_key(s))
+    doc = Object(((s, Text(s)), ("rows", Array((Object(((s, Text(s)),)),) * 2))))
+    assert encode_toon(doc) == reference_toon(doc) == f"{key}: {scalar}\n\nrows[2]{{{key}}}:\n  {scalar}\n  {scalar}"
+
+
+def test_quoting_memos_stay_within_their_bounds(monkeypatch):
+    monkeypatch.setattr(toon_codec, "QUOTE_MEMO_SIZE", 8)
+    monkeypatch.setattr(toon_codec, "QUOTE_MEMO_MAX_LEN", 6)
+    memos = (toon_codec._scalar_text, toon_codec._key_text)
+    for memo in memos:
+        memo.clear()
+    for seed in range(40):
+        for profile in (DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE):
+            v = generate(seed, profile)
+            assert encode_toon(v) == reference_toon(v)
+            for memo in memos:
+                assert len(memo) <= 8
+                assert all(len(s) <= 6 for s in memo)
+
+
+def test_quoting_memos_do_not_keep_long_strings(monkeypatch):
+    monkeypatch.setattr(toon_codec, "QUOTE_MEMO_MAX_LEN", 4)
+    for memo in (toon_codec._scalar_text, toon_codec._key_text):
+        memo.clear()
+    for s in ("true", "a b", "long", "longer", "-x,y:z", " edge "):
+        doc = Object(((s, Text(s)),))
+        assert encode_toon(doc) == reference_toon(doc)
+        assert (s in toon_codec._scalar_text) == (s in toon_codec._key_text) == (len(s) <= 4)

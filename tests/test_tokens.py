@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 import re
@@ -66,6 +67,16 @@ WORD_TEXT = st.text(
 )
 
 
+@contextlib.contextmanager
+def tiny_standin_memo():
+    """The stand-in memo bounded to two runs of at most three characters."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tokens, "STANDIN_MEMO_SIZE", 2)
+        patch.setattr(tokens, "STANDIN_MEMO_MAX_LEN", 3)
+        tokens._standins.clear()
+        yield
+
+
 @settings(max_examples=500, deadline=None)
 @given(WORD_TEXT)
 @example("")
@@ -74,7 +85,28 @@ WORD_TEXT = st.text(
 @example("\u4e2d\u6587, \u6d4b\u8bd5 ")
 @example(" \u3000x\u0301\ud800")
 def test_word_count_matches_reference(text):
-    assert WordRegexTokenizer().count(text) == reference_word_count(text)
+    expected = reference_word_count(text)
+    assert WordRegexTokenizer().count(text) == expected
+    with tiny_standin_memo():
+        assert WordRegexTokenizer().count(text) == expected
+        assert len(tokens._standins) <= 2
+
+
+def test_standin_memo_bounds(monkeypatch):
+    monkeypatch.setattr(tokens, "STANDIN_MEMO_SIZE", 4)
+    monkeypatch.setattr(tokens, "STANDIN_MEMO_MAX_LEN", 5)
+    tokens._standins.clear()
+    tok = WordRegexTokenizer()
+    runs = ["\u00e9", "\u00fc", "\u4e2d\u6587", "\u00e9, ", "\u3000", "\U0001f680 ", "\u00e9" * 5, "\u00e9" * 6, "\u6d4b " * 4]
+    for i, run in enumerate(runs * 3):
+        text = f"a{run}b {run}{i}"
+        assert tok.count(text) == reference_word_count(text)
+        assert len(tokens._standins) <= 4
+        assert all(len(r) <= 5 for r in tokens._standins)
+    # a run over the length bound gets its stand-in and is not kept
+    assert "\u00e9" * 6 not in tokens._standins
+    assert tok.count("\u00e9" * 6) == 1
+    assert "\u00e9" * 6 not in tokens._standins
 
 
 def test_word_count_matches_reference_on_every_code_point():
@@ -215,14 +247,25 @@ def test_bpe_count_matches_reference(name, text):
     assert tok.count(text) == reference_bpe_count(tok, text)
 
 
+# the reference is quadratic, so a longer file is compared window by window
+REFERENCE_WINDOW = 2048
+
+
+def windows(text: str) -> list[str]:
+    """Consecutive slices of at most REFERENCE_WINDOW characters that make up text."""
+    parts = [text[i : i + REFERENCE_WINDOW] for i in range(0, len(text), REFERENCE_WINDOW)] or [text]
+    assert "".join(parts) == text
+    return parts
+
+
 @pytest.mark.parametrize("name", sorted(BPE_TOKENIZERS))
 def test_bpe_count_matches_reference_on_fixtures(name):
     tok = BPE_TOKENIZERS[name]
     paths = sorted(p for p in FIXTURES.rglob("*") if p.is_file())
     assert paths
     for path in paths:
-        text = path.read_text(encoding="utf-8")
-        assert tok.count(text) == reference_bpe_count(tok, text), path
+        for window in windows(path.read_text(encoding="utf-8")):
+            assert tok.count(window) == reference_bpe_count(tok, window), path
 
 
 def byte_symbols(data: bytes) -> str:
@@ -335,8 +378,11 @@ def test_bpe_memo_bound(monkeypatch):
     monkeypatch.setattr(tokens, "CHUNK_MEMO_SIZE", bound)
     tok = make_tokenizer("bpe", *paths)
     for text, n in zip(texts, expected):
-        assert tok.count(text) == n == reference_bpe_count(tok, text)
+        assert tok.count(text) == n
         assert len(tok._chunks) <= bound
+        for window in windows(text):
+            assert tok.count(window) == reference_bpe_count(tok, window)
+            assert len(tok._chunks) <= bound
 
 
 def test_bpe_load_errors(tmp_path):
