@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from ._memo import Memo
 from ._record import record
 from .errors import CodecError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_doc, encode_batch, encode_doc, lookup
@@ -331,14 +332,13 @@ _FINAL_TEMPLATE = Object((("final_answer", Text("The forecast is sunny.")),))
 # hashing a tool-result tree on every turn would walk all of it. Each entry
 # holds the objects it is keyed by, so their ids cannot be reused while it
 # lives; an equal but distinct value is rendered again. A full memo starts
-# over, so the sizes bound what a long-lived process holds. Parsing is never
-# memoized: its failures are what the loop counts.
-_PROMPT_MEMO_SIZE = 16
-_DOC_MEMO_SIZE = 1024
+# over, so the sizes bound what a long-lived process holds. An id cannot be
+# read back into its value, so the memos read with get and fill with keep.
+# Parsing is never memoized: its failures are what the loop counts.
 # (ids of the catalog's schemas, format, output format) -> (catalog, spans)
-_prompt_memo: dict[tuple, tuple[tuple[ToolSchema, ...], tuple[Span, ...]]] = {}
+_prompt_memo = Memo(None, 16)
 # (id of the value, format) -> (value, text)
-_doc_memo: dict[tuple[int, str], tuple[Value, str]] = {}
+_doc_memo = Memo(None, 1024)
 
 
 def build_system_prompt_spans(catalog: list[ToolSchema], cfg: LoopConfig) -> list[Span]:
@@ -347,13 +347,11 @@ def build_system_prompt_spans(catalog: list[ToolSchema], cfg: LoopConfig) -> lis
         raise ValueError("catalog must be non-empty")
     catalog = tuple(catalog)
     key = (tuple(map(id, catalog)), cfg.format, cfg.output_format)
-    try:
-        spans = _prompt_memo[key][1]
-    except KeyError:
-        if len(_prompt_memo) >= _PROMPT_MEMO_SIZE:
-            _prompt_memo.clear()
-        spans = _prompt_spans(catalog, cfg.format, cfg.output_format)
-        _prompt_memo[key] = catalog, spans
+    hit = _prompt_memo.get(key)
+    if hit is not None:
+        return list(hit[1])
+    spans = _prompt_spans(catalog, cfg.format, cfg.output_format)
+    _prompt_memo.keep(key, (catalog, spans))
     return list(spans)
 
 
@@ -386,14 +384,11 @@ def _prompt_spans(catalog: tuple[ToolSchema, ...], fmt: str, out_fmt: str) -> tu
 
 
 def _render_doc(v: Value, fmt: str) -> str:
-    try:
-        return _doc_memo[id(v), fmt][1]
-    except KeyError:
-        pass
-    if len(_doc_memo) >= _DOC_MEMO_SIZE:
-        _doc_memo.clear()
+    hit = _doc_memo.get((id(v), fmt))
+    if hit is not None:
+        return hit[1]
     text = encode_doc(v, fmt)
-    _doc_memo[id(v), fmt] = v, text
+    _doc_memo.keep((id(v), fmt), (v, text))
     return text
 
 

@@ -132,6 +132,10 @@ def cmd_convert(args) -> int:
 DELTA_KEYS = {fmt: f"{fmt}_delta_pct" for fmt in FORMATS if fmt != BASELINE}
 
 
+class _FileDecodeError(Exception):
+    """A corpus file that does not decode: its path, then the library's error."""
+
+
 def _measure_report(args, tokenizer) -> dict:
     from .tokens import mean_pct, pct_delta
 
@@ -151,7 +155,10 @@ def _measure_report(args, tokenizer) -> dict:
     roots = []
     sums = dict.fromkeys(FORMATS, 0)
     for path in paths:
-        value = decode_json(_read_input(str(path)))
+        try:
+            value = decode_json(_read_input(str(path)))
+        except CodecError as e:
+            raise _FileDecodeError(f"{path}: {type(e).__name__}: {e}") from e
         roots.append(value)
         counts = {fmt: tokenizer.count(encode_doc(value, fmt)) for fmt in FORMATS}
         for k, v in counts.items():
@@ -221,6 +228,9 @@ def _run_report(args, build, render, decode_errors: tuple) -> int:
         return EXIT_DECODE
     try:
         report = build(args, tokenizer)
+    except _FileDecodeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DECODE
     except decode_errors as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DECODE

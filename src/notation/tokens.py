@@ -24,8 +24,10 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from functools import partial
 from pathlib import Path
 
+from ._memo import Memo
 from ._record import record
 
 __all__ = [
@@ -104,29 +106,9 @@ def _ascii_standin(run: str) -> str:
     return first + " " + "!" * (n - (first != " ") - (last != " ")) + " " + last
 
 
-# the most runs the stand-in memo keeps; a full memo starts over
-STANDIN_MEMO_SIZE = 4096
-# a longer run gets its stand-in on each use and is never kept
-STANDIN_MEMO_MAX_LEN = 64
-
-
-class _Standins(dict):
-    """The ASCII stand-in of each non-ASCII run met.
-
-    Holds at most STANDIN_MEMO_SIZE runs of at most STANDIN_MEMO_MAX_LEN
-    characters each.
-    """
-
-    def __missing__(self, run: str) -> str:
-        standin = _ascii_standin(run)
-        if len(run) <= STANDIN_MEMO_MAX_LEN:
-            if len(self) >= STANDIN_MEMO_SIZE:
-                self.clear()
-            self[run] = standin
-        return standin
-
-
-_standins = _Standins()
+# the ASCII stand-in of each non-ASCII run met; a run longer than 64
+# characters gets its stand-in on each use and is never kept
+_standins = Memo(_ascii_standin, 4096, 64)
 
 
 class WordRegexTokenizer(Tokenizer):
@@ -179,9 +161,6 @@ _SWAP = bytes.maketrans(
 )
 # symbol character -> high byte of its pair code, for the bytes UTF-8 holds
 _HIGH = {ch: _SWAP[b] << 8 for ch, b in _BYTE_OF.items() if b != 0xC0 and b < 0xF8}
-
-# the most chunk counts one BpeTokenizer keeps; a full memo starts over
-CHUNK_MEMO_SIZE = 4096
 
 
 def _merge(ranks: dict[tuple[str, str], int], symbols: list[str]) -> list[str]:
@@ -242,30 +221,19 @@ def _joinable_runs(ranks: dict[tuple[str, str], int]):
     return re.compile(f"[{''.join(codes)}]+" if codes else "(?!)").findall
 
 
-class _ChunkCounts(dict):
-    """count(chunk) - len(chunk) for each chunk met, keyed by its pair codes.
+def _chunk_delta(vocab: dict[str, int], ranks: dict[tuple[str, str], int], run: str) -> int:
+    """count(chunk) - len(chunk) for the chunk whose pair codes are ``run``.
 
-    A miss runs the heap on the chunk alone. Holds at most
-    CHUNK_MEMO_SIZE chunks.
+    Runs the heap on the chunk alone.
     """
-
-    def __init__(self, vocab: dict[str, int], ranks: dict[tuple[str, str], int]):
-        self.vocab = vocab
-        self.ranks = ranks
-
-    def __missing__(self, run: str) -> int:
-        codes = run.encode("utf-16-le")
-        chunk = codes[1:2].translate(_SWAP) + codes[::2]
-        vocab = self.vocab
-        # merged symbols outside the vocabulary fall back to byte tokens
-        tokens = sum(
-            1 if sym in vocab or len(sym) == 1 else len(sym)
-            for sym in _merge(self.ranks, [_BYTE_MAP[b] for b in chunk])
-        )
-        if len(self) >= CHUNK_MEMO_SIZE:
-            self.clear()
-        self[run] = delta = tokens - len(chunk)
-        return delta
+    codes = run.encode("utf-16-le")
+    chunk = codes[1:2].translate(_SWAP) + codes[::2]
+    # merged symbols outside the vocabulary fall back to byte tokens
+    tokens = sum(
+        1 if sym in vocab or len(sym) == 1 else len(sym)
+        for sym in _merge(ranks, [_BYTE_MAP[b] for b in chunk])
+    )
+    return tokens - len(chunk)
 
 
 class BpeTokenizer(Tokenizer):
@@ -286,9 +254,9 @@ class BpeTokenizer(Tokenizer):
     Each adjacent byte pair of a span becomes one UTF-16 code unit, and
     one character class of the joinable pair codes finds every chunk as a
     run of them. Each distinct chunk goes through the heap once, behind a
-    memo on the tokenizer of at most CHUNK_MEMO_SIZE chunks. A vocabulary
-    that joins every byte pair leaves each span one chunk, whose heap run
-    is O(n log n) in its length.
+    memo on the tokenizer of at most 4096 chunks, keyed by their pair
+    codes. A vocabulary that joins every byte pair leaves each span one
+    chunk, whose heap run is O(n log n) in its length.
     """
 
     name = "bpe"
@@ -297,7 +265,7 @@ class BpeTokenizer(Tokenizer):
         self.vocab = vocab
         self.ranks = {pair: i for i, pair in enumerate(merges)}
         self._runs = _joinable_runs(self.ranks)
-        self._chunks = _ChunkCounts(vocab, self.ranks)
+        self._chunks = Memo(partial(_chunk_delta, vocab, self.ranks), 4096)
 
     @classmethod
     def from_files(cls, vocab_path: str | Path, merges_path: str | Path) -> "BpeTokenizer":

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import partial
 
+from ._memo import Memo
 from .errors import (
     ArityMismatchError,
     DuplicateKeyError,
@@ -105,34 +107,15 @@ def _quote(s: str) -> str:
     return '"' + _quote_specials(lambda m: _QUOTE_ESCAPES[m.group()], s) + '"'
 
 
-# the most strings each quoting memo keeps; a full memo starts over
-QUOTE_MEMO_SIZE = 4096
-# a longer string is quoted on each use and never kept
-QUOTE_MEMO_MAX_LEN = 128
+def _bare_or_quoted(is_bare, s: str) -> str:
+    return s if is_bare(s) else _quote(s)
 
 
-class _Quoted(dict):
-    """The TOON text of each string met, bare or quoted under one rule.
-
-    A miss applies the rule. Holds at most QUOTE_MEMO_SIZE strings of at
-    most QUOTE_MEMO_MAX_LEN characters each.
-    """
-
-    def __init__(self, is_bare):
-        self.is_bare = is_bare
-
-    def __missing__(self, s: str) -> str:
-        text = s if self.is_bare(s) else _quote(s)
-        if len(s) <= QUOTE_MEMO_MAX_LEN:
-            if len(self) >= QUOTE_MEMO_SIZE:
-                self.clear()
-            self[s] = text
-        return text
-
-
-# the rules differ ("-x" is a bare scalar but a quoted key), so each has its own memo
-_scalar_text = _Quoted(_is_bare_scalar)
-_key_text = _Quoted(_is_bare_key)
+# The TOON text of each string met, worked out once. The rules differ ("-x" is
+# a bare scalar but a quoted key), so each has its own memo. A string longer
+# than 128 characters is quoted on each use and never kept.
+_scalar_text = Memo(partial(_bare_or_quoted, _is_bare_scalar), 4096, 128)
+_key_text = Memo(partial(_bare_or_quoted, _is_bare_key), 4096, 128)
 
 
 def encode_scalar(v: Value) -> str:
@@ -146,10 +129,6 @@ def encode_scalar(v: Value) -> str:
     if t is Null:
         return "null"
     raise TypeError(f"not a scalar: {v!r}")
-
-
-def _encode_key(s: str) -> str:
-    return _key_text[s]
 
 
 def encode_toon(v: Value) -> str:

@@ -478,14 +478,14 @@ def test_fresh_values_render_as_encode_doc():
 def test_memos_hold_no_more_than_their_bounds():
     clear_memo()
     catalog = make_catalog(2)
-    for i in range(3 * agent_mod._DOC_MEMO_SIZE):
+    for i in range(3 * agent_mod._doc_memo.size):
         agent_mod._render_doc(from_python({"i": i}), FORMATS[i % len(FORMATS)])
-        assert len(agent_mod._doc_memo) <= agent_mod._DOC_MEMO_SIZE
-    for i in range(3 * agent_mod._PROMPT_MEMO_SIZE):
+        assert len(agent_mod._doc_memo) <= agent_mod._doc_memo.size
+    for i in range(3 * agent_mod._prompt_memo.size):
         schemas = [s._replace(description=f"d{i}") for s in catalog]
         spans = build_system_prompt_spans(schemas, LoopConfig(format=FORMATS[i % len(FORMATS)]))
         assert spans == list(agent_mod._prompt_spans(tuple(schemas), FORMATS[i % len(FORMATS)], "json"))
-        assert len(agent_mod._prompt_memo) <= agent_mod._PROMPT_MEMO_SIZE
+        assert len(agent_mod._prompt_memo) <= agent_mod._prompt_memo.size
     clear_memo()
 
 

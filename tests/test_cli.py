@@ -384,10 +384,17 @@ def test_measure_batched_tron_negative_on_shared_shapes(tmp_path, capsys):
 
 def test_measure_fail_closed_on_bad_file(tmp_path, capsys):
     corpus = make_corpus(tmp_path)
-    (corpus / "broken.json").write_text("{nope")
-    code, out, err = run_cli(["measure", str(corpus)], capsys)
-    assert code == 2
-    assert out == ""
+    bad = {
+        b"{nope": "ParseError: expected string key at position 1",
+        b'{"a":"\xff"}': "ParseError: input is not valid UTF-8 at position 6",
+    }
+    for data, error in bad.items():
+        (corpus / "broken.json").write_bytes(data)
+        code, out, err = run_cli(["measure", str(corpus)], capsys)
+        assert code == 2
+        assert out == ""
+        # one line that names the file, with the library's error after it
+        assert err == f"error: {corpus / 'broken.json'}: {error}\n"
 
 
 def test_measure_refuses_a_file_name_that_is_not_utf8(tmp_path, capsys):

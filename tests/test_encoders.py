@@ -317,7 +317,7 @@ def test_encode_string_is_json_dumps(s):
 @example("-1e5")
 def test_toon_scalar_and_key_quoting_as_the_references_do(s):
     assert toon_codec.encode_scalar(Text(s)) == reference_toon_scalar(Text(s))
-    assert toon_codec._encode_key(s) == reference_toon_key(s)
+    assert toon_codec._key_text[s] == reference_toon_key(s)
     # a key-shaped document: every field name and cell goes through both
     doc = Object(((s, Text(s)), ("rows", Array((Object(((s, Text(s)),)),) * 2))))
     assert encode_toon(doc) == reference_toon(doc)
@@ -331,7 +331,7 @@ def test_toon_quotes_every_space_at_an_edge():
     for c in sorted(spaces):
         for s in (c, c + "x", "x" + c, "x" + c + "x", c + "-1"):
             assert toon_codec.encode_scalar(Text(s)) == reference_toon_scalar(Text(s))
-            assert toon_codec._encode_key(s) == reference_toon_key(s)
+            assert toon_codec._key_text[s] == reference_toon_key(s)
 
 
 # "-x" is a bare scalar but a quoted key; a bracket or brace quotes only a key
@@ -340,7 +340,7 @@ def test_toon_quotes_every_space_at_an_edge():
 def test_quoting_memos_keep_each_rule(s, scalar, key, first):
     toon_codec._scalar_text.clear()
     toon_codec._key_text.clear()
-    encode = {"key": lambda: toon_codec._encode_key(s), "scalar": lambda: toon_codec.encode_scalar(Text(s))}
+    encode = {"key": lambda: toon_codec._key_text[s], "scalar": lambda: toon_codec.encode_scalar(Text(s))}
     other = "scalar" if first == "key" else "key"
     expected = {"key": key, "scalar": scalar}
     for kind in (first, other, first, other):
@@ -351,10 +351,10 @@ def test_quoting_memos_keep_each_rule(s, scalar, key, first):
 
 
 def test_quoting_memos_stay_within_their_bounds(monkeypatch):
-    monkeypatch.setattr(toon_codec, "QUOTE_MEMO_SIZE", 8)
-    monkeypatch.setattr(toon_codec, "QUOTE_MEMO_MAX_LEN", 6)
     memos = (toon_codec._scalar_text, toon_codec._key_text)
     for memo in memos:
+        monkeypatch.setattr(memo, "size", 8)
+        monkeypatch.setattr(memo, "max_len", 6)
         memo.clear()
     for seed in range(40):
         for profile in (DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE):
@@ -366,8 +366,8 @@ def test_quoting_memos_stay_within_their_bounds(monkeypatch):
 
 
 def test_quoting_memos_do_not_keep_long_strings(monkeypatch):
-    monkeypatch.setattr(toon_codec, "QUOTE_MEMO_MAX_LEN", 4)
     for memo in (toon_codec._scalar_text, toon_codec._key_text):
+        monkeypatch.setattr(memo, "max_len", 4)
         memo.clear()
     for s in ("true", "a b", "long", "longer", "-x,y:z", " edge "):
         doc = Object(((s, Text(s)),))

@@ -71,8 +71,8 @@ WORD_TEXT = st.text(
 def tiny_standin_memo():
     """The stand-in memo bounded to two runs of at most three characters."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tokens, "STANDIN_MEMO_SIZE", 2)
-        patch.setattr(tokens, "STANDIN_MEMO_MAX_LEN", 3)
+        patch.setattr(tokens._standins, "size", 2)
+        patch.setattr(tokens._standins, "max_len", 3)
         tokens._standins.clear()
         yield
 
@@ -93,8 +93,8 @@ def test_word_count_matches_reference(text):
 
 
 def test_standin_memo_bounds(monkeypatch):
-    monkeypatch.setattr(tokens, "STANDIN_MEMO_SIZE", 4)
-    monkeypatch.setattr(tokens, "STANDIN_MEMO_MAX_LEN", 5)
+    monkeypatch.setattr(tokens._standins, "size", 4)
+    monkeypatch.setattr(tokens._standins, "max_len", 5)
     tokens._standins.clear()
     tok = WordRegexTokenizer()
     runs = ["\u00e9", "\u00fc", "\u4e2d\u6587", "\u00e9, ", "\u3000", "\U0001f680 ", "\u00e9" * 5, "\u00e9" * 6, "\u6d4b " * 4]
@@ -375,8 +375,8 @@ def test_bpe_memo_bound(monkeypatch):
     expected = [unbounded.count(text) for text in texts]
     bound = 8
     assert len(unbounded._chunks) > 4 * bound  # the bounded memo must start over
-    monkeypatch.setattr(tokens, "CHUNK_MEMO_SIZE", bound)
     tok = make_tokenizer("bpe", *paths)
+    monkeypatch.setattr(tok._chunks, "size", bound)
     for text, n in zip(texts, expected):
         assert tok.count(text) == n
         assert len(tok._chunks) <= bound
