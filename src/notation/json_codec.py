@@ -47,7 +47,7 @@ from json.encoder import encode_basestring
 
 from ._record import record
 from .errors import DuplicateKeyError, ParseError
-from .values import NULL, Array, Bool, Null, Number, Object, StructSignature, Text, Value, _collector_paused
+from .values import Array, Number, Object, StructSignature, Value, _box, _collector_paused, _unbox
 
 __all__ = ["JsonStyle", "MINIMAL", "encode_json", "decode_json", "Scanner"]
 
@@ -79,7 +79,7 @@ encode_string = encode_basestring
 def encode_json(v: Value, style: JsonStyle = MINIMAL) -> str:
     """The JSON text of ``v``: ``_emit``'s pieces, re-spaced when ``style`` has an indent, then joined."""
     pieces: list[str] = []
-    _emit(v, pieces, {})
+    _emit(_unbox(v, "document"), pieces, {})
     if style.indent is not None:
         step = " " * style.indent
         pad = "\n"
@@ -97,21 +97,23 @@ def encode_json(v: Value, style: JsonStyle = MINIMAL) -> str:
     return "".join(pieces)
 
 
-def _emit(v: Value, out: list[str], index: dict[StructSignature, str]) -> None:
-    """Append the minimal JSON text of ``v`` to ``out``, piece by piece.
+def _emit(v, out: list[str], index: dict[StructSignature, str]) -> None:
+    """Append the minimal JSON text of the stored value ``v`` to ``out``, piece by piece.
 
+    ``v`` is a node or a plain leaf (a ``str``, ``True``, ``False`` or
+    ``None``), as a container stores its children; a caller unboxes a root.
     With a non-empty class index this is TRON's body writer: an object whose
     key tuple has a class name is written positionally as ``Name(a1,...)``.
     Every container appends a separator after each child and then overwrites
-    the last one with its closing bracket. Text and Number children, the
+    the last one with its closing bracket. String and Number children, the
     most common, are written inside the container loops, which saves a call
     per scalar. With no class index every piece is one token (an opening or
     closing bracket, a comma, a ``"key":``, a scalar, or an empty ``{}`` or
     ``[]``), and ``encode_json``'s re-spacing loop relies on that.
     """
     t = type(v)
-    if t is Text:
-        out.append(encode_string(v[1]))
+    if t is str:
+        out.append(encode_string(v))
         return
     if t is Number:
         out.append(v[1])
@@ -131,8 +133,8 @@ def _emit(v: Value, out: list[str], index: dict[StructSignature, str]) -> None:
                 out.append(encode_string(keys[i]) + ":")
                 i += 1
                 t = type(x)
-                if t is Text:
-                    out.append(encode_string(x[1]))
+                if t is str:
+                    out.append(encode_string(x))
                 elif t is Number:
                     out.append(x[1])
                 else:
@@ -150,19 +152,19 @@ def _emit(v: Value, out: list[str], index: dict[StructSignature, str]) -> None:
             return
         out.append("[")
         close = "]"
-    elif t is Bool:
-        out.append("true" if v[1] else "false")
-        return
-    elif t is Null:
+    elif v is None:
         out.append("null")
+        return
+    elif t is bool:
+        out.append("true" if v else "false")
         return
     else:
         raise TypeError(f"not a Value: {v!r}")
     # the items of an array or the args of a class instance
     for x in items:
         t = type(x)
-        if t is Text:
-            out.append(encode_string(x[1]))
+        if t is str:
+            out.append(encode_string(x))
         elif t is Number:
             out.append(x[1])
         else:
@@ -183,8 +185,8 @@ _hex4 = re.compile(r"[0-9a-fA-F]{4}").match
 _number = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]*)?([eE][+-]?[0-9]*)?").match
 
 _SIMPLE_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
-# the one table of literal nodes; toon_codec reads it too
-_LITERALS = {"true": Bool(True), "false": Bool(False), "null": NULL}
+# the one table of literals, as a container stores them; toon_codec reads it too
+_LITERALS = {"true": True, "false": False, "null": None}
 _new = tuple.__new__
 
 # nesting cap keeps hostile input from exhausting the interpreter stack;
@@ -228,12 +230,13 @@ class Scanner:
         self.pos += 1
 
     def parse_document(self) -> Value:
+        """The document's value, a scalar root boxed; values below it are stored plain."""
         self.skip_ws()
         v = self.parse_value()
         self.skip_ws()
         if not self.at_end():
             raise self.error("trailing content after document")
-        return v
+        return _box(v)
 
     def parse_value(self) -> Value:
         self.depth += 1
@@ -251,7 +254,7 @@ class Scanner:
         if ch == "[":
             return _new(Array, (Array, tuple(self.parse_items("]", "array"))))
         if ch == '"':
-            return _new(Text, (Text, self.parse_string()))
+            return self.parse_string()
         if ch == "-" or "0" <= ch <= "9":
             return _new(Number, (Number, self.parse_number_literal()))
         for literal, value in _LITERALS.items():
@@ -428,19 +431,18 @@ _escapes = re.compile(
     r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)", re.S
 ).findall
 
-_TRUE = _LITERALS["true"]
-_FALSE = _LITERALS["false"]
 
+def _build(x, depth: int, classes: dict[str, StructSignature] | None):
+    """The stored value of the stdlib result ``x``, a value ``depth`` values deep.
 
-def _build(x, depth: int, classes: dict[str, StructSignature] | None) -> Value:
-    """The node tree of the stdlib result ``x``, a value ``depth`` values deep.
-
-    With a class table, a list ``[_OPEN, name, args, _CLOSE]`` is an
-    instance of a declared class with as many args as it has fields; it is
-    one value, and its args are one value deeper. Raises ValueError on
-    a duplicate key, on a non-empty container at ``MAX_NESTING``, whose
-    children would be past the cap, and on an instance mark anywhere else.
-    Text children, the most common, are built in the loops.
+    Containers become nodes; a string, ``True``, ``False`` or ``None`` is
+    already the plain leaf a container stores, so it is kept as it is, and
+    string children, the most common, are never passed down. With a class
+    table, a list ``[_OPEN, name, args, _CLOSE]`` is an instance of a
+    declared class with as many args as it has fields; it is one value, and
+    its args are one value deeper. Raises ValueError on a duplicate key, on
+    a non-empty container at ``MAX_NESTING``, whose children would be past
+    the cap, and on an instance mark anywhere else.
     """
     t = type(x)
     if t is tuple:
@@ -451,7 +453,7 @@ def _build(x, depth: int, classes: dict[str, StructSignature] | None) -> Value:
         depth += 1
         members = {}
         for k, v in x:
-            members[k] = _new(Text, (Text, v)) if type(v) is str else _build(v, depth, classes)
+            members[k] = v if type(v) is str else _build(v, depth, classes)
         if len(members) != len(x):
             raise ValueError("duplicate key")
         return _new(Object, (Object, tuple(members), tuple(members.values())))
@@ -466,31 +468,21 @@ def _build(x, depth: int, classes: dict[str, StructSignature] | None) -> Value:
             if fields is None or len(fields) != len(x[2]):
                 raise ValueError("not an instance of a declared class")
             # declared fields are distinct
-            x = x[2]
-            args = [_new(Text, (Text, v)) if type(v) is str else _build(v, depth, classes) for v in x]
+            args = [v if type(v) is str else _build(v, depth, classes) for v in x[2]]
             return _new(Object, (Object, fields, tuple(args)))
-        return _new(
-            Array, (Array, tuple([_new(Text, (Text, v)) if type(v) is str else _build(v, depth, classes) for v in x]))
-        )
-    if t is str:
-        return _new(Text, (Text, x))
-    if t is Number:
+        return _new(Array, (Array, tuple([v if type(v) is str else _build(v, depth, classes) for v in x])))
+    if t is str or t is Number or t is bool or x is None:
         return x
-    if x is None:
-        return NULL
-    if x is True:
-        return _TRUE
-    if x is False:
-        return _FALSE
     raise ValueError("instance mark out of place")
 
 
 def _accept(text: str, decode, classes: dict[str, StructSignature] | None) -> Value | None:
-    """The nodes of ``text`` read by the stdlib's ``decode``, or None when it does not accept them.
+    """The value of ``text`` read by the stdlib's ``decode``, or None when it is not accepted.
 
-    None means the reject path must read the text: it holds a raw surrogate
-    code point, ``decode`` rejects it, ``_build`` refuses its result, or it
-    has a surrogate escape that is not half of a pair.
+    A scalar root is boxed, so a null root is never taken for None. None
+    means the reject path must read the text: it holds a raw surrogate code
+    point, ``decode`` rejects it, ``_build`` refuses its result, or it has a
+    surrogate escape that is not half of a pair.
     """
     try:
         if not text.isascii():
@@ -499,7 +491,7 @@ def _accept(text: str, decode, classes: dict[str, StructSignature] | None) -> Va
         if _surrogate_escape(text) is not None and any(_escapes(text)):
             # a lone surrogate cannot be written out as UTF-8
             return None
-        return v
+        return _box(v)
     except (ValueError, RecursionError):
         # UnicodeEncodeError and the stdlib's JSONDecodeError are
         # ValueErrors; RecursionError is deep nesting in the C scanner

@@ -34,13 +34,11 @@ from .json_codec import MAX_NESTING, _LITERALS
 from .values import (
     NUMBER_LITERAL_RE,
     Array,
-    Bool,
-    Null,
     Number,
     Object,
     StructSignature,
-    Text,
     Value,
+    _box,
     _collector_paused,
 )
 
@@ -68,8 +66,8 @@ class ArrayShape(Enum):
     ITEM_LIST = "item_list"
 
 
-_SCALAR_TYPES = frozenset((Null, Bool, Number, Text))
-_EMPTY_TEXT = Text("")
+# the types of the scalars a container stores
+_SCALAR_TYPES = frozenset((type(None), bool, Number, str))
 
 
 def classify_array(arr: Array) -> tuple[ArrayShape, StructSignature | None]:
@@ -83,7 +81,7 @@ def classify_array(arr: Array) -> tuple[ArrayShape, StructSignature | None]:
         if sig and all(x[1] == sig for x in items):
             cells = [v for x in items for v in x[2]]
             # an empty cell would read back as a missing one
-            if set(map(type, cells)) <= _SCALAR_TYPES and _EMPTY_TEXT not in cells:
+            if set(map(type, cells)) <= _SCALAR_TYPES and "" not in cells:
                 return ArrayShape.UNIFORM_TABLE, sig
     return ArrayShape.ITEM_LIST, None
 
@@ -118,15 +116,16 @@ _scalar_text = Memo(partial(_bare_or_quoted, _is_bare_scalar), 4096, 128)
 _key_text = Memo(partial(_bare_or_quoted, _is_bare_key), 4096, 128)
 
 
-def encode_scalar(v: Value) -> str:
+def encode_scalar(v) -> str:
+    """The TOON text of a stored scalar: a ``str``, a Number, ``True``, ``False`` or ``None``."""
     t = type(v)
-    if t is Text:
-        return _scalar_text[v[1]]
+    if t is str:
+        return _scalar_text[v]
     if t is Number:
         return v[1]
-    if t is Bool:
-        return "true" if v[1] else "false"
-    if t is Null:
+    if t is bool:
+        return "true" if v else "false"
+    if v is None:
         return "null"
     raise TypeError(f"not a scalar: {v!r}")
 
@@ -155,8 +154,8 @@ def _emit_fields(keys: StructSignature, values: tuple[Value, ...], depth: int, o
     for k, v in zip(keys, values):
         head = pad + _key_text[k]
         t = type(v)
-        if t is Text:
-            out.append(head + ": " + _scalar_text[v[1]])
+        if t is str:
+            out.append(head + ": " + _scalar_text[v])
         elif t is Object:
             out.append(head + ":")
             _emit_fields(v[1], v[2], depth + 1, out)
@@ -442,27 +441,26 @@ def _take_quoted(s: str, idx: int, lineno: int) -> tuple[str, int]:
         idx = end + 2
 
 
-def _classify_bare(token: str) -> Value:
-    literal = _LITERALS.get(token)
-    if literal is not None:
-        return literal
+def _classify_bare(token: str):
+    if token in _LITERALS:
+        return _LITERALS[token]
     if _is_number(token):
         return _new(Number, (Number, token))
-    return _new(Text, (Text, token))
+    return token
 
 
-def _parse_scalar_rest(rest: str, lineno: int) -> Value:
-    """Whole remainder of a line as one scalar."""
+def _parse_scalar_rest(rest: str, lineno: int):
+    """Whole remainder of a line as one stored scalar."""
     if rest.startswith('"'):
         text, idx = _take_quoted(rest, 0, lineno)
         if rest[idx:]:
             raise ParseError("trailing content after quoted string", line=lineno)
-        return _new(Text, (Text, text))
+        return text
     return _classify_bare(rest)
 
 
-def _split_cells(s: str, lineno: int) -> list[Value]:
-    """Comma-separated scalar cells; quoted cells may contain commas.
+def _split_cells(s: str, lineno: int) -> list:
+    """Comma-separated stored scalar cells; quoted cells may contain commas.
 
     Text with no quote is split by ``str.split``; an empty piece is an empty
     cell.
@@ -473,8 +471,7 @@ def _split_cells(s: str, lineno: int) -> list[Value]:
             raise ParseError("empty cell", line=lineno)
         # _classify_bare of each token, inlined
         return [
-            _LITERALS.get(t) or (_new(Number, (Number, t)) if _is_number(t) else _new(Text, (Text, t)))
-            for t in tokens
+            _LITERALS[t] if t in _LITERALS else _new(Number, (Number, t)) if _is_number(t) else t for t in tokens
         ]
     cells: list[Value] = []
     idx = 0
@@ -482,7 +479,7 @@ def _split_cells(s: str, lineno: int) -> list[Value]:
     while True:
         if idx < n and s[idx] == '"':
             text, idx = _take_quoted(s, idx, lineno)
-            cells.append(_new(Text, (Text, text)))
+            cells.append(text)
             if idx < n and s[idx] != ",":
                 raise ParseError("expected ',' after quoted cell", line=lineno)
         else:
@@ -512,5 +509,5 @@ def decode_toon(text: str, *, unwrap: bool = False) -> Value:
     if unwrap:
         if len(doc) != 1 or doc.keys != (WRAP_KEY,):
             raise ParseError(f"expected a single {WRAP_KEY!r} key to unwrap")
-        return doc[2][0]
+        return _box(doc[2][0])
     return doc

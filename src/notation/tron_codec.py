@@ -32,7 +32,7 @@ from .errors import (
     UnknownClassError,
 )
 from .json_codec import Scanner, _accept, _emit, _marked_decode, _stdlib_decode
-from .values import Array, Object, StructSignature, Value, _collector_paused
+from .values import Array, Object, StructSignature, Value, _collector_paused, _unbox
 
 __all__ = [
     "extract_classes",
@@ -101,7 +101,7 @@ def _render(index: dict[StructSignature, str], roots: list[Value]) -> str:
     if out:
         out.append("\n")
     for root in roots:
-        _emit(root, out, index)
+        _emit(_unbox(root, "document"), out, index)
         out.append("\n")
     out.pop()
     return "".join(out)

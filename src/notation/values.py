@@ -1,28 +1,36 @@
 """Format-neutral document tree shared by every codec.
 
 A document is an immutable tree of Null / Bool / Number / Text / Array /
-Object nodes. Numbers keep their exact decimal literal so "7.5" and "7"
+Object values. Numbers keep their exact decimal literal so "7.5" and "7"
 survive any encode/decode chain byte-for-byte. Objects preserve key
 insertion order and forbid duplicate keys.
 
-Each node is a tuple that starts with its own class as a tag. A scalar or
-an Array is laid out as ``(cls, field)``: the ``str`` of a Text, the literal
-of a Number, the ``bool`` of a Bool, ``None`` for Null, the tuple of items
-of an Array. An Object is laid out as ``(Object, keys, values)``: the tuple
-of its key strings, which is its shape (``StructSignature``), and the tuple
-of its child nodes in the same order. Objects decoded from one TOON table
-or as instances of one TRON class share one key tuple, and a key tuple
-holds only ``str``, so the cyclic collector untracks it. Tuple ``==`` and
-``hash`` are then exact about type (``Text("1") != Number("1")``,
-``Bool(True) != Number("1")``) and run in C. The tag's hash is its
-identity, so a node's hash differs from one process to the next; nothing
+Number, Array and Object are nodes: tuples that start with their own class
+as a tag. A Number is ``(Number, literal)`` and an Array ``(Array, items)``.
+An Object is ``(Object, keys, values)``: the tuple of its key strings, which
+is its shape (``StructSignature``), and the tuple of its children in the
+same order. Objects decoded from one TOON table or as instances of one TRON
+class share one key tuple.
+
+Inside a container, the plain leaves are stored as themselves: a string as
+its ``str``, a boolean as ``True`` or ``False`` and a null as ``None``. Most
+of a decoded document is such leaves, and the cyclic collector untracks a
+tuple that holds only them, as it does a key tuple. No raw number is ever
+stored, so tuple ``==`` and ``hash`` stay exact about type (``"1"`` is not
+``(Number, "1")``, and ``True`` is no Number) and run in C. The tag's hash is
+its identity, so a node's hash differs from one process to the next; nothing
 may order output by it.
 
-The public constructors check their fields as the grammar wants them.
-Decoders, which have already made those checks, build nodes directly with
+Text, Bool and Null are the public, boxed view of those leaves, laid out
+like a Number: ``(Text, str)``, ``(Bool, bool)``, ``(Null, None)``. The
+decoders, ``from_python`` and ``generate`` return a scalar root boxed;
+``Array.items``, ``Object.pairs`` and ``Object.get`` box each leaf they
+return; the public constructors check their fields and unbox what they are
+given, so a tree built by hand and a decoded one are equal. Decoders, which
+have already made those checks, build nodes directly with
 ``tuple.__new__(cls, (cls, field))`` or ``tuple.__new__(Object, (Object,
 keys, values))``, and the hot walkers read ``v[1]`` and ``v[2]`` instead of
-the named properties.
+the accessors.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ __all__ = [
 NUMBER_LITERAL_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\Z")
 
 _field = itemgetter(1)
+_new = tuple.__new__
 
 
 class Value(tuple):
@@ -73,7 +82,7 @@ class Null(Value):
     __slots__ = ()
 
     def __new__(cls) -> Null:
-        return tuple.__new__(cls, (cls, None))
+        return _new(cls, (cls, None))
 
     def __getnewargs__(self):
         return ()
@@ -91,10 +100,16 @@ class Bool(Value):
     value = property(_field)
 
     def __new__(cls, value: bool) -> Bool:
-        return tuple.__new__(cls, (cls, value))
+        if type(value) is not bool:
+            raise TypeError(f"Bool value must be a bool, not {type(value).__name__}")
+        return _new(cls, (cls, value))
 
     def __repr__(self) -> str:
         return f"Bool(value={self[1]!r})"
+
+
+_TRUE = Bool(True)
+_FALSE = Bool(False)
 
 
 class Number(Value):
@@ -105,9 +120,11 @@ class Number(Value):
     literal = property(_field)
 
     def __new__(cls, literal: str) -> Number:
+        if not isinstance(literal, str):
+            raise TypeError(f"Number literal must be a str, not {type(literal).__name__}")
         if not NUMBER_LITERAL_RE.match(literal):
             raise ValueError(f"invalid number literal: {literal!r}")
-        return tuple.__new__(cls, (cls, literal))
+        return _new(cls, (cls, literal))
 
     def __repr__(self) -> str:
         return f"Number(literal={self[1]!r})"
@@ -119,25 +136,79 @@ class Text(Value):
     value = property(_field)
 
     def __new__(cls, value: str) -> Text:
-        return tuple.__new__(cls, (cls, value))
+        if not isinstance(value, str):
+            raise TypeError(f"Text value must be a str, not {type(value).__name__}")
+        # a str subclass is stored as a plain str, which is what the walkers dispatch on
+        return _new(cls, (cls, str.__str__(value)))
 
     def __repr__(self) -> str:
         return f"Text(value={self[1]!r})"
 
 
+def _box(x) -> Value:
+    """The public value of a stored child: a plain leaf boxed, a node as it is."""
+    t = type(x)
+    if t is str:
+        return _new(Text, (Text, x))
+    if x is None:
+        return NULL
+    if x is True:
+        return _TRUE
+    if x is False:
+        return _FALSE
+    return x
+
+
+def _unbox(v, field: str):
+    """The stored form of the Value ``v``: a Text, Bool or Null unboxed, a node as it is.
+
+    Anything that is not a Value is a TypeError that names ``field``.
+    """
+    t = type(v)
+    if t is Number or t is Array or t is Object:
+        return v
+    if t is Text or t is Bool or t is Null:
+        return v[1]
+    raise TypeError(f"{field} must be a Value, not {t.__name__}")
+
+
+def _object_value(v):
+    return _unbox(v, "Object value")
+
+
+def _object(pairs, child) -> Object:
+    """The Object of ``pairs``, each value stored as ``child`` returns it.
+
+    A key that is not a ``str`` is a TypeError, a repeated one a ValueError.
+    """
+    members = {}
+    for k, v in pairs:
+        if not isinstance(k, str):
+            raise TypeError(f"Object key must be a str, not {type(k).__name__}")
+        if k in members:
+            raise ValueError(f"duplicate object key: {k!r}")
+        members[k] = child(v)
+    return _new(Object, (Object, tuple(members), tuple(members.values())))
+
+
 class Array(Value):
     __slots__ = ()
 
-    items = property(_field)
-
     def __new__(cls, items=()) -> Array:
-        return tuple.__new__(cls, (cls, tuple(items)))
+        return _new(cls, (cls, tuple([_unbox(x, "Array item") for x in items])))
+
+    @property
+    def items(self) -> tuple[Value, ...]:
+        return tuple(map(_box, self[1]))
+
+    def __getnewargs__(self):
+        return (self.items,)
 
     def __len__(self) -> int:
         return len(self[1])
 
     def __repr__(self) -> str:
-        return f"Array(items={self[1]!r})"
+        return f"Array(items={self.items!r})"
 
 
 class Object(Value):
@@ -154,22 +225,19 @@ class Object(Value):
     def __new__(cls, pairs=()) -> Object:
         if isinstance(pairs, dict):
             pairs = pairs.items()
-        members = {}
-        for k, v in pairs:
-            if k in members:
-                raise ValueError(f"duplicate object key: {k!r}")
-            members[k] = v
-        return tuple.__new__(cls, (cls, tuple(members), tuple(members.values())))
+        return _object(pairs, _object_value)
 
     @property
     def pairs(self) -> tuple[tuple[str, Value], ...]:
-        return tuple(zip(self[1], self[2]))
+        return tuple(zip(self[1], map(_box, self[2])))
 
     def get(self, key: str) -> Value | None:
+        """The value at ``key`` (``NULL`` for a null), or None when there is no such key."""
         try:
-            return self[2][self[1].index(key)]
+            i = self[1].index(key)
         except ValueError:
             return None
+        return _box(self[2][i])
 
     def __getnewargs__(self):
         return (self.pairs,)
@@ -187,12 +255,13 @@ StructSignature = tuple[str, ...]
 def _collector_paused(fn):
     """``fn`` run with the cyclic garbage collector paused.
 
-    A decoder builds thousands of nodes per document, and every node is a
-    tuple the collector tracks and never untracks, so its young collections
-    would scan each new tree again and again. A node tree holds no
-    reference cycle (a node refers only to its class and to nodes built
-    before it), so those scans can never find garbage. The pause is
-    process-wide: cycles made by other threads wait until the call returns.
+    A decoder builds thousands of containers per document, and every
+    container node is a tuple the collector tracks and never untracks (it
+    holds its class), so its young collections would scan each new tree
+    again and again. A node tree holds no reference cycle (a node refers
+    only to its class, to plain leaves and to nodes built before it), so
+    those scans can never find garbage. The pause is process-wide: cycles
+    made by other threads wait until the call returns.
 
     When the collector is already off, ``fn`` runs as it is: the wrapper
     never turns on a collector its caller turned off, and a nested call
@@ -212,14 +281,14 @@ def _collector_paused(fn):
     return paused
 
 
-def from_python(obj) -> Value:
-    """Build a Value from plain Python data (dict/list/str/int/float/bool/None)."""
-    if obj is None:
-        return NULL
-    if isinstance(obj, Value):
+def _plain(obj):
+    """The stored form of plain Python data; see ``from_python``."""
+    if obj is None or obj is True or obj is False:
         return obj
-    if isinstance(obj, bool):
-        return Bool(obj)
+    if isinstance(obj, str):
+        return str.__str__(obj)
+    if isinstance(obj, Value):
+        return _unbox(obj, "value")
     if isinstance(obj, int):
         return Number(str(obj))
     if isinstance(obj, float):
@@ -227,13 +296,16 @@ def from_python(obj) -> Value:
         if literal in ("inf", "-inf", "nan"):
             raise ValueError(f"non-finite float not representable: {obj!r}")
         return Number(literal)
-    if isinstance(obj, str):
-        return Text(obj)
     if isinstance(obj, dict):
-        return Object((str(k), from_python(v)) for k, v in obj.items())
+        return _object(((str(k), v) for k, v in obj.items()), _plain)
     if isinstance(obj, (list, tuple)):
-        return Array(from_python(x) for x in obj)
+        return _new(Array, (Array, tuple([_plain(x) for x in obj])))
     raise TypeError(f"cannot convert {type(obj).__name__} to Value")
+
+
+def from_python(obj) -> Value:
+    """Build a Value from plain Python data (dict/list/str/int/float/bool/None)."""
+    return _box(_plain(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +431,7 @@ def _gen_string(rng: random.Random, profile: GenProfile) -> str:
     return _gen_word(rng, 8)
 
 
-def _gen_key(rng: random.Random, profile: GenProfile, used: set[str]) -> str:
+def _gen_key(rng: random.Random, profile: GenProfile, used: set[str] | dict[str, object]) -> str:
     for _ in range(32):
         if profile.key_pool and rng.random() < 0.4:
             key = rng.choice(profile.key_pool)
@@ -374,29 +446,31 @@ def _gen_key(rng: random.Random, profile: GenProfile, used: set[str]) -> str:
     return f"k{n}"
 
 
-def _gen_scalar(rng: random.Random, profile: GenProfile) -> Value:
+# The generator builds the stored form, plain leaves included; generate boxes
+# a scalar root.
+
+
+def _gen_scalar(rng: random.Random, profile: GenProfile):
     roll = rng.random()
     if roll < 0.1:
-        return NULL
+        return None
     if roll < 0.2:
-        return Bool(rng.random() < 0.5)
+        return rng.random() < 0.5
     if roll < 0.4:
         return Number(str(rng.randint(-1000, 1000)))
     if roll < 0.55:
         whole = rng.randint(-99, 99)
         frac = rng.randint(0, 999)
         return Number(f"{whole}.{frac:03d}" if rng.random() < 0.7 else f"{whole}e{rng.randint(-3, 3)}")
-    return Text(_gen_string(rng, profile))
+    return _gen_string(rng, profile)
 
 
 def _gen_object(rng: random.Random, profile: GenProfile, depth: int) -> Object:
-    used: set[str] = set()
-    pairs = []
+    members = {}
     for _ in range(rng.randint(0, profile.max_object_keys)):
-        key = _gen_key(rng, profile, used)
-        used.add(key)
-        pairs.append((key, _gen_node(rng, profile, depth + 1)))
-    return Object(pairs)
+        key = _gen_key(rng, profile, members)
+        members[key] = _gen_node(rng, profile, depth + 1)
+    return _new(Object, (Object, tuple(members), tuple(members.values())))
 
 
 def _gen_table(rng: random.Random, profile: GenProfile) -> Array:
@@ -408,23 +482,24 @@ def _gen_table(rng: random.Random, profile: GenProfile) -> Array:
         key = _gen_key(rng, profile, used)
         used.add(key)
         keys.append(key)
+    keys = tuple(keys)
     out = []
     for _ in range(rows):
         cells = []
-        for key in keys:
+        for _key in keys:
             if rng.random() < 0.5:
-                cells.append((key, Number(str(rng.randint(0, 99)))))
+                cells.append(Number(str(rng.randint(0, 99))))
             else:
-                cells.append((key, Text(rng.choice(profile.cell_pool))))
-        out.append(Object(cells))
-    return Array(out)
+                cells.append(rng.choice(profile.cell_pool))
+        out.append(_new(Object, (Object, keys, tuple(cells))))
+    return _new(Array, (Array, tuple(out)))
 
 
 def _gen_array(rng: random.Random, profile: GenProfile, depth: int) -> Array:
     n = rng.randint(0, profile.max_array_len)
     kind = rng.random()
     if kind < 0.4:
-        return Array(_gen_scalar(rng, profile) for _ in range(n))
+        return _new(Array, (Array, tuple([_gen_scalar(rng, profile) for _ in range(n)])))
     if kind < 0.7 and depth < profile.max_depth:
         # uniform object rows exercise the tabular path
         sub = GenProfile(
@@ -438,7 +513,7 @@ def _gen_array(rng: random.Random, profile: GenProfile, depth: int) -> Array:
             cell_pool=profile.cell_pool,
         )
         return _gen_table(rng, sub)
-    return Array(_gen_node(rng, profile, depth + 1) for _ in range(n))
+    return _new(Array, (Array, tuple([_gen_node(rng, profile, depth + 1) for _ in range(n)])))
 
 
 def _gen_node(rng: random.Random, profile: GenProfile, depth: int) -> Value:
@@ -458,5 +533,5 @@ def generate(seed: int, profile: GenProfile = DEFAULT_PROFILE) -> Value:
     if profile.tabular:
         return _gen_table(rng, profile)
     if profile.max_depth == 0:
-        return _gen_scalar(rng, profile)
-    return _gen_node(rng, profile, 0)
+        return _box(_gen_scalar(rng, profile))
+    return _box(_gen_node(rng, profile, 0))

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from notation import json_codec, tron_codec
 from notation.json_codec import Scanner, decode_json, encode_json
 from notation.toon_codec import decode_toon, encode_toon
-from notation.tron_codec import decode_tron_batch, encode_tron, encode_tron_batch
+from notation.tron_codec import decode_tron, decode_tron_batch, encode_tron, encode_tron_batch
 from notation.values import (
     DEFAULT_PROFILE,
     DELIMITER_PROFILE,
@@ -144,6 +145,42 @@ def test_number_keeps_literal():
         Number("07")
     with pytest.raises(ValueError):
         Number("nan")
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda: Bool("no"), "Bool value must be a bool, not str"),
+        (lambda: Bool(1), "Bool value must be a bool, not int"),
+        (lambda: Text(5), "Text value must be a str, not int"),
+        (lambda: Text(b"a"), "Text value must be a str, not bytes"),
+        (lambda: Number(1), "Number literal must be a str, not int"),
+        (lambda: Array([1]), "Array item must be a Value, not int"),
+        (lambda: Array(["a"]), "Array item must be a Value, not str"),
+        (lambda: Array([None]), "Array item must be a Value, not NoneType"),
+        (lambda: Object([(1, NULL)]), "Object key must be a str, not int"),
+        (lambda: Object([("a", "x")]), "Object value must be a Value, not str"),
+        (lambda: Object({"a": True}), "Object value must be a Value, not bool"),
+    ],
+)
+def test_constructors_check_their_fields(make, field):
+    with pytest.raises(TypeError, match=f"^{field}$"):
+        make()
+
+
+def test_constructors_store_what_decoding_stores():
+    # a tree built by hand encodes and decodes back to itself, leaf types included
+    v = Object([("a", Bool(False)), ("b", Array([Text("x"), NULL]))])
+    assert decode_json(encode_json(v)) == v == from_python({"a": False, "b": ["x", None]})
+    assert Bool(False) != Bool(True) and Text("1") != Number("1")
+    # a str subclass is stored as a plain str
+    text = Text(type("Name", (str,), {})("n"))
+    assert type(text.value) is str and Array([text]) == from_python(["n"])
+    assert Array([text])[1] == ("n",) and type(Array([text])[1][0]) is str
+    # copy and pickle rebuild through the checked constructors, from boxed items
+    arr = Array([Text("a"), Bool(True), NULL, Number("1")])
+    assert arr.__getnewargs__() == ((Text("a"), Bool(True), NULL, Number("1")),)
+    assert Object([("k", Text("v"))]).__getnewargs__() == ((("k", Text("v")),),)
 
 
 def test_key_order_sensitivity():
@@ -299,15 +336,46 @@ def objects_in(v):
             yield from objects_in(x)
 
 
+def stored_children(v):
+    """Every child stored below the node ``v``, depth first."""
+    t = type(v)
+    for x in v[2] if t is Object else v[1] if t is Array else ():
+        yield x
+        yield from stored_children(x)
+
+
+def built_by_hand(v):
+    """``v`` rebuilt through the public constructors only, from its accessors."""
+    if isinstance(v, Object):
+        return Object([(k, built_by_hand(x)) for k, x in v.pairs])
+    if isinstance(v, Array):
+        return Array([built_by_hand(x) for x in v.items])
+    return type(v)(*v.__getnewargs__())
+
+
+def assert_plain_leaves(v, where):
+    kinds = {type(x) for x in stored_children(v)}
+    assert kinds <= {str, bool, type(None), Number, Array, Object}, (where, kinds)
+
+
 def test_every_decode_path_builds_the_constructors_nodes():
     built = from_python(LAYOUT_DOC)
-    for path, got in decode_paths(built).items():
+    paths = {**decode_paths(built), "from_python": built, "constructors": built_by_hand(built)}
+    for path, got in paths.items():
         assert got == built and hash(got) == hash(built), path
         assert repr(got) == repr(built), path
         for obj in objects_in(got):
             assert len(obj) == len(obj.keys) == len(obj[2]), path
             assert type(obj[1]) is tuple and type(obj[2]) is tuple, path
             assert all(type(k) is str for k in obj.keys), path
+        # no Text, Bool or Null below the root: the leaves are there, stored plain
+        assert_plain_leaves(got, path)
+        assert {str, bool, type(None)} <= {type(x) for x in stored_children(got)}, path
+    for seed in range(40):
+        for profile in (DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE):
+            v = generate(seed, profile)
+            assert_plain_leaves(v, ("generate", seed))
+            assert built_by_hand(v) == v and from_python(v) == v
 
 
 def test_keys_is_the_stored_tuple_and_pairs_is_built_from_it():
@@ -338,3 +406,109 @@ def test_decoded_objects_copy_and_pickle():
         for other in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
             assert other == got and hash(other) == hash(got)
             assert repr(other) == repr(got)
+
+
+# ---------------------------------------------------------------------------
+# Plain leaves: below the root, a string is stored as its str, a boolean as
+# True or False, a null as None. The accessors and every scalar root box them.
+
+
+def test_accessors_box_the_leaves():
+    built = from_python(LAYOUT_DOC)
+    for path, got in decode_paths(built).items():
+        meta = got.get("meta")
+        assert [type(x) for _, x in meta.pairs] == [Text, Null, Bool, Object, Object], path
+        assert meta.get("k") == Text("v") and type(meta.get("k")) is Text, path
+        assert meta.get("t") == Bool(True) and type(meta.get("t")) is Bool, path
+        # a present null is NULL; only a missing key gives None
+        assert meta.get("n") is NULL and meta.get("missing") is None, path
+        assert got.get("") == Text("empty key"), path
+        row = got.get("rows").items[0]
+        assert row.pairs == (("id", Number("1")), ("name", Text("a"))), path
+        assert type(row.get("name")) is Text, path
+        assert [type(x) for x in got.get("meta").get("deep").get("x").items] == [Number, Object], path
+    assert Array([Text("a"), Bool(False), NULL]).items == (Text("a"), Bool(False), NULL)
+    assert [type(x) for x in Array([Text("a"), Bool(False), NULL]).items] == [Text, Bool, Null]
+
+
+SCALARS = [Text("s"), Text(""), Text("null"), Bool(True), Bool(False), NULL, Number("0")]
+
+
+@pytest.mark.parametrize("root", SCALARS, ids=repr)
+def test_a_scalar_root_comes_back_boxed(root):
+    text = encode_json(root)
+    classes, body = tron_codec._split_header(encode_tron(root))
+    got = {
+        "json": decode_json(text),
+        "json Scanner": Scanner(text).parse_document(),
+        "toon": decode_toon(encode_toon(root), unwrap=True),
+        "tron": decode_tron(encode_tron(root)),
+        "tron _TronScanner": tron_codec._TronScanner(body, classes).parse_document(),
+        "tron batch": decode_tron_batch(encode_tron_batch([root, root]))[1],
+        "from_python": from_python(root),
+    }
+    for path, v in got.items():
+        assert v == root and type(v) is type(root) and repr(v) == repr(root), path
+
+
+def test_from_python_and_generate_box_a_scalar_root():
+    got = [from_python(x) for x in ("s", True, False, None)]
+    assert got == [Text("s"), Bool(True), Bool(False), NULL]
+    assert [type(v) for v in got] == [Text, Bool, Bool, Null]
+    kinds = {type(generate(seed, GenProfile(max_depth=0))) for seed in range(60)}
+    assert kinds == {Text, Bool, Null, Number}
+
+
+def test_the_values_of_a_decoded_all_string_object_are_untracked():
+    doc = Object([("a", Text("x")), ("b", Text("y")), ("c", NULL), ("d", Bool(True))])
+    decoded = [decode_json(encode_json(doc)), decode_toon(encode_toon(doc)), decode_tron(encode_tron(doc))]
+    decoded += decode_tron_batch(encode_tron_batch([doc, doc]))
+    gc.collect()
+    for v in decoded:
+        assert v == doc
+        assert not gc.is_tracked(v[1]) and not gc.is_tracked(v[2]), v
+    # a node holds its class, so the collector keeps tracking it
+    assert all(gc.is_tracked(v) for v in decoded)
+
+
+# Falsy leaves: false, null, "", 0 and the strings that spell them keep their
+# type through every construct of each format.
+FALSY = [Bool(False), NULL, Text(""), Number("0"), Text("false"), Text("null"), Text("0")]
+FALSY_PLAIN = [Bool(False), NULL, Number("0")]
+
+
+def _rows(cells):
+    return Array([Object([(f"c{i}", x) for i, x in enumerate(cells)])] * 2)
+
+
+# (document, a piece its TOON text must hold), one per construct
+FALSY_DOCUMENTS = [
+    pytest.param(Object([("rows", _rows(FALSY_PLAIN))]), "rows[2]{c0,c1,c2}:\n  false,null,0", id="table"),
+    pytest.param(Object([("rows", _rows([x for x in FALSY if x != Text("")]))]), "rows[2]{", id="quoted table"),
+    pytest.param(Object([("xs", Array(FALSY_PLAIN))]), "xs[3]: false,null,0", id="inline"),
+    pytest.param(Object([("xs", Array(FALSY))]), "xs[7]: false,null,", id="quoted inline"),
+    pytest.param(Object([("xs", Array([*FALSY, Array(FALSY), Object([("k", NULL)])]))]), "  - false", id="items"),
+    pytest.param(Object([("o", Object([(f"k{i}", x) for i, x in enumerate(FALSY)]))]), "  k0: false", id="key: scalar"),
+    *(pytest.param(x, None, id=f"root {x!r}") for x in FALSY),
+]
+
+
+@pytest.mark.parametrize("doc,piece", FALSY_DOCUMENTS)
+def test_falsy_leaves_keep_their_type(doc, piece):
+    toon = encode_toon(doc)
+    if piece is not None:
+        assert piece in toon, toon
+    wrapped = not isinstance(doc, Object)
+    batch = encode_tron_batch([doc, doc])
+    if not wrapped:
+        # each shape is met twice in the batch, so every object is a TRON instance
+        assert batch.startswith("class A: ") and "{" not in batch.split("\n\n", 1)[1], batch
+    got = {
+        "json": decode_json(encode_json(doc)),
+        "json array": decode_json(encode_json(Array([doc, doc]))).items[1],
+        "toon": decode_toon(toon, unwrap=wrapped),
+        "tron": decode_tron(encode_tron(doc)),
+        "tron batch": decode_tron_batch(batch)[1],
+    }
+    for path, v in got.items():
+        assert v == doc and repr(v) == repr(doc), path
