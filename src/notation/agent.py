@@ -19,7 +19,13 @@ from ._record import record
 from .errors import CodecError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_doc, encode_batch, encode_doc, lookup
 from .json_codec import decode_json, encode_json
-from .values import Array, Bool, Object, Text, Value
+from .values import Array, Bool, Object, Text, Value, _box
+
+# The replay loop builds the records that have no __new__ of their own (Span,
+# TurnRecord, ParseOutcome, Step) with tuple.__new__, as the decoders build
+# nodes: a namedtuple's own __new__ costs about twice as much. A record that
+# gains a check in __new__ must go back to being built by its constructor.
+_new = tuple.__new__
 
 __all__ = [
     "ToolSchema",
@@ -124,7 +130,8 @@ class ParseFailure(Exception):
     STAGES = ("think", "fence", "decode", "shape")
 
     def __init__(self, stage: str, detail: str):
-        assert stage in self.STAGES
+        if stage not in self.STAGES:
+            raise ValueError(f"unknown parse stage {stage!r}; expected one of {', '.join(self.STAGES)}")
         self.stage = stage
         self.detail = detail
         super().__init__(f"{stage}: {detail}")
@@ -150,19 +157,21 @@ class ScriptExhaustedError(Exception):
 def _value_to_envelope(v: Value) -> Envelope:
     if not isinstance(v, Object):
         raise ParseFailure("shape", "document root must be an object")
-    keys = frozenset(v.keys)
-    if keys == STEP_KEYS:
-        thought = v.get("thought")
-        action = v.get("action")
-        if not isinstance(thought, Text) or not isinstance(action, Text):
+    # read the stored key and value tuples: a text child is stored as its str
+    keys, values = v[1], v[2]
+    key_set = frozenset(keys)
+    if key_set == STEP_KEYS:
+        thought = values[keys.index("thought")]
+        action = values[keys.index("action")]
+        if type(thought) is not str or type(action) is not str:
             raise ParseFailure("shape", "thought and action must be text")
-        return Step(thought.value, action.value, v.get("arguments"))
-    if keys == FINAL_KEYS:
-        answer = v.get("final_answer")
-        if not isinstance(answer, Text):
+        return _new(Step, (thought, action, _box(values[keys.index("arguments")])))
+    if key_set == FINAL_KEYS:
+        answer = values[0]
+        if type(answer) is not str:
             raise ParseFailure("shape", "final_answer must be text")
-        return Final(answer.value)
-    raise ParseFailure("shape", f"unexpected key set {sorted(keys)}")
+        return Final(answer)
+    raise ParseFailure("shape", f"unexpected key set {sorted(key_set)}")
 
 
 class ParseOutcome(record("ParseOutcome", "envelope", "failure", "think_stripped", "fence_extracted", "document")):
@@ -205,7 +214,7 @@ def parse_envelope_outcome(raw: str, expected_format: str) -> ParseOutcome:
         envelope = _value_to_envelope(value)
     except ParseFailure as e:
         return ParseOutcome(None, e, think_stripped, fence_extracted, document)
-    return ParseOutcome(envelope, None, think_stripped, fence_extracted, document)
+    return _new(ParseOutcome, (envelope, None, think_stripped, fence_extracted, document))
 
 
 # ---------------------------------------------------------------------------
@@ -402,29 +411,25 @@ def _error_observation(stage: str, out_fmt: str) -> str:
 
 def _render_emission(turn: ScriptTurn, out_fmt: str) -> str:
     doc = _render_doc(turn.intent, out_fmt)
-    parts = []
-    if turn.think is not None:
-        parts.append(f"{THINK_OPEN}{turn.think}{THINK_CLOSE}\n")
     if turn.fenced:
-        parts.append(f"{FENCE}{out_fmt}\n{doc}\n{FENCE}")
-    else:
-        parts.append(doc)
-    return "".join(parts)
+        doc = f"{FENCE}{out_fmt}\n{doc}\n{FENCE}"
+    if turn.think is not None:
+        doc = f"{THINK_OPEN}{turn.think}{THINK_CLOSE}\n{doc}"
+    return doc
 
 
-def _completion_spans(raw: str, outcome: ParseOutcome, turn: int) -> list[Span]:
-    """Split a raw emission into chrome and the call document."""
-    if not outcome.ok or not isinstance(outcome.envelope, Step):
-        return [Span(raw, "other", "completion", turn)]
-    doc = outcome.document
+def _completion_spans(raw: str, envelope: Envelope | None, doc: str, turn: int) -> list[Span]:
+    """Split a raw emission into chrome and the call document ``doc`` of a parsed ``envelope``."""
+    if type(envelope) is not Step:
+        return [_new(Span, (raw, "other", "completion", turn))]
     # doc is in raw: parse_envelope_outcome only slices raw, and no empty text decodes to a Step
     i = raw.find(doc)
     spans = []
-    if raw[:i]:
-        spans.append(Span(raw[:i], "other", "completion", turn))
-    spans.append(Span(doc, "call", "completion", turn))
+    if i:
+        spans.append(_new(Span, (raw[:i], "other", "completion", turn)))
+    spans.append(_new(Span, (doc, "call", "completion", turn)))
     if raw[i + len(doc) :]:
-        spans.append(Span(raw[i + len(doc) :], "other", "completion", turn))
+        spans.append(_new(Span, (raw[i + len(doc) :], "other", "completion", turn)))
     return spans
 
 
@@ -437,12 +442,14 @@ def run_trajectory(
 ) -> TrajectoryRecord:
     """Drive the loop to a final answer, the iteration cap, or an abort."""
     spans = build_system_prompt_spans(catalog, cfg)
-    spans.append(Span(f"\nTask: {task}\n", "other", "prompt", 0))
+    spans.append(_new(Span, (f"\nTask: {task}\n", "other", "prompt", 0)))
     turns: list[TurnRecord] = []
     status, answer = "iteration_cap", None
     tool_names = {s.name for s in catalog}
     out_fmt = cfg.output_format
-    rng = random.Random(cfg.seed)
+    failure_rate = cfg.failure_rate
+    # a run at rate 0 never draws, so it makes no generator
+    rng = random.Random(cfg.seed) if failure_rate > 0 else None
     idx = 0
     attempts = 0  # emissions of the current script position
     for iteration in range(1, cfg.max_iterations + 1):
@@ -450,20 +457,19 @@ def run_trajectory(
         raw = _render_emission(script_turn, out_fmt)
         if script_turn.corrupt is not None and attempts == 0:
             raw = corrupt_text(raw, script_turn.corrupt)
-        elif cfg.failure_rate > 0 and rng.random() < cfg.failure_rate:
+        elif failure_rate > 0 and rng.random() < failure_rate:
             raw = corrupt_text(raw, rng.choice(MUTATOR_KINDS))
         attempts += 1
-        outcome = parse_envelope_outcome(raw, out_fmt)
-        spans.extend(_completion_spans(raw, outcome, iteration))
-        failure, envelope = outcome.failure, outcome.envelope
+        envelope, failure, think_stripped, fence_extracted, document = parse_envelope_outcome(raw, out_fmt)
+        spans.extend(_completion_spans(raw, envelope, document, iteration))
         if failure is not None:
             kind, error = failure.stage, failure.detail
         else:
             kind, error = "final" if isinstance(envelope, Final) else "step", None
-        turns.append(TurnRecord(iteration, raw, outcome.think_stripped, outcome.fence_extracted, kind, error))
+        turns.append(_new(TurnRecord, (iteration, raw, think_stripped, fence_extracted, kind, error)))
         if failure is not None:
-            obs = _error_observation(failure.stage, out_fmt)
-            spans.append(Span(f"\n{obs}\n", "other", "prompt", iteration))
+            obs = _error_observation(kind, out_fmt)
+            spans.append(_new(Span, (f"\n{obs}\n", "other", "prompt", iteration)))
             continue
         if isinstance(envelope, Final):
             status, answer = "final", envelope.answer
@@ -474,9 +480,9 @@ def run_trajectory(
         args_text = encode_json(envelope.arguments)
         result = executor.lookup(envelope.action, args_text)
         result_doc = _render_doc(result, cfg.format)
-        spans.append(Span("\n", "other", "prompt", iteration))
-        spans.append(Span(result_doc, "result", "prompt", iteration))
-        spans.append(Span("\n", "other", "prompt", iteration))
+        spans.append(_new(Span, ("\n", "other", "prompt", iteration)))
+        spans.append(_new(Span, (result_doc, "result", "prompt", iteration)))
+        spans.append(_new(Span, ("\n", "other", "prompt", iteration)))
         idx += 1
         attempts = 0
     return TrajectoryRecord(cfg.format, cfg.mode, task, turns, spans, status, answer)

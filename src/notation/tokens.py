@@ -70,7 +70,8 @@ class ByteCountTokenizer(Tokenizer):
     name = "bytes"
 
     def count(self, text: str) -> int:
-        return len(text.encode("utf-8"))
+        # an ASCII character is one byte
+        return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)

@@ -31,7 +31,7 @@ from notation import cli, tron_codec
 from notation.formats import FORMATS, REGISTRY, decode_batch, decode_doc, encode_doc
 from notation.json_codec import decode_json
 from notation.tron_codec import decode_tron_batch
-from notation.values import Number, Object, Text, from_python
+from notation.values import Bool, Null, Number, Object, Text, from_python
 
 from conftest import FIXTURES, check_record, final_intent, make_catalog, simple_run_pieces, step_intent
 
@@ -97,15 +97,47 @@ def test_decode_stage_failure():
     assert failed_stage('{"thought":"t","action":}', "json") == "decode"
 
 
+def shape_detail(doc, fmt: str) -> str:
+    outcome = parse_envelope_outcome(encode_doc(from_python(doc), fmt), fmt)
+    assert outcome.envelope is None and outcome.failure.stage == "shape"
+    return outcome.failure.detail
+
+
 def test_shape_stage_failure():
-    assert failed_stage('{"thought":"t","tool":"f"}', "json") == "shape"
-    doc = encode_doc(from_python({"thought": "t", "tool": "f"}), "toon")
-    assert failed_stage(doc, "toon") == "shape"
+    for fmt in FORMATS:
+        assert shape_detail({"thought": "t", "tool": "f"}, fmt) == "unexpected key set ['thought', 'tool']"
+        assert shape_detail({}, fmt) == "unexpected key set []"
+        assert shape_detail({"final_answer": "a", "thought": "t"}, fmt) == "unexpected key set ['final_answer', 'thought']"
+        # a TOON document is always an object: encoding wraps any other root in one "value" key
+        root = "unexpected key set ['value']" if fmt == "toon" else "document root must be an object"
+        assert shape_detail([1, 2], fmt) == root
+        assert shape_detail("x", fmt) == root
 
 
 def test_shape_requires_text_fields():
-    assert failed_stage('{"thought":1,"action":"f","arguments":{}}', "json") == "shape"
-    assert failed_stage('{"final_answer":[1]}', "json") == "shape"
+    step = "thought and action must be text"
+    for fmt in FORMATS:
+        for bad in (1, True, None, [1], {"a": "b"}):
+            assert shape_detail({"thought": bad, "action": "f", "arguments": {}}, fmt) == step
+            assert shape_detail({"thought": "t", "action": bad, "arguments": {}}, fmt) == step
+            assert shape_detail({"final_answer": bad}, fmt) == "final_answer must be text"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "arg, node", [({"a": 1}, Object), ("s", Text), (1.5, Number), (False, Bool), (None, Null)]
+)
+def test_step_arguments_come_back_boxed(fmt, arg, node):
+    doc = {"action": "f", "arguments": arg, "thought": "t"}
+    step = envelope_of(encode_doc(from_python(doc), fmt), fmt)
+    assert type(step.arguments) is node
+    assert step == Step("t", "f", from_python(arg))
+
+
+def test_parse_failure_refuses_an_unknown_stage():
+    with pytest.raises(ValueError, match="unknown parse stage 'bogus'"):
+        ParseFailure("bogus", "x")
+    assert ParseFailure("shape", "x").stage == "shape"
 
 
 def test_non_object_root_is_shape_failure():

@@ -34,11 +34,15 @@ def test_empty_counts_zero():
         assert tok.count("") == 0
 
 
-def test_byte_count_is_utf8_length():
-    tok = ByteCountTokenizer()
-    assert tok.count("abc") == 3
-    assert tok.count("café") == 5
-    assert tok.count("✓") == 3
+@given(st.text(st.characters(exclude_categories=("Cs",))))
+@example("")
+@example("abc")
+@example("café")
+@example("✓")
+@example("漢字")
+@example("🙂 ok")
+def test_byte_count_is_utf8_length(t):
+    assert ByteCountTokenizer().count(t) == len(t.encode("utf-8"))
 
 
 def test_word_regex_counting():
