@@ -177,10 +177,6 @@ def _value_to_envelope(v: Value) -> Envelope:
 class ParseOutcome(record("ParseOutcome", "envelope", "failure", "think_stripped", "fence_extracted", "document")):
     __slots__ = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.envelope is not None
-
 
 def parse_envelope_outcome(raw: str, expected_format: str) -> ParseOutcome:
     think_stripped = False
@@ -300,9 +296,6 @@ class ScriptedAgent:
         if index >= len(self.turns):
             raise ScriptExhaustedError(f"script has only {len(self.turns)} turns")
         return self.turns[index]
-
-    def __len__(self) -> int:
-        return len(self.turns)
 
 
 def without_corruption(agent: ScriptedAgent) -> ScriptedAgent:

@@ -10,13 +10,13 @@ test's monkeypatch, a tracer's timing wrapper) is the one that runs.
 from __future__ import annotations
 
 from . import json_codec, toon_codec, tron_codec
-from ._record import Sealed, record
+from ._record import record
 from .values import Value
 
 __all__ = ["Format", "REGISTRY", "FORMATS", "BASELINE", "MODES", "lookup", "encode_doc", "decode_doc", "encode_batch", "decode_batch"]
 
 
-class Format(record("Format", "name", "codec", "note", wraps_root=False, keeps_indent=False, batched=False), Sealed):
+class Format(record("Format", "name", "codec", "note", wraps_root=False, keeps_indent=False, batched=False)):
     """A format's codec module (``encode_<name>``, ``decode_<name>``) and its traits.
 
     ``note`` (a str) says how the format reads, for the system prompt; ``wraps_root``
@@ -26,16 +26,7 @@ class Format(record("Format", "name", "codec", "note", wraps_root=False, keeps_i
     ``encode_<name>_batch`` and ``decode_<name>_batch``.
     """
 
-    # no __slots__: the instance dict holds the codec's attribute names,
-    # fixed here so that no call builds a string
-    def __new__(cls, *args, **kwargs) -> Format:
-        self = super().__new__(cls, *args, **kwargs)
-        encoder = f"encode_{self.name}"
-        decoder = f"decode_{self.name}"
-        self.__dict__.update(
-            encoder=encoder, decoder=decoder, batch_encoder=f"{encoder}_batch", batch_decoder=f"{decoder}_batch"
-        )
-        return self
+    __slots__ = ()
 
 
 REGISTRY = {
@@ -84,22 +75,22 @@ def lookup(fmt: str) -> Format:
 
 def encode_doc(v: Value, fmt: str) -> str:
     f = lookup(fmt)
-    return getattr(f.codec, f.encoder)(v)
+    return getattr(f.codec, "encode_" + fmt)(v)
 
 
 def decode_doc(text: str, fmt: str, *, unwrap: bool = False) -> Value:
     """Decode one document; ``unwrap`` undoes the synthetic root of a ``wraps_root`` format."""
     f = lookup(fmt)
-    decode = getattr(f.codec, f.decoder)
+    decode = getattr(f.codec, "decode_" + fmt)
     return decode(text, unwrap=unwrap) if f.wraps_root else decode(text)
 
 
 def encode_batch(values: list[Value], fmt: str) -> str:
     """Encode documents as one batch, in a format whose entry is ``batched``."""
     f = lookup(fmt)
-    return getattr(f.codec, f.batch_encoder)(values)
+    return getattr(f.codec, f"encode_{fmt}_batch")(values)
 
 
 def decode_batch(text: str, fmt: str) -> list[Value]:
     f = lookup(fmt)
-    return getattr(f.codec, f.batch_decoder)(text)
+    return getattr(f.codec, f"decode_{fmt}_batch")(text)

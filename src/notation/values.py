@@ -289,10 +289,11 @@ def _plain(obj):
         return str.__str__(obj)
     if isinstance(obj, Value):
         return _unbox(obj, "value")
+    # a subclass's own __str__/__repr__ is not its number: read the base type's, as json.dumps does
     if isinstance(obj, int):
-        return Number(str(obj))
+        return Number(int.__repr__(obj))
     if isinstance(obj, float):
-        literal = repr(obj)
+        literal = float.__repr__(obj)
         if literal in ("inf", "-inf", "nan"):
             raise ValueError(f"non-finite float not representable: {obj!r}")
         return Number(literal)
@@ -374,49 +375,15 @@ SAFE_WORDS = ("id", "name", "size", "alpha", "beta", "gamma", "delta", "note", "
 SHORT_CELLS = ("a", "bb", "ccc", "x1", "y2", "ok", "no", "up", "down", "7a")
 
 
-class GenProfile(
-    record(
-        "GenProfile",
-        max_depth=4,
-        max_array_len=8,
-        max_object_keys=5,
-        max_key_len=12,
-        string_pool=DELIMITER_STRINGS,
-        key_pool=SAFE_WORDS,
-        tabular=False,
-        min_rows=3,
-        max_rows=8,
-        min_cols=2,
-        max_cols=5,
-        cell_pool=SHORT_CELLS,
-    )
-):
-    """Bounds and string pools for the deterministic generator."""
+MAX_DEPTH = 4
+MAX_ARRAY_LEN = 8
+MAX_OBJECT_KEYS = 5
+MAX_KEY_LEN = 12
 
-    __slots__ = ()
+# the bounds are constants; a profile picks the key pool and whether the root is a table
+GenProfile = record("GenProfile", key_pool=SAFE_WORDS, tabular=False)
 
-    def __new__(cls, *args, **kwargs) -> GenProfile:
-        self = super().__new__(cls, *args, **kwargs)
-        if not (0 <= self.max_depth <= 8):
-            raise ValueError("max_depth must be in [0, 8]")
-        if not (0 <= self.max_array_len <= 64):
-            raise ValueError("max_array_len must be in [0, 64]")
-        if self.max_object_keys < 0:
-            raise ValueError("max_object_keys must be >= 0")
-        if not (1 <= self.max_key_len <= 16):
-            raise ValueError("max_key_len must be in [1, 16]")
-        if self.tabular and self.min_rows < 1:
-            raise ValueError("tabular profiles need at least one row")
-        if self.tabular and self.min_rows > self.max_rows:
-            raise ValueError("min_rows must not exceed max_rows")
-        if self.tabular and self.min_cols > self.max_cols:
-            raise ValueError("min_cols must not exceed max_cols")
-        if not self.cell_pool:
-            raise ValueError("cell_pool must not be empty")
-        return self
-
-
-DEFAULT_PROFILE = GenProfile(key_pool=SAFE_WORDS)
+DEFAULT_PROFILE = GenProfile()
 DELIMITER_PROFILE = GenProfile(key_pool=DELIMITER_KEYS)
 TABULAR_PROFILE = GenProfile(tabular=True)
 
@@ -425,18 +392,18 @@ def _gen_word(rng: random.Random, max_len: int) -> str:
     return "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(rng.randint(1, max_len)))
 
 
-def _gen_string(rng: random.Random, profile: GenProfile) -> str:
-    if profile.string_pool and rng.random() < 0.5:
-        return rng.choice(profile.string_pool)
+def _gen_string(rng: random.Random) -> str:
+    if rng.random() < 0.5:
+        return rng.choice(DELIMITER_STRINGS)
     return _gen_word(rng, 8)
 
 
-def _gen_key(rng: random.Random, profile: GenProfile, used: set[str] | dict[str, object]) -> str:
+def _gen_key(rng: random.Random, key_pool: tuple[str, ...], used: set[str] | dict[str, object]) -> str:
     for _ in range(32):
-        if profile.key_pool and rng.random() < 0.4:
-            key = rng.choice(profile.key_pool)
+        if key_pool and rng.random() < 0.4:
+            key = rng.choice(key_pool)
         else:
-            key = _gen_word(rng, profile.max_key_len)
+            key = _gen_word(rng, MAX_KEY_LEN)
         if key not in used:
             return key
     # pool exhausted; fall back to a counted key
@@ -450,7 +417,7 @@ def _gen_key(rng: random.Random, profile: GenProfile, used: set[str] | dict[str,
 # a scalar root.
 
 
-def _gen_scalar(rng: random.Random, profile: GenProfile):
+def _gen_scalar(rng: random.Random):
     roll = rng.random()
     if roll < 0.1:
         return None
@@ -462,24 +429,24 @@ def _gen_scalar(rng: random.Random, profile: GenProfile):
         whole = rng.randint(-99, 99)
         frac = rng.randint(0, 999)
         return Number(f"{whole}.{frac:03d}" if rng.random() < 0.7 else f"{whole}e{rng.randint(-3, 3)}")
-    return _gen_string(rng, profile)
+    return _gen_string(rng)
 
 
-def _gen_object(rng: random.Random, profile: GenProfile, depth: int) -> Object:
+def _gen_object(rng: random.Random, key_pool: tuple[str, ...], depth: int) -> Object:
     members = {}
-    for _ in range(rng.randint(0, profile.max_object_keys)):
-        key = _gen_key(rng, profile, members)
-        members[key] = _gen_node(rng, profile, depth + 1)
+    for _ in range(rng.randint(0, MAX_OBJECT_KEYS)):
+        key = _gen_key(rng, key_pool, members)
+        members[key] = _gen_node(rng, key_pool, depth + 1)
     return _new(Object, (Object, tuple(members), tuple(members.values())))
 
 
-def _gen_table(rng: random.Random, profile: GenProfile) -> Array:
-    cols = rng.randint(profile.min_cols, profile.max_cols)
-    rows = rng.randint(profile.min_rows, profile.max_rows)
+def _gen_table(rng: random.Random, key_pool: tuple[str, ...], min_rows: int, max_rows: int) -> Array:
+    cols = rng.randint(2, 5)
+    rows = rng.randint(min_rows, max_rows)
     keys: list[str] = []
     used: set[str] = set()
     for _ in range(cols):
-        key = _gen_key(rng, profile, used)
+        key = _gen_key(rng, key_pool, used)
         used.add(key)
         keys.append(key)
     keys = tuple(keys)
@@ -490,48 +457,36 @@ def _gen_table(rng: random.Random, profile: GenProfile) -> Array:
             if rng.random() < 0.5:
                 cells.append(Number(str(rng.randint(0, 99))))
             else:
-                cells.append(rng.choice(profile.cell_pool))
+                cells.append(rng.choice(SHORT_CELLS))
         out.append(_new(Object, (Object, keys, tuple(cells))))
     return _new(Array, (Array, tuple(out)))
 
 
-def _gen_array(rng: random.Random, profile: GenProfile, depth: int) -> Array:
-    n = rng.randint(0, profile.max_array_len)
+def _gen_array(rng: random.Random, key_pool: tuple[str, ...], depth: int) -> Array:
+    n = rng.randint(0, MAX_ARRAY_LEN)
     kind = rng.random()
     if kind < 0.4:
-        return _new(Array, (Array, tuple([_gen_scalar(rng, profile) for _ in range(n)])))
-    if kind < 0.7 and depth < profile.max_depth:
+        return _new(Array, (Array, tuple([_gen_scalar(rng) for _ in range(n)])))
+    if kind < 0.7 and depth < MAX_DEPTH:
         # uniform object rows exercise the tabular path
-        sub = GenProfile(
-            max_depth=profile.max_depth,
-            max_key_len=profile.max_key_len,
-            string_pool=profile.string_pool,
-            key_pool=profile.key_pool,
-            tabular=True,
-            min_rows=max(1, min(n, 2)),
-            max_rows=max(2, n),
-            cell_pool=profile.cell_pool,
-        )
-        return _gen_table(rng, sub)
-    return _new(Array, (Array, tuple([_gen_node(rng, profile, depth + 1) for _ in range(n)])))
+        return _gen_table(rng, key_pool, max(1, min(n, 2)), max(2, n))
+    return _new(Array, (Array, tuple([_gen_node(rng, key_pool, depth + 1) for _ in range(n)])))
 
 
-def _gen_node(rng: random.Random, profile: GenProfile, depth: int) -> Value:
-    if depth >= profile.max_depth:
-        return _gen_scalar(rng, profile)
+def _gen_node(rng: random.Random, key_pool: tuple[str, ...], depth: int) -> Value:
+    if depth >= MAX_DEPTH:
+        return _gen_scalar(rng)
     roll = rng.random()
     if roll < 0.4:
-        return _gen_scalar(rng, profile)
+        return _gen_scalar(rng)
     if roll < 0.7:
-        return _gen_array(rng, profile, depth)
-    return _gen_object(rng, profile, depth)
+        return _gen_array(rng, key_pool, depth)
+    return _gen_object(rng, key_pool, depth)
 
 
 def generate(seed: int, profile: GenProfile = DEFAULT_PROFILE) -> Value:
     """Deterministic document for a (seed, profile) pair."""
     rng = random.Random(seed)
     if profile.tabular:
-        return _gen_table(rng, profile)
-    if profile.max_depth == 0:
-        return _box(_gen_scalar(rng, profile))
-    return _box(_gen_node(rng, profile, 0))
+        return _gen_table(rng, profile.key_pool, 3, 8)
+    return _box(_gen_node(rng, profile.key_pool, 0))

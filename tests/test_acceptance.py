@@ -336,6 +336,6 @@ def test_criterion_8_envelope_preprocessing():
                 ("rename_action", "shape"),
             ):
                 outcome = parse_envelope_outcome(corrupt_text(doc, kind), fmt)
-                assert not outcome.ok
+                assert outcome.failure is not None
                 assert outcome.failure.stage == stage
         assert passes == 12  # the full wrapper grid

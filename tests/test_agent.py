@@ -42,7 +42,7 @@ def sample_step_doc(fmt: str) -> str:
 
 def envelope_of(raw: str, fmt: str):
     outcome = parse_envelope_outcome(raw, fmt)
-    assert outcome.ok, outcome.failure
+    assert outcome.failure is None, outcome.failure
     return outcome.envelope
 
 
@@ -79,7 +79,7 @@ def test_preprocessing_grid(fmt, wrapper):
     }[wrapper]
     expected = envelope_of(doc, fmt)
     outcome = parse_envelope_outcome(raw, fmt)
-    assert outcome.ok
+    assert outcome.failure is None
     assert outcome.envelope == expected
     assert outcome.think_stripped == (wrapper in ("think", "both"))
     assert outcome.fence_extracted == (wrapper in ("fence", "both"))
@@ -165,7 +165,7 @@ def test_mutator_designated_stages(fmt):
         mutated = corrupt_text(doc, kind)
         assert mutated != doc
         outcome = parse_envelope_outcome(mutated, fmt)
-        assert not outcome.ok
+        assert outcome.failure is not None
         assert outcome.failure.stage == stage, (fmt, kind, mutated)
 
 

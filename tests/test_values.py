@@ -1,5 +1,8 @@
 import copy
+import enum
 import gc
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -215,17 +218,54 @@ def test_from_python_rejects_non_finite():
         from_python(float("inf"))
 
 
+class Cents(int):
+    def __str__(self):
+        return f"{self / 100:.2f}"
+
+
+class Ratio(float):
+    def __repr__(self):
+        return "a ratio"
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+def test_from_python_reads_a_number_subclass_as_its_base_type():
+    # the text is the number's own, as json.dumps writes it, not the subclass's __str__ or __repr__
+    for obj in (Cents(150), Ratio(0.25), Level.HIGH, [Cents(7), {"k": Ratio(-1.5)}]):
+        assert encode_json(from_python(obj)) == json.dumps(obj, separators=(",", ":"))
+    assert from_python(Cents(150)) == Number("150")
+
+
 def test_generate_deterministic():
     for seed in (0, 1, 99, 12345):
         assert generate(seed) == generate(seed)
         assert generate(seed, DELIMITER_PROFILE) == generate(seed, DELIMITER_PROFILE)
 
 
+GENERATOR_DIGESTS = {
+    "default": (DEFAULT_PROFILE, "9d01da6851558633"),
+    "delimiters": (DELIMITER_PROFILE, "475eeea6e9d33e8c"),
+    "tabular": (TABULAR_PROFILE, "57106174d4fe119c"),
+}
+
+
+@pytest.mark.parametrize("name", GENERATOR_DIGESTS)
+def test_generate_output_is_pinned(name):
+    # the corpus every round-trip check and benchmark draws from stays the same documents
+    profile, expected = GENERATOR_DIGESTS[name]
+    h = hashlib.blake2b(digest_size=8)
+    for seed in range(2000):
+        h.update((encode_json(generate(seed, profile)) + "\n").encode("utf-8"))
+    assert h.hexdigest() == expected
+
+
 def test_generate_zero_depth_is_scalar():
-    profile = GenProfile(max_depth=0)
-    for seed in range(30):
-        v = generate(seed, profile)
-        assert isinstance(v, (Null, Bool, Number, Text))
+    # a root drawn as a scalar comes back boxed, one seed for each kind
+    roots = {seed: type(generate(seed)) for seed in range(100)}
+    assert [roots[seed] for seed in (1, 3, 4, 90)] == [Text, Number, Bool, Null]
 
 
 def test_generate_tabular_shape():
@@ -238,42 +278,15 @@ def test_generate_tabular_shape():
         assert len(next(iter(sigs))) >= 2
 
 
-def test_profile_bounds_enforced():
-    # every profile the generator could not draw from is refused up front
-    for kwargs, message in [
-        ({"max_depth": 9}, r"max_depth must be in \[0, 8\]"),
-        ({"max_array_len": 65}, r"max_array_len must be in \[0, 64\]"),
-        ({"max_key_len": 17}, r"max_key_len must be in \[1, 16\]"),
-        ({"tabular": True, "min_rows": 0, "max_rows": 2}, "tabular profiles need at least one row"),
-        ({"tabular": True, "min_rows": 5, "max_rows": 2}, "min_rows must not exceed max_rows"),
-        ({"tabular": True, "min_cols": 4, "max_cols": 2}, "min_cols must not exceed max_cols"),
-        ({"max_object_keys": -1}, "max_object_keys must be >= 0"),
-        ({"cell_pool": ()}, "cell_pool must not be empty"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            GenProfile(**kwargs)
-
-
-SMALL_PROFILE_REPR = (
-    "GenProfile(max_depth=2, max_array_len=8, max_object_keys=5, max_key_len=12, string_pool=('s',), "
-    "key_pool=('k',), tabular=False, min_rows=3, max_rows=8, min_cols=2, max_cols=5, cell_pool=('c',))"
-)
-
-
 def test_profile_record_contract():
     def make():
-        return GenProfile(2, string_pool=("s",), key_pool=("k",), cell_pool=("c",))
+        return GenProfile(("k",))
 
-    assert repr(make()) == SMALL_PROFILE_REPR
-    check_record(make, GenProfile(3, string_pool=("s",), key_pool=("k",), cell_pool=("c",)), "max_depth")
-    assert GenProfile() == GenProfile(key_pool=SAFE_WORDS)
-    assert TABULAR_PROFILE.tabular and TABULAR_PROFILE.min_rows == 3
-
-
-def test_profile_replace_checks_the_new_fields():
-    assert DEFAULT_PROFILE._replace(max_depth=2).max_depth == 2
-    with pytest.raises(ValueError, match="max_depth"):
-        DEFAULT_PROFILE._replace(max_depth=9)
+    assert GenProfile._fields == ("key_pool", "tabular")
+    assert repr(make()) == "GenProfile(key_pool=('k',), tabular=False)"
+    check_record(make, GenProfile(("j",)), "key_pool")
+    assert GenProfile() == GenProfile(key_pool=SAFE_WORDS) == DEFAULT_PROFILE
+    assert DEFAULT_PROFILE._replace(tabular=True) == TABULAR_PROFILE
 
 
 @settings(max_examples=200)
@@ -455,7 +468,7 @@ def test_from_python_and_generate_box_a_scalar_root():
     got = [from_python(x) for x in ("s", True, False, None)]
     assert got == [Text("s"), Bool(True), Bool(False), NULL]
     assert [type(v) for v in got] == [Text, Bool, Bool, Null]
-    kinds = {type(generate(seed, GenProfile(max_depth=0))) for seed in range(60)}
+    kinds = {type(generate(seed)) for seed in range(100)} - {Array, Object}
     assert kinds == {Text, Bool, Null, Number}
 
 
