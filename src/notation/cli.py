@@ -417,11 +417,7 @@ def _add_tokenizer_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="notation", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="re-encode a document between formats")
+def _convert_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="input file, or - for stdin")
     p.add_argument("--from", dest="src_format", choices=FORMATS, default=BASELINE)
     p.add_argument("--to", dest="dst_format", choices=FORMATS, default=None)
@@ -430,14 +426,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("measure", help="byte/token deltas for a corpus of JSON files")
+
+def _measure_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("corpus_dir")
     p.add_argument("--batch", action="store_true", help="also measure TRON batched over the whole corpus")
     p.add_argument("--out", help="write the machine-readable report here")
     _add_tokenizer_flags(p)
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("replay", help="replay a scripted trajectory vs the JSON reference")
+
+def _replay_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--executor", required=True)
@@ -451,19 +449,44 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tokenizer_flags(p)
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("roundtrip", help="generate documents and check all codecs round-trip, TRON batches too")
+
+def _roundtrip_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_positive_int, default=1000)
     p.add_argument("--profile", choices=ROUNDTRIP_PROFILES, default="mixed")
     p.set_defaults(func=cmd_roundtrip)
 
+
+# each command: its help line and what adds its flags
+COMMANDS = {
+    "convert": ("re-encode a document between formats", _convert_flags),
+    "measure": ("byte/token deltas for a corpus of JSON files", _measure_flags),
+    "replay": ("replay a scripted trajectory vs the JSON reference", _replay_flags),
+    "roundtrip": ("generate documents and check all codecs round-trip, TRON batches too", _roundtrip_flags),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, with the flags of those named in ``argv``.
+
+    argparse runs only a command whose name is in ``argv``, so parsing
+    ``argv`` gives what the full parser gives, usage errors and help
+    included. With no ``argv`` every command gets its flags.
+    """
+    parser = _Parser(prog="notation", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if argv is None or name in argv:
+            add_flags(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
+            argv = sys.argv[1:] if argv is None else argv
+            args = build_parser(argv).parse_args(argv)
             return args.func(args)
         finally:
             sys.stdout.flush()

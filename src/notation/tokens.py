@@ -12,9 +12,11 @@ the same count, each run's stand-in worked out once and kept in a bounded
 memo. BPE counting gives the same counts as greedy lowest-rank
 merging over the whole UTF-8 span (lowest rank first, leftmost first on
 ties). It splits the span into chunks at the byte boundaries no merge can
-cross, which the merge table alone determines, and runs a heap over each
-distinct chunk once. A vocabulary that joins every byte pair leaves each
-span one chunk, so the count stays O(n log n) in the UTF-8 length.
+cross, which the merge table alone determines. Each chunk's count is
+kept in a bounded memo, and the chunks of a span that the memo lacks
+share heap runs of about 512 bytes each. A vocabulary that joins every
+byte pair leaves each span one chunk, so the count stays O(n log n) in
+the UTF-8 length.
 Per-span counts are summed, never recomputed over concatenations, so
 component sums stay exactly additive.
 """
@@ -24,7 +26,8 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from functools import partial
+from itertools import compress, repeat
+from operator import is_
 from pathlib import Path
 
 from ._memo import Memo
@@ -222,19 +225,13 @@ def _joinable_runs(ranks: dict[tuple[str, str], int]):
     return re.compile(f"[{''.join(codes)}]+" if codes else "(?!)").findall
 
 
-def _chunk_delta(vocab: dict[str, int], ranks: dict[tuple[str, str], int], run: str) -> int:
-    """count(chunk) - len(chunk) for the chunk whose pair codes are ``run``.
-
-    Runs the heap on the chunk alone.
-    """
-    codes = run.encode("utf-16-le")
-    chunk = codes[1:2].translate(_SWAP) + codes[::2]
-    # merged symbols outside the vocabulary fall back to byte tokens
-    tokens = sum(
-        1 if sym in vocab or len(sym) == 1 else len(sym)
-        for sym in _merge(ranks, [_BYTE_MAP[b] for b in chunk])
-    )
-    return tokens - len(chunk)
+# ends each chunk of a combined heap run: no ranked pair names it
+_SEP = object()
+# Pair codes past which a heap run takes no more chunks. A run holds a
+# few list slots and a heap entry per byte, and a deeper heap costs more
+# per merge, so a bound keeps both small on a large text; the fresh
+# chunks of one count of a document of a few KB still share one run.
+_HEAP_RUN = 1 << 9
 
 
 class BpeTokenizer(Tokenizer):
@@ -254,10 +251,14 @@ class BpeTokenizer(Tokenizer):
 
     Each adjacent byte pair of a span becomes one UTF-16 code unit, and
     one character class of the joinable pair codes finds every chunk as a
-    run of them. Each distinct chunk goes through the heap once, behind a
-    memo on the tokenizer of at most 4096 chunks, keyed by their pair
-    codes. A vocabulary that joins every byte pair leaves each span one
-    chunk, whose heap run is O(n log n) in its length.
+    run of them. A count whose chunks are all in the memo (at most 4096
+    chunks, keyed by their pair codes) is one pass over it. The chunks it
+    lacks share heap runs of at most about ``_HEAP_RUN`` pair codes each,
+    a separator after each chunk. No ranked pair names the separator, so
+    it is a boundary like the ones above, and each chunk again goes
+    through exactly the merges it would go through alone. A vocabulary
+    that joins every byte pair leaves each span one chunk, whose heap run
+    is O(n log n) in its length.
     """
 
     name = "bpe"
@@ -266,7 +267,7 @@ class BpeTokenizer(Tokenizer):
         self.vocab = vocab
         self.ranks = {pair: i for i, pair in enumerate(merges)}
         self._runs = _joinable_runs(self.ranks)
-        self._chunks = Memo(partial(_chunk_delta, vocab, self.ranks), 4096)
+        self._chunks = Memo(None, 4096)
 
     @classmethod
     def from_files(cls, vocab_path: str | Path, merges_path: str | Path) -> "BpeTokenizer":
@@ -275,9 +276,8 @@ class BpeTokenizer(Tokenizer):
         except (json.JSONDecodeError, RecursionError) as e:
             # RecursionError: nesting deeper than the stdlib decoder reads
             raise VocabLoadError(f"vocabulary file {vocab_path} is not valid JSON: {e}") from e
-        if not isinstance(vocab, dict) or not all(
-            isinstance(k, str) and isinstance(v, int) for k, v in vocab.items()
-        ):
+        # type(v) is int: a JSON true or false is a bool, which isinstance counts as an int
+        if not isinstance(vocab, dict) or not all(isinstance(k, str) and type(v) is int for k, v in vocab.items()):
             raise VocabLoadError("vocabulary must map token strings to integer ids")
         merge_text = _read_vocab_file(merges_path, "merges")
         merges: list[tuple[str, str]] = []
@@ -298,7 +298,66 @@ class BpeTokenizer(Tokenizer):
         pairs = bytearray(2 * n - 2)
         pairs[1::2] = utf8[:-1].translate(_SWAP)
         pairs[::2] = utf8[1:]
-        return n + sum(map(self._chunks.__getitem__, self._runs(pairs.decode("utf-16-le"))))
+        runs = self._runs(pairs.decode("utf-16-le"))
+        memo = self._chunks
+        try:
+            # memo.get gives None for a chunk the memo lacks, and None stops the sum
+            return n + sum(map(memo.get, runs))
+        except TypeError:
+            pass
+        # read before the memo is filled, since a fill may start it over
+        deltas = list(map(memo.get, runs))
+        fresh = self._deltas(set(compress(runs, map(is_, deltas, repeat(None)))))
+        for run, delta in fresh.items():
+            memo.keep(run, delta)
+        # a fresh chunk's delta, else the one read from the memo
+        return n + sum(map(fresh.get, runs, deltas))
+
+    def _deltas(self, runs) -> dict[str, int]:
+        """count(chunk) - len(chunk) for each chunk, keyed by its pair codes ``runs``.
+
+        The chunks go to one heap run until they hold ``_HEAP_RUN`` pair
+        codes, then to the next.
+        """
+        deltas = {}
+        batch = []
+        size = 0
+        for run in runs:
+            batch.append(run)
+            size += len(run)
+            if size >= _HEAP_RUN:
+                deltas.update(zip(batch, self._merged_deltas(batch)))
+                batch = []
+                size = 0
+        deltas.update(zip(batch, self._merged_deltas(batch)))
+        return deltas
+
+    def _merged_deltas(self, runs: list[str]):
+        """Each chunk's count(chunk) - len(chunk), in order, from one heap run.
+
+        The chunks are spelled into one symbol list, a separator after each.
+        """
+        codes = "".join(runs).encode("utf-16-le")
+        # a chunk's symbols: its first pair's left byte, then each pair's right byte
+        rights = list(map(_BYTE_MAP.__getitem__, codes[::2]))
+        symbols = []
+        i = 0
+        for run in runs:
+            j = i + len(run)
+            symbols.append(_BYTE_MAP[_SWAP[codes[2 * i + 1]]])
+            symbols += rights[i:j]
+            symbols.append(_SEP)
+            i = j
+        # a merged symbol in the vocabulary is one token for its len(sym)
+        # bytes; one outside it falls back to byte tokens and changes nothing
+        vocab = self.vocab
+        delta = 0
+        for sym in _merge(self.ranks, symbols):
+            if sym is _SEP:
+                yield delta
+                delta = 0
+            elif sym in vocab:
+                delta += 1 - len(sym)
 
 
 def _read_vocab_file(path: str | Path, what: str) -> str:

@@ -169,13 +169,9 @@ EXIT_TABLE = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, data, stdin, expected",
-    [case[1:] for case in EXIT_TABLE],
-    ids=[case[0] for case in EXIT_TABLE],
-)
-def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, data, stdin, expected):
-    (tmp_path / "dir").mkdir()
+def run_exit_case(tmp_path, monkeypatch, capsys, argv, data=None, stdin=None):
+    """Exit code, stdout and stderr of one EXIT_TABLE case, its files made in tmp_path."""
+    (tmp_path / "dir").mkdir(exist_ok=True)
     if data is not None:
         (tmp_path / "in").write_bytes(data)
         (tmp_path / "dir" / "in.json").write_bytes(data)
@@ -183,13 +179,62 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, data, stdin, expec
         monkeypatch.setattr("sys.stdin", stdin_bytes(stdin))
     try:
         code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
-    except SystemExit as e:  # argparse usage errors
+    except SystemExit as e:  # argparse usage errors and help
         code = e.code
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, data, stdin, expected",
+    [case[1:] for case in EXIT_TABLE],
+    ids=[case[0] for case in EXIT_TABLE],
+)
+def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, data, stdin, expected):
+    code, _, err = run_exit_case(tmp_path, monkeypatch, capsys, argv, data, stdin)
     assert code == expected, err
     assert "Traceback" not in err
     if expected:
         assert "error" in err
+
+
+# (id, argv, data, stdin): every help, every EXIT_TABLE case, and usage
+# errors around the command name
+PARSER_CASES = (
+    [("help", ["--help"], None, None)]
+    + [(f"{name} help", [name, "--help"], None, None) for name in cli.COMMANDS]
+    + [case[:4] for case in EXIT_TABLE]
+    + [
+        ("no arguments", [], None, None),
+        ("unknown command", ["nope"], None, None),
+        ("measure, no corpus", ["measure"], None, None),
+        ("unknown flag before the command", ["--bogus", "measure", "x"], None, None),
+        ("unknown tokenizer", ["measure", "x", "--tokenizer", "nope"], None, None),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, data, stdin",
+    [case[1:] for case in PARSER_CASES],
+    ids=[case[0] for case in PARSER_CASES],
+)
+def test_parser_for_argv_acts_as_the_full_parser(tmp_path, monkeypatch, capsys, argv, data, stdin):
+    """A parser with only the named commands' flags prints and exits as one with every command's."""
+    built = run_exit_case(tmp_path, monkeypatch, capsys, argv, data, stdin)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
+    assert run_exit_case(tmp_path, monkeypatch, capsys, argv, data, stdin) == built
+
+
+def test_build_parser_adds_the_flags_of_named_commands_only(capsys):
+    args = cli.build_parser(["measure"]).parse_args(["measure", "x", "--tokenizer", "bpe"])
+    assert (args.corpus_dir, args.tokenizer) == ("x", "bpe")
+    # convert is not named, so it has no input argument to read "in" with
+    with pytest.raises(SystemExit):
+        cli.build_parser(["measure"]).parse_args(["convert", "in"])
+    assert "unrecognized arguments: in" in capsys.readouterr().err
+    assert cli.build_parser().parse_args(["convert", "in"]).input == "in"
 
 
 def test_convert_missing_file_exit_3(tmp_path, capsys):

@@ -69,6 +69,17 @@ def count_fn(monkeypatch, memo, on_miss):
     monkeypatch.setattr(memo, "fn", counted)
 
 
+def count_chunk_merges(monkeypatch, memo, on_miss):
+    deltas = BPE._deltas
+
+    def counted(runs):
+        for run in runs:
+            on_miss(run)
+        return deltas(runs)
+
+    monkeypatch.setattr(BPE, "_deltas", counted)
+
+
 def count_doc_renders(monkeypatch, memo, on_miss):
     def counted(v, fmt):
         on_miss((id(v), fmt))
@@ -90,7 +101,7 @@ MEMOS = {
     "toon scalar": (lambda: toon_codec._scalar_text, 8, 6, count_fn, toon_steps),
     "toon key": (lambda: toon_codec._key_text, 8, 6, count_fn, toon_steps),
     "word standin": (lambda: tokens._standins, 2, 3, count_fn, word_steps),
-    "bpe chunk": (lambda: BPE._chunks, 8, None, count_fn, bpe_steps),
+    "bpe chunk": (lambda: BPE._chunks, 8, None, count_chunk_merges, bpe_steps),
     "agent doc": (lambda: agent_mod._doc_memo, 4, None, count_doc_renders, doc_steps),
     "agent prompt": (lambda: agent_mod._prompt_memo, 2, None, count_prompt_builds, prompt_steps),
 }

@@ -190,8 +190,12 @@ def test_bpe_equal_ranks_merge_leftmost(tmp_path):
 
 
 def reference_bpe_count(tok: BpeTokenizer, text: str) -> int:
+    return reference_bpe_byte_count(tok, text.encode("utf-8"))
+
+
+def reference_bpe_byte_count(tok: BpeTokenizer, data: bytes) -> int:
     """The original quadratic loop: rescan for the lowest rank, merge its first occurrence."""
-    symbols = [_BYTE_MAP[b] for b in text.encode("utf-8")]
+    symbols = [_BYTE_MAP[b] for b in data]
     while len(symbols) > 1:
         best_rank = None
         best_i = -1
@@ -228,16 +232,14 @@ BPE_TOKENIZERS = {
     "adversarial": BpeTokenizer(ADVERSARIAL_VOCAB, ADVERSARIAL_MERGES),
 }
 
-BPE_TEXT = st.text(
-    st.one_of(
-        st.sampled_from("aaaabc"),
-        st.sampled_from('{}[]":,'),
-        st.sampled_from(" \t\n\r"),
-        st.characters(max_codepoint=0x7F),
-        st.characters(min_codepoint=0x80, exclude_categories=("Cs",)),
-    ),
-    max_size=300,
+BPE_CHARS = st.one_of(
+    st.sampled_from("aaaabc"),
+    st.sampled_from('{}[]":,'),
+    st.sampled_from(" \t\n\r"),
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0x80, exclude_categories=("Cs",)),
 )
+BPE_TEXT = st.text(BPE_CHARS, max_size=300)
 
 
 @pytest.mark.parametrize("name", sorted(BPE_TOKENIZERS))
@@ -345,6 +347,64 @@ def test_bpe_chunked_count_matches_reference(name, text):
     assert tok.count(text) == reference_bpe_count(tok, text)
 
 
+def chunk_bytes(run: str) -> bytes:
+    """The bytes of the chunk whose pair codes are run: each is its swapped left byte << 8 | its right byte."""
+    return bytes([tokens._SWAP[ord(run[0]) >> 8]] + [ord(code) & 0xFF for code in run])
+
+
+def assert_chunks_count_as_alone(tok: BpeTokenizer):
+    """Each chunk in the memo holds the delta the reference gives for that chunk alone."""
+    for run, delta in tok._chunks.items():
+        data = chunk_bytes(run)
+        assert delta == reference_bpe_byte_count(tok, data) - len(data), data
+
+
+ALL_BPE_TOKENIZERS = {**BPE_TOKENIZERS, **CHUNK_TOKENIZERS}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BPE_TOKENIZERS))
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(BPE_CHARS, max_size=60), min_size=2, max_size=6))
+def test_bpe_one_count_merges_each_chunk_as_alone(name, texts):
+    """A batch of texts in one count: one heap run over every fresh chunk."""
+    tok = ALL_BPE_TOKENIZERS[name]
+    tok._chunks.clear()
+    tok.count("".join(texts))
+    assert_chunks_count_as_alone(tok)
+
+
+def test_bpe_shared_heap_runs_each_chunk_in_rank_order():
+    # merging "a b" makes "ab a", which ranks lower, so it goes next
+    tok = BpeTokenizer({"aba": 0}, [("ab", "a"), ("a", "b")])
+    # abab is aba + b, ababab is aba + b + ab (two fallback bytes): not ab + ab (+ ab)
+    assert tok.count("abab") == reference_bpe_count(tok, "abab") == 2
+    tok._chunks.clear()
+    assert tok.count("abab ababab") == reference_bpe_count(tok, "abab ababab") == 2 + 1 + 4
+    assert sorted(map(chunk_bytes, tok._chunks)) == [b"abab", b"ababab"]
+    assert_chunks_count_as_alone(tok)
+
+
+def test_bpe_fresh_chunks_merge_in_bounded_heap_runs(monkeypatch):
+    """Fresh chunks past one heap run's size go on in another; each still counts as alone."""
+    monkeypatch.setattr(tokens, "_HEAP_RUN", 16)
+    sizes = []
+    merge = tokens._merge
+
+    def counted(ranks, symbols):
+        # each chunk is spelled as its pair codes, one more byte and a separator
+        sizes.append(len(symbols) - 2 * symbols.count(tokens._SEP))
+        return merge(ranks, symbols)
+
+    monkeypatch.setattr(tokens, "_merge", counted)
+    tok = make_tokenizer("bpe", FIXTURES / "bpe" / "vocab.json", FIXTURES / "bpe" / "merges.txt")
+    text = (FIXTURES / "figure3.json").read_text(encoding="utf-8")[:600]
+    assert tok.count(text) == reference_bpe_count(tok, text)
+    assert len(sizes) > 2
+    # a run stops taking chunks once they hold 16 pair codes
+    assert max(sizes) <= 15 + max(map(len, tok._chunks))
+    assert_chunks_count_as_alone(tok)
+
+
 def test_bpe_all_pairs_span_is_one_chunk():
     merges = ALL_PAIRS_MERGES
     tok = BpeTokenizer(every_other_symbol(merges), merges)
@@ -404,6 +464,11 @@ def test_bpe_load_errors(tmp_path):
     bad_merges.write_text("a b c\n")
     with pytest.raises(VocabLoadError):
         BpeTokenizer.from_files(ok_vocab, bad_merges)
+    # JSON booleans are not ids, though Python counts bool as int
+    bool_vocab = tmp_path / "bool.json"
+    bool_vocab.write_text(json.dumps({"a": True, "b": 1}))
+    with pytest.raises(VocabLoadError, match="vocabulary must map token strings to integer ids"):
+        BpeTokenizer.from_files(bool_vocab, merges)
     with pytest.raises(VocabLoadError):
         make_tokenizer("bpe", None, None)
 
