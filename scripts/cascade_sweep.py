@@ -18,8 +18,7 @@ from notation.agent import (
     ScriptedAgent,
     TableExecutor,
     ToolSchema,
-    run_trajectory,
-    without_corruption,
+    run_with_reference,
 )
 from notation.formats import BASELINE, FORMATS
 from notation.json_codec import encode_json
@@ -65,16 +64,8 @@ def main() -> int:
     for fmt in (f for f in FORMATS if f != BASELINE):
         for extra in range(0, 4):
             catalog, executor, agent = build_pieces(extra)
-            target = run_trajectory(
-                "fetch", agent, executor, catalog, LoopConfig(format=fmt, mode="full")
-            )
-            reference = run_trajectory(
-                "fetch",
-                without_corruption(agent),
-                executor,
-                catalog,
-                LoopConfig(format=BASELINE, mode="full"),
-            )
+            cfg = LoopConfig(format=fmt, mode="full")
+            target, reference = run_with_reference("fetch", agent, executor, catalog, cfg)
             t = decompose(target, tok).total
             r = decompose(reference, tok).total
             print(

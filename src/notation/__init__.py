@@ -23,7 +23,7 @@ from .values import (
     from_python,
     generate,
 )
-from .json_codec import JsonStyle, decode_json, encode_json
+from .json_codec import decode_json, encode_json
 from .toon_codec import classify_array, decode_toon, encode_toon
 from .tron_codec import (
     decode_tron,

@@ -48,6 +48,7 @@ __all__ = [
     "parse_envelope_outcome",
     "build_system_prompt_spans",
     "run_trajectory",
+    "run_with_reference",
     "load_catalog",
     "load_executor",
     "load_trace",
@@ -481,16 +482,34 @@ def run_trajectory(
     return TrajectoryRecord(cfg.format, cfg.mode, task, turns, spans, status, answer)
 
 
+def run_with_reference(
+    task: str, agent: ScriptedAgent, executor: TableExecutor, catalog: list[ToolSchema], cfg: LoopConfig
+) -> tuple[TrajectoryRecord, TrajectoryRecord]:
+    """The run under ``cfg``, then its reference: the clean baseline, which every comparison is made against.
+
+    The reference replays the script without its corruption marks, in the baseline format at failure rate 0,
+    with ``cfg``'s mode, iteration cap and seed: parse failures model format-unfamiliarity, which the baseline
+    by definition does not have."""
+    target = run_trajectory(task, agent, executor, catalog, cfg)
+    clean = cfg._replace(format=BASELINE, failure_rate=0.0)
+    return target, run_trajectory(task, without_corruption(agent), executor, catalog, clean)
+
+
 # ---------------------------------------------------------------------------
 # Fixture loading.
 
 
-def load_catalog(path: str | Path) -> list[ToolSchema]:
-    """Catalog fixture: a JSON array of {name, description, parameters}."""
+def _load_array(path: str | Path, what: str) -> tuple[Value, ...]:
+    """The items of a fixture file that holds one JSON array."""
     doc = decode_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, Array):
-        raise ValueError("catalog fixture must be a JSON array")
-    catalog = [ToolSchema.from_value(item) for item in doc.items]
+        raise ValueError(f"{what} fixture must be a JSON array")
+    return doc.items
+
+
+def load_catalog(path: str | Path) -> list[ToolSchema]:
+    """Catalog fixture: a JSON array of {name, description, parameters}."""
+    catalog = [ToolSchema.from_value(item) for item in _load_array(path, "catalog")]
     first: dict[str, int] = {}
     for n, schema in enumerate(catalog, start=1):
         if first.setdefault(schema.name, n) != n:
@@ -500,11 +519,8 @@ def load_catalog(path: str | Path) -> list[ToolSchema]:
 
 def load_executor(path: str | Path) -> TableExecutor:
     """Executor fixture: a JSON array of {tool, args, result} entries."""
-    doc = decode_json(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, Array):
-        raise ValueError("executor fixture must be a JSON array")
     table: dict[tuple[str, str], Value] = {}
-    for n, item in enumerate(doc.items, start=1):
+    for n, item in enumerate(_load_array(path, "executor"), start=1):
         if not isinstance(item, Object):
             raise ValueError("executor entry must be an object")
         tool = item.get("tool")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import CodecError, ParseError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_batch, decode_doc, encode_batch, encode_doc
-from .json_codec import JsonStyle, decode_json, encode_json
+from .json_codec import decode_json, encode_json
 from .values import DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE, Object, from_python, generate
 
 __all__ = ["main"]
@@ -108,7 +108,7 @@ def cmd_convert(args) -> int:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DECODE
     if dst_fmt == BASELINE:
-        out = encode_json(value, JsonStyle(indent=args.json_indent))
+        out = encode_json(value, args.json_indent)
     else:
         out = encode_doc(value, dst_fmt)
     if REGISTRY[dst_fmt].wraps_root and not isinstance(value, Object):
@@ -239,7 +239,7 @@ def _run_report(args, build, render, decode_errors: tuple) -> int:
         return EXIT_IO
     print(render(report))
     if args.out:
-        text = encode_json(from_python(report), JsonStyle(indent=2))
+        text = encode_json(from_python(report), 2)
         try:
             Path(args.out).write_text(text + "\n", encoding="utf-8")
         except OSError as e:
@@ -268,25 +268,21 @@ def _summarize_run(record, breakdown) -> dict:
 
 
 def _replay_report(args, tokenizer) -> dict:
-    from .agent import LoopConfig, load_catalog, load_executor, load_trace, run_trajectory, without_corruption
+    """The run under the flags against its reference run (``agent.run_with_reference``), counted by ``tokenizer``."""
+    from .agent import LoopConfig, load_catalog, load_executor, load_trace, run_with_reference
     from .tokens import decompose, delta_vs_baseline, mean_pct
 
     agent = load_trace(args.trace)
     catalog = load_catalog(args.catalog)
     executor = load_executor(args.executor)
-    fmt = _resolve_format(args.format)
-    target_cfg = LoopConfig(
-        format=fmt,
+    cfg = LoopConfig(
+        format=_resolve_format(args.format),
         mode=args.mode,
         max_iterations=args.max_iterations,
         failure_rate=args.failure_rate,
         seed=args.seed,
     )
-    # the reference run is the clean baseline: parse failures model
-    # format-unfamiliarity, which the baseline by definition does not have
-    ref_cfg = LoopConfig(format=BASELINE, mode=args.mode, max_iterations=args.max_iterations, seed=args.seed)
-    target = run_trajectory(args.task, agent, executor, catalog, target_cfg)
-    reference = run_trajectory(args.task, without_corruption(agent), executor, catalog, ref_cfg)
+    target, reference = run_with_reference(args.task, agent, executor, catalog, cfg)
     t_break = decompose(target, tokenizer)
     r_break = decompose(reference, tokenizer)
     deltas = delta_vs_baseline(t_break, r_break)

@@ -18,16 +18,18 @@ class CodecError(ValueError):
     """Base class for every strict-decoding failure."""
 
 
+def _where(line: int | None, pos: int | None = None) -> str:
+    """A message's location suffix: the line when known, else the position, else nothing."""
+    if line is not None:
+        return f" at line {line}"
+    return "" if pos is None else f" at position {pos}"
+
+
 class ParseError(CodecError):
     def __init__(self, message: str, *, pos: int | None = None, line: int | None = None):
         self.pos = pos
         self.line = line
-        where = ""
-        if line is not None:
-            where = f" at line {line}"
-        elif pos is not None:
-            where = f" at position {pos}"
-        super().__init__(f"{message}{where}")
+        super().__init__(f"{message}{_where(line, pos)}")
         self.reason = message
 
 
@@ -65,8 +67,7 @@ class ArityMismatchError(CodecError):
 class IndentError(CodecError):
     def __init__(self, message: str, *, line: int | None = None):
         self.line = line
-        where = f" at line {line}" if line is not None else ""
-        super().__init__(f"{message}{where}")
+        super().__init__(f"{message}{_where(line)}")
 
 
 class UnknownClassError(CodecError):

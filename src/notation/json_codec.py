@@ -1,12 +1,12 @@
 """Canonical JSON serializer and strict parser.
 
-Minimal-style output is the baseline every byte/token delta is measured
-against, so the encoder emits raw UTF-8 (no \\uXXXX escaping beyond the
-mandatory quote/backslash/control cases) and the parser keeps number
-literals exactly as written instead of widening them to floats. One
+Minimal JSON, ``encode_json(v)``, is the baseline every byte/token delta
+is measured against, so the encoder emits raw UTF-8 (no \\uXXXX escaping
+beyond the mandatory quote/backslash/control cases) and the parser keeps
+number literals exactly as written instead of widening them to floats. One
 walker writes minimal JSON and, given a class index, TRON bodies; pretty
-JSON is its pieces re-spaced, and strings go through the stdlib's C
-escaper.
+JSON, ``encode_json(v, indent)``, is its pieces re-spaced ``indent`` spaces
+a level, and strings go through the stdlib's C escaper.
 
 Decoding has two paths, and TRON bodies take the same two. The accept
 path hands the text to the stdlib's C scanner, with hooks that keep number
@@ -45,30 +45,11 @@ import json
 import re
 from json.encoder import encode_basestring
 
-from ._record import record
 from .errors import DuplicateKeyError, ParseError
 from .values import Array, Number, Object, StructSignature, Value, _box, _collector_paused, _unbox
 
-__all__ = ["JsonStyle", "MINIMAL", "encode_json", "decode_json", "Scanner"]
+__all__ = ["encode_json", "decode_json", "Scanner"]
 
-
-class JsonStyle(record("JsonStyle", indent=None)):
-    """indent=None emits minimal JSON; an int emits pretty output."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> JsonStyle:
-        self = super().__new__(cls, *args, **kwargs)
-        indent = self.indent
-        if indent is not None:
-            if not isinstance(indent, int) or isinstance(indent, bool):
-                raise ValueError(f"indent width must be an int or None, not {type(indent).__name__}")
-            if indent < 1:
-                raise ValueError("indent width must be >= 1")
-        return self
-
-
-MINIMAL = JsonStyle()
 
 # the stdlib's (C ``_json`` when built, else a regex): escapes ", \, \b \f
 # \n \r \t and other C0 controls as lowercase \u00xx, and nothing else, so
@@ -76,12 +57,17 @@ MINIMAL = JsonStyle()
 encode_string = encode_basestring
 
 
-def encode_json(v: Value, style: JsonStyle = MINIMAL) -> str:
-    """The JSON text of ``v``: ``_emit``'s pieces, re-spaced when ``style`` has an indent, then joined."""
+def encode_json(v: Value, indent: int | None = None) -> str:
+    """The JSON text of ``v``: ``_emit``'s pieces, re-spaced ``indent`` spaces a level if given, then joined."""
+    # the width is checked before the document is read
+    if indent is not None and (not isinstance(indent, int) or isinstance(indent, bool)):
+        raise ValueError(f"indent width must be an int or None, not {type(indent).__name__}")
+    if indent is not None and indent < 1:
+        raise ValueError("indent width must be >= 1")
     pieces: list[str] = []
     _emit(_unbox(v, "document"), pieces, {})
-    if style.indent is not None:
-        step = " " * style.indent
+    if indent is not None:
+        step = " " * indent
         pad = "\n"
         for i, p in enumerate(pieces):
             if p == ",":

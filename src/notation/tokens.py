@@ -416,7 +416,7 @@ class TokenBreakdown(
         return d
 
 
-COMPONENTS = ("schema_tokens", "call_tokens", "result_tokens", "prompt_tokens", "completion_tokens", "total")
+COMPONENTS = (*TokenBreakdown._fields, "total")
 
 
 def decompose(trajectory, tokenizer: Tokenizer) -> TokenBreakdown:
@@ -429,7 +429,7 @@ def decompose(trajectory, tokenizer: Tokenizer) -> TokenBreakdown:
     prompt = 0
     completion = 0
     count = tokenizer.count
-    for span in getattr(trajectory, "spans", trajectory):
+    for span in trajectory.spans:
         origin = span.origin
         # a tuple test, so an unhashable origin is refused here too
         if origin not in SPAN_ORIGINS:

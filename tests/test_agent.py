@@ -25,6 +25,7 @@ from notation.agent import (
     load_trace,
     parse_envelope_outcome,
     run_trajectory,
+    run_with_reference,
     without_corruption,
 )
 from notation import cli, tron_codec
@@ -288,6 +289,21 @@ def test_reference_reuses_each_clean_turn(fixtures_dir):
             assert ref is turn
         else:
             assert ref == turn._replace(corrupt=None)
+
+
+def test_run_with_reference_is_the_clean_baseline_run():
+    catalog, executor, agent = simple_run_pieces()
+    marked = ScriptedAgent(
+        [ScriptTurn(agent.turns[0].intent, corrupt="swap_delimiter"), agent.turns[1]]
+    )
+    cfg = LoopConfig(format="toon", mode="full", max_iterations=12, failure_rate=0.5, seed=5)
+    target, reference = run_with_reference("t", marked, executor, catalog, cfg)
+    assert target == run_trajectory("t", marked, executor, catalog, cfg)
+    assert target.cascade_count > 0
+    clean_cfg = LoopConfig(format="json", mode=cfg.mode, max_iterations=cfg.max_iterations, seed=cfg.seed)
+    assert reference == run_trajectory("t", without_corruption(marked), executor, catalog, clean_cfg)
+    assert reference.cascade_count == 0
+    assert (reference.format, reference.mode, reference.status) == ("json", "full", "final")
 
 
 def test_executor_receives_minimal_json_args():

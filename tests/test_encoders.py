@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from notation import toon_codec
-from notation.json_codec import MAX_NESTING, JsonStyle, decode_json, encode_json, encode_string
+from notation.json_codec import MAX_NESTING, decode_json, encode_json, encode_string
 from notation.toon_codec import WRAP_KEY, ArrayShape, classify_array, encode_toon
 from notation.tron_codec import class_name_for, encode_tron, encode_tron_batch
 from notation.values import (
@@ -257,7 +257,7 @@ def test_documents_encode_as_the_references_do(seed, profile):
     v = generate(seed, profile)
     assert encode_json(v) == reference_term(v, {})
     for width in (1, 2, 3, 4):
-        assert encode_json(v, JsonStyle(indent=width)) == reference_pretty(v, width)
+        assert encode_json(v, width) == reference_pretty(v, width)
     assert encode_toon(v) == reference_toon(v)
     assert all(classify_array(arr) == reference_classify(arr) for arr in arrays_in(v))
     assert encode_tron(v) == reference_tron([v])
@@ -290,7 +290,7 @@ PRETTY_CASES = {
 @pytest.mark.parametrize("doc", list(PRETTY_CASES.values()), ids=list(PRETTY_CASES))
 def test_pretty_json_pinned_cases(doc, width):
     v = from_python(doc)
-    text = encode_json(v, JsonStyle(indent=width))
+    text = encode_json(v, width)
     assert text == reference_pretty(v, width)
     assert decode_json(text) == v
 

@@ -1,9 +1,12 @@
+import re
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from notation.errors import DuplicateKeyError, ParseError
-from notation.json_codec import MINIMAL, JsonStyle, decode_json, encode_json
+from notation.json_codec import decode_json, encode_json
 from notation.values import (
     DEFAULT_PROFILE,
     DELIMITER_PROFILE,
@@ -14,7 +17,8 @@ from notation.values import (
     generate,
 )
 
-from conftest import FIXTURES, check_record, sample_document
+from conftest import FIXTURES, sample_document
+from test_encoders import reference_pretty, reference_term
 
 # the pretty listing the minimal golden file is derived from
 PRETTY_SAMPLE = """\
@@ -148,7 +152,7 @@ def test_pretty_style_is_larger_or_equal():
     for seed in range(50):
         v = generate(seed)
         minimal = encode_json(v)
-        pretty = encode_json(v, JsonStyle(indent=2))
+        pretty = encode_json(v, 2)
         assert len(minimal.encode()) <= len(pretty.encode())
         assert decode_json(pretty) == v
 
@@ -175,17 +179,37 @@ def test_object_key_order_preserved():
     assert encode_json(v) == text
 
 
-def test_style_record_contract():
-    assert repr(JsonStyle()) == "JsonStyle(indent=None)"
-    assert repr(JsonStyle(indent=2)) == "JsonStyle(indent=2)"
-    assert JsonStyle() == MINIMAL
-    check_record(lambda: JsonStyle(indent=2), JsonStyle(indent=3), "indent")
-    for indent in (0, -1):
-        with pytest.raises(ValueError, match="indent width must be >= 1"):
-            JsonStyle(indent=indent)
+@pytest.mark.parametrize("indent", [None, 1, 2, 3, 4])
+def test_encode_json_indent_widths_match_the_reference(indent):
+    for seed in range(20):
+        v = generate(seed)
+        expected = reference_term(v, {}) if indent is None else reference_pretty(v, indent)
+        assert encode_json(v, indent) == expected
+    assert encode_json(v) == encode_json(v, None)
 
 
-@pytest.mark.parametrize("indent", [2.0, "2", True, False])
-def test_style_rejects_a_non_int_indent(indent):
-    with pytest.raises(ValueError, match="indent width"):
-        JsonStyle(indent=indent)
+@pytest.mark.parametrize(
+    "indent, kind",
+    [
+        (2.0, "float"),
+        ("2", "str"),
+        (True, "bool"),
+        (False, "bool"),
+        # a caller still passing a style record where the width goes
+        (namedtuple("Style", "indent")(2), "Style"),
+    ],
+    ids=["2.0", "2", "True", "False", "record"],
+)
+def test_encode_json_rejects_a_non_int_indent(indent, kind):
+    message = f"indent width must be an int or None, not {kind}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        encode_json(Number("1"), indent)
+
+
+@pytest.mark.parametrize("indent", [0, -1])
+def test_encode_json_rejects_an_indent_below_1(indent):
+    with pytest.raises(ValueError, match=r"^indent width must be >= 1$"):
+        encode_json(Number("1"), indent)
+    # the width is checked before the document is read
+    with pytest.raises(ValueError, match=r"^indent width must be >= 1$"):
+        encode_json(object(), indent)

@@ -18,7 +18,7 @@ from conftest import FIXTURES, REPO_ROOT
 # every name ``from notation import *`` bound when the package loaded all its modules eagerly
 EXPORTS = {
     "values": ["Array", "Bool", "GenProfile", "Null", "Number", "Object", "Text", "Value", "from_python", "generate"],
-    "json_codec": ["JsonStyle", "decode_json", "encode_json"],
+    "json_codec": ["decode_json", "encode_json"],
     "toon_codec": ["classify_array", "decode_toon", "encode_toon"],
     "tron_codec": [
         "decode_tron",

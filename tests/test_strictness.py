@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from notation import json_codec, toon_codec, tron_codec
 from notation.errors import ArityMismatchError, CodecError, DuplicateKeyError, ParseError, UnknownClassError
-from notation.json_codec import MAX_NESTING, MINIMAL, JsonStyle, Scanner, decode_json, encode_json
+from notation.json_codec import MAX_NESTING, Scanner, decode_json, encode_json
 from notation.toon_codec import decode_toon, encode_toon
 from notation.tron_codec import decode_tron, decode_tron_batch, encode_tron, encode_tron_batch
 from notation.values import (
@@ -326,7 +326,7 @@ def test_structural_soup_agrees_with_stdlib(frame, soup):
 )
 def test_mutated_encodings_agree_with_stdlib(seed, profile, pretty, mutations):
     v = generate(seed, DELIMITER_PROFILE if profile == "delimiter" else DEFAULT_PROFILE)
-    text = encode_json(v, JsonStyle(indent=2) if pretty else MINIMAL)
+    text = encode_json(v, 2 if pretty else None)
     for op, where, token in mutations:
         i = min(int(where * len(text)), len(text))
         if op == "insert":
@@ -633,7 +633,7 @@ class _RecordedRuns:
 def test_decoders_run_the_scanner_only_on_text_that_fails(docs, pretty, mutations):
     roots = [generate(seed, profile) for seed, profile in docs]
     texts = {
-        decode_json: encode_json(roots[0], JsonStyle(indent=2) if pretty else MINIMAL),
+        decode_json: encode_json(roots[0], 2 if pretty else None),
         decode_tron: encode_tron(roots[0]),
         decode_tron_batch: encode_tron_batch(roots),
     }

@@ -24,7 +24,7 @@ from notation.tokens import (
     pct_delta,
     round_pct,
 )
-from notation.agent import Span
+from notation.agent import Span, TrajectoryRecord
 
 from conftest import FIXTURES, check_record, simple_run_pieces
 
@@ -489,8 +489,13 @@ def test_round_pct_half_away_from_zero():
     assert round_pct(0.0) == 0.0
 
 
+def spans_only(spans):
+    """A record with no turns that holds ``spans``, as ``decompose`` reads one."""
+    return TrajectoryRecord("json", "input_only", "t", [], spans, "final", None)
+
+
 def test_decompose_empty_trajectory():
-    bd = decompose([], ByteCountTokenizer())
+    bd = decompose(spans_only([]), ByteCountTokenizer())
     assert bd == TokenBreakdown(0, 0, 0, 0, 0)
     assert bd.total == 0
 
@@ -507,7 +512,7 @@ def test_decompose_rejects_untagged_spans():
         ("mystery", "sideways", "span has unknown origin 'mystery'"),
     ]:
         with pytest.raises(UntaggedSpanError, match=f"^{re.escape(message)}$"):
-            decompose([good, Span("x", origin, direction, 0), good], ByteCountTokenizer())
+            decompose(spans_only([good, Span("x", origin, direction, 0), good]), ByteCountTokenizer())
 
 
 def test_decompose_single_turn_components():
