@@ -57,6 +57,7 @@ __all__ = ["encode_json", "decode_json", "Scanner"]
 encode_string = encode_basestring
 
 
+@_collector_paused
 def encode_json(v: Value, indent: int | None = None) -> str:
     """The JSON text of ``v``: ``_emit``'s pieces, re-spaced ``indent`` spaces a level if given, then joined."""
     # the width is checked before the document is read

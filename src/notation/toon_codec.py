@@ -130,6 +130,7 @@ def encode_scalar(v) -> str:
     raise TypeError(f"not a scalar: {v!r}")
 
 
+@_collector_paused
 def encode_toon(v: Value) -> str:
     """Encode a document; non-object roots get wrapped under WRAP_KEY.
 

@@ -107,10 +107,12 @@ def _render(index: dict[StructSignature, str], roots: list[Value]) -> str:
     return "".join(out)
 
 
+@_collector_paused
 def encode_tron(v: Value, min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> str:
     return _render(extract_classes([v], min_occurrences), [v])
 
 
+@_collector_paused
 def encode_tron_batch(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> str:
     """One shared class table, then each root's body on its own line."""
     if not roots:

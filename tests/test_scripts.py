@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end, each in its own interpreter."""
 
+import json
 import shutil
 import subprocess
 import sys
@@ -46,6 +47,23 @@ def test_cascade_sweep(tmp_path):
     rows = done.stdout.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["toon"] * 4 + ["tron"] * 4
     assert done.stdout == (FIXTURES / "cascade_sweep_golden.txt").read_text(encoding="utf-8")
+
+
+def test_gc_census(tmp_path):
+    done = run_script("gc_census.py", "--workload", "codec-roundtrip", "--seed", 7, "--passes", 2, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "gc_census: codec-roundtrip seed 7, 8 ops a pass, 2 passes"
+    assert lines[1].split() == ["pass", "gen0", "gen1", "gen2", "gc_ms", "collected", "op_ms"]
+    assert [line.split()[0] for line in lines[2:5]] == ["1", "2", "mean"]
+    result = json.loads(lines[-1])
+    assert (result["pool"], result["failed"]) == (8, 0)
+    assert len(result["passes"]) == 2
+    # a round trip's trees hold no cycle, so the collector finds nothing in them
+    assert all(p["collected"] == 0 and p["op_ms"] > 0 for p in result["passes"])
+    done = run_script("gc_census.py", "--workload", "codec-roundtrip", "--seed", 7, "--src", tmp_path, cwd=tmp_path)
+    assert done.returncode == 2
+    assert "no notation package under" in done.stderr
 
 
 def copy_src(tmp_path):

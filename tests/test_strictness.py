@@ -652,9 +652,9 @@ def test_decoders_run_the_scanner_only_on_text_that_fails(docs, pretty, mutation
 
 
 # ---------------------------------------------------------------------------
-# The decoders pause the cyclic collector while they build (``values.
-# _collector_paused``). Every way out of a decoder leaves ``gc.isenabled()``
-# as it found it, and no collection starts while a decoder runs.
+# The decoders and encoders pause the cyclic collector while they run
+# (``values._collector_paused``). Every way out of a codec call leaves
+# ``gc.isenabled()`` as it found it, and no collection starts while one runs.
 
 _DEEP_TOON = "\n".join(("  " * i) + (f"k{i}:" if i < 2999 else f"k{i}: 1") for i in range(3000))
 PAUSE_EXITS = {
@@ -689,6 +689,28 @@ def test_decoders_leave_the_collector_as_they_found_it(decode, enabled, restore_
         assert gc.isenabled() is enabled
 
 
+_PAUSE_DOC = from_python({"a": [1, "b", None]})
+ENCODE_EXITS = {
+    # encoder: (accepted arguments, rejected arguments, error raised)
+    encode_json: ((_PAUSE_DOC, 2), (_PAUSE_DOC, 0), ValueError),
+    encode_toon: ((_PAUSE_DOC,), ("x",), TypeError),
+    encode_tron: ((_PAUSE_DOC,), ("x",), TypeError),
+    encode_tron_batch: (([_PAUSE_DOC, _PAUSE_DOC],), ([],), ValueError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("encode", list(ENCODE_EXITS), ids=lambda f: f.__name__)
+def test_encoders_leave_the_collector_as_they_found_it(encode, enabled, restore_collector):
+    accepted, rejected, error = ENCODE_EXITS[encode]
+    (gc.enable if enabled else gc.disable)()
+    encode(*accepted)
+    assert gc.isenabled() is enabled
+    with pytest.raises(error):
+        encode(*rejected)
+    assert gc.isenabled() is enabled
+
+
 def test_nested_pause_leaves_the_collector_off_until_the_outer_call_returns(restore_collector):
     from notation.values import _collector_paused
 
@@ -717,12 +739,13 @@ _CODEC_FILES = {json_codec.__file__, toon_codec.__file__, tron_codec.__file__}
 def test_no_collection_starts_while_a_decoder_builds(restore_collector):
     rows = [{"id": i, "name": f"n{i}", "tags": [i, "t", None], "ok": i % 2 == 0} for i in range(1000)]
     doc = from_python({"rows": rows})  # about 8000 nodes
-    texts = {
-        decode_json: encode_json(doc),
-        decode_toon: encode_toon(doc),
-        decode_tron: encode_tron(doc),
-        decode_tron_batch: encode_tron_batch([doc, doc]),
+    codecs = {
+        decode_json: encode_json,
+        decode_toon: encode_toon,
+        decode_tron: encode_tron,
+        decode_tron_batch: encode_tron_batch,
     }
+    texts = {decode: encode([doc, doc] if decode is decode_tron_batch else doc) for decode, encode in codecs.items()}
     inside = []
 
     def count(phase, info):
@@ -737,11 +760,14 @@ def test_no_collection_starts_while_a_decoder_builds(restore_collector):
     gc.enable()
     gc.callbacks.append(count)
     try:
-        for decode, text in texts.items():
+        for decode, encode in codecs.items():
             gc.collect()
-            result = decode(text)
+            result = decode(texts[decode])
+            # straight after a decode, as in a round trip: the young collection
+            # the decode held back must not start inside the encoder
+            again = encode(result)
             assert result == ([doc, doc] if decode is decode_tron_batch else doc)
+            assert again == texts[decode]
     finally:
         gc.callbacks.remove(count)
     assert inside == []
-
