@@ -16,6 +16,7 @@ from pathlib import Path
 from .errors import CodecError, ParseError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_batch, decode_doc, encode_batch, encode_doc
 from .json_codec import decode_json, encode_json
+from .toon_codec import WRAP_KEY
 from .values import DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE, Object, from_python, generate
 
 __all__ = ["main"]
@@ -112,7 +113,7 @@ def cmd_convert(args) -> int:
     else:
         out = encode_doc(value, dst_fmt)
     if REGISTRY[dst_fmt].wraps_root and not isinstance(value, Object):
-        print("note: non-object root wrapped under synthetic 'value' key", file=sys.stderr)
+        print(f"note: non-object root wrapped under synthetic {WRAP_KEY!r} key", file=sys.stderr)
     if not args.out:
         print(out)  # main reports a closed stdout
         return EXIT_OK
@@ -418,7 +419,7 @@ def _convert_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--from", dest="src_format", choices=FORMATS, default=BASELINE)
     p.add_argument("--to", dest="dst_format", choices=FORMATS, default=None)
     p.add_argument("--json-indent", type=_positive_int, default=None, help="pretty-print JSON output")
-    p.add_argument("--unwrap", action="store_true", help="unwrap a synthetic 'value' root on decode")
+    p.add_argument("--unwrap", action="store_true", help=f"unwrap a synthetic {WRAP_KEY!r} root on decode")
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(func=cmd_convert)
 

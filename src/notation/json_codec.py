@@ -8,15 +8,16 @@ walker writes minimal JSON and, given a class index, TRON bodies; pretty
 JSON, ``encode_json(v, indent)``, is its pieces re-spaced ``indent`` spaces
 a level, and strings go through the stdlib's C escaper.
 
-Decoding has two paths, and TRON bodies take the same two. The accept
-path hands the text to the stdlib's C scanner, with hooks that keep number
-literals as written and object members as ordered pairs, then builds the
-nodes in one walk (``_build``) that also checks for duplicate keys and
-nesting past ``MAX_NESTING``. Given a class table, the same walk builds
-TRON instances, which ``tron_codec`` hands to the stdlib as marked arrays.
+One decoder, ``_decode``, reads JSON text and, given a class table, TRON
+bodies, on two paths. The accept path hands the text to the stdlib's C
+scanner, with hooks that keep number literals as written and object members
+as ordered pairs, then builds the nodes in one walk (``_build``) that also
+checks for duplicate keys and nesting past ``MAX_NESTING``. A TRON body
+reaches the stdlib with its instances spelled as marked arrays
+(``_as_json``), which the same walk builds against the class table.
 ``Scanner``, the reject path, is the strict recursive-descent parser that
-defines what is accepted and what each error says. It reads every text the
-accept path does not take:
+defines what is accepted and what each error says, given the same table. It
+reads every text the accept path does not take:
 
 * text with a raw surrogate code point, sent there before the stdlib
   sees it;
@@ -45,7 +46,7 @@ import json
 import re
 from json.encoder import encode_basestring
 
-from .errors import DuplicateKeyError, ParseError
+from .errors import ArityMismatchError, DuplicateKeyError, ParseError, UnknownClassError
 from .values import Array, Number, Object, StructSignature, Value, _box, _collector_paused, _unbox
 
 __all__ = ["encode_json", "decode_json", "Scanner"]
@@ -176,6 +177,9 @@ _SIMPLE_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\
 _LITERALS = {"true": True, "false": False, "null": None}
 _new = tuple.__new__
 
+_INSTANCE_HEAD = re.compile(r"([A-Z]+)\(")
+_class_name = re.compile(r"[A-Z]*").match
+
 # nesting cap keeps hostile input from exhausting the interpreter stack;
 # toon_codec holds its documents to the same cap
 MAX_NESTING = 120
@@ -187,15 +191,16 @@ class Scanner:
     It defines what is accepted and what each error says, but it runs only
     on text the accept path refuses, and in tests that call it directly, so
     it is kept as plain recursive descent: one loop per container, one
-    method per token. The TRON decoder subclasses the value dispatch to add
-    class instances, so everything lives on one class instead of free
-    functions.
+    method per token. Given a TRON class table, even an empty one, it reads
+    a TRON body: a class instance ``Name(a1,...)`` is one more kind of
+    value.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, classes: dict[str, StructSignature] | None = None):
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.classes = classes
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, pos=self.pos)
@@ -230,27 +235,44 @@ class Scanner:
         if self.depth > MAX_NESTING:
             raise self.error("nesting too deep")
         try:
-            return self.dispatch_value()
+            ch = self.text[self.pos : self.pos + 1]
+            if ch == "{":
+                return self.parse_object()
+            if ch == "[":
+                return _new(Array, (Array, tuple(self.parse_items("]", "array"))))
+            if ch == '"':
+                return self.parse_string()
+            if ch == "-" or "0" <= ch <= "9":
+                return _new(Number, (Number, self.parse_number_literal()))
+            if self.classes is not None and "A" <= ch <= "Z":
+                return self._parse_instance()
+            for literal, value in _LITERALS.items():
+                if self.text.startswith(literal, self.pos):
+                    self.pos += len(literal)
+                    return value
+            if not ch:
+                raise self.error("unexpected end of input")
+            raise self.error(f"unexpected character {ch!r}")
         finally:
             self.depth -= 1
 
-    def dispatch_value(self) -> Value:
-        ch = self.text[self.pos : self.pos + 1]
-        if ch == "{":
-            return self.parse_object()
-        if ch == "[":
-            return _new(Array, (Array, tuple(self.parse_items("]", "array"))))
-        if ch == '"':
-            return self.parse_string()
-        if ch == "-" or "0" <= ch <= "9":
-            return _new(Number, (Number, self.parse_number_literal()))
-        for literal, value in _LITERALS.items():
-            if self.text.startswith(literal, self.pos):
-                self.pos += len(literal)
-                return value
-        if not ch:
-            raise self.error("unexpected end of input")
-        raise self.error(f"unexpected character {ch!r}")
+    def _parse_instance(self) -> Object:
+        start = self.pos
+        m = _INSTANCE_HEAD.match(self.text, start)
+        if m is None:
+            self.pos = _class_name(self.text, start).end()
+            name = self.text[start : self.pos]
+            raise ParseError(f"expected '(' after class name {name}", pos=self.pos)
+        name = m.group(1)
+        fields = self.classes.get(name)
+        if fields is None:
+            raise UnknownClassError(name, pos=start)
+        self.pos = m.end() - 1
+        args = self.parse_items(")", "instance args")
+        if len(args) != len(fields):
+            raise ArityMismatchError(len(fields), len(args), class_name=name)
+        # declared fields are distinct (checked in tron_codec._parse_class_line)
+        return _new(Object, (Object, fields, tuple(args)))
 
     def parse_object(self) -> Object:
         self.pos += 1
@@ -390,10 +412,39 @@ class _Constants(dict):
         raise ValueError(f"non-standard constant {name}")
 
 
-# The opening and closing marks of a TRON instance, which tron_codec spells
+# The opening and closing marks of a TRON instance, which _as_json spells
 # as [NaN,"Name",[args...],Infinity] for _marked_decode.
 _OPEN = object()
 _CLOSE = object()
+
+# A TRON body is JSON text once every ``Name(`` outside a string becomes
+# ``[NaN,"Name",[`` and every ``)`` becomes ``],Infinity]``; the stdlib reads
+# NaN and Infinity as the instance marks, and ``_build`` takes an instance
+# only as [_OPEN, declared name, args of the declared arity, _CLOSE]. A body
+# whose text outside strings already holds NaN or Infinity, or the NUL that
+# joins the pieces below, is left to Scanner, which reads every body this
+# path does not accept and so alone says what each error is. Nothing else
+# needs screening: a "(" after no class name stays a "(", and a quote that
+# opens an unterminated string runs to the end or to the first inserted
+# quote, which a class name follows; the stdlib rejects all three.
+
+# the string tokens of a body, in odd places of the split
+_split_strings = re.compile(r'("[^"\\]*(?:\\.[^"\\]*)*")', re.S).split
+
+
+def _as_json(body: str) -> str | None:
+    """The body with its instances spelled as marked JSON arrays, or None."""
+    if "\0" in body:
+        return None
+    pieces = _split_strings(body)
+    outside = "\0".join(pieces[::2])
+    if "NaN" in outside or "Infinity" in outside:
+        return None
+    parts = _INSTANCE_HEAD.split(outside)
+    parts[1::2] = ['[NaN,"' + name + '",[' for name in parts[1::2]]
+    pieces[::2] = "".join(parts).replace(")", "],Infinity]").split("\0")
+    return "".join(pieces)
+
 
 # numbers arrive as Number nodes holding the literal as written, objects as
 # tuples of (key, value) pairs in document order, duplicates included
@@ -463,17 +514,20 @@ def _build(x, depth: int, classes: dict[str, StructSignature] | None):
     raise ValueError("instance mark out of place")
 
 
-def _accept(text: str, decode, classes: dict[str, StructSignature] | None) -> Value | None:
-    """The value of ``text`` read by the stdlib's ``decode``, or None when it is not accepted.
+def _accept(text: str, classes: dict[str, StructSignature] | None) -> Value | None:
+    """The value of ``text`` read by the stdlib, or None when it is not accepted.
 
-    A scalar root is boxed, so a null root is never taken for None. None
-    means the reject path must read the text: it holds a raw surrogate code
-    point, ``decode`` rejects it, ``_build`` refuses its result, or it has a
-    surrogate escape that is not half of a pair.
+    With no class table the stdlib reads plain JSON; with one, even an empty
+    one, it reads ``_as_json``'s marked spelling. A scalar root is boxed, so
+    a null root is never taken for None. None means the reject path must
+    read the text: it holds a raw surrogate code point, the stdlib rejects
+    it, ``_build`` refuses its result, or it has a surrogate escape that is
+    not half of a pair.
     """
     try:
         if not text.isascii():
             text.encode("utf-8")  # raises on a raw surrogate
+        decode = _stdlib_decode if classes is None else _marked_decode
         v = _build(decode(text), 1, classes)
         if _surrogate_escape(text) is not None and any(_escapes(text)):
             # a lone surrogate cannot be written out as UTF-8
@@ -485,13 +539,23 @@ def _accept(text: str, decode, classes: dict[str, StructSignature] | None) -> Va
         return None
 
 
+def _decode(text: str, classes: dict[str, StructSignature] | None) -> Value:
+    """The one value of a JSON text, or, given a class table, of a TRON body.
+
+    The accept path (``_accept``) reads the text first; a body with no
+    ``(`` has no instance and is JSON text as it stands. Any text it does
+    not accept is parsed again by ``Scanner``, which raises the error with
+    its reason and position.
+    """
+    if classes is None or "(" not in text:
+        v = _accept(text, None)
+    else:
+        marked = _as_json(text)
+        v = None if marked is None else _accept(marked, classes)
+    return Scanner(text, classes).parse_document() if v is None else v
+
+
 @_collector_paused
 def decode_json(text: str) -> Value:
-    """Parse exactly one JSON value; trailing non-whitespace is an error.
-
-    Text goes to the stdlib parser first (``_accept``). Any text it does not
-    accept is parsed again by ``Scanner``, which raises the error with its
-    reason and position.
-    """
-    v = _accept(text, _stdlib_decode, None)
-    return Scanner(text).parse_document() if v is None else v
+    """Parse exactly one JSON value; trailing non-whitespace is an error."""
+    return _decode(text, None)

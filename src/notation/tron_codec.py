@@ -8,30 +8,18 @@ since positional arguments make key order load-bearing. Compression comes
 entirely from repetition, so a batch encoder shares one class table across
 many documents.
 
-A body decodes the way ``json_codec`` decodes JSON, on the same two paths.
-The accept path spells each instance ``Name(a1,...)`` outside string
-tokens as the JSON array ``[NaN,"Name",[a1,...],Infinity]`` and hands that
-to the stdlib's C scanner, which reads NaN and Infinity as two private
-marks; JSON's node walk then builds the instances against the class table.
-A body with no ``(`` is JSON text as it stands. ``_TronScanner``, the JSON
-``Scanner`` with class instances as one more kind of value, is the reject
-path: it reads every body the accept path does not take, so it alone says
-what each error is. Both paths share JSON's string rules (no unpaired
-surrogates), its duplicate-key check and its nesting cap, under which an
-instance is one value and its args are one value deeper.
+This module owns the class table: it finds the shapes, names them, and
+writes and reads the header. A body is written by JSON's walker given the
+class index, and read by JSON's one decoder (``json_codec._decode``) given
+the class table, on the same two paths as JSON text, with the same string
+rules (no unpaired surrogates), duplicate-key check and nesting cap, under
+which an instance is one value and its args are one value deeper.
 """
 
 from __future__ import annotations
 
-import re
-
-from .errors import (
-    ArityMismatchError,
-    DuplicateClassError,
-    ParseError,
-    UnknownClassError,
-)
-from .json_codec import Scanner, _accept, _emit, _marked_decode, _stdlib_decode
+from .errors import DuplicateClassError, ParseError
+from .json_codec import _decode, _emit
 from .values import Array, Object, StructSignature, Value, _collector_paused, _unbox
 
 __all__ = [
@@ -124,39 +112,6 @@ def encode_tron_batch(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCC
 # Decoding.
 
 
-_instance_head = re.compile(r"([A-Z]+)\(").match
-_class_name = re.compile(r"[A-Z]*").match
-
-
-class _TronScanner(Scanner):
-    def __init__(self, text: str, classes: dict[str, StructSignature]):
-        super().__init__(text)
-        self.classes = classes
-
-    def dispatch_value(self) -> Value:
-        if "A" <= self.text[self.pos : self.pos + 1] <= "Z":
-            return self._parse_instance()
-        return super().dispatch_value()
-
-    def _parse_instance(self) -> Object:
-        start = self.pos
-        m = _instance_head(self.text, start)
-        if m is None:
-            self.pos = _class_name(self.text, start).end()
-            name = self.text[start : self.pos]
-            raise ParseError(f"expected '(' after class name {name}", pos=self.pos)
-        name = m.group(1)
-        fields = self.classes.get(name)
-        if fields is None:
-            raise UnknownClassError(name, pos=start)
-        self.pos = m.end() - 1
-        args = self.parse_items(")", "instance args")
-        if len(args) != len(fields):
-            raise ArityMismatchError(len(fields), len(args), class_name=name)
-        # declared fields are distinct (checked in _parse_class_line)
-        return tuple.__new__(Object, (Object, fields, tuple(args)))
-
-
 _CLASS_PREFIX = "class "
 
 
@@ -197,50 +152,10 @@ def _split_header(text: str) -> tuple[dict[str, StructSignature], str]:
     return classes, text[start:]
 
 
-# The accept path. A body is JSON text once every ``Name(`` outside a string
-# becomes ``[NaN,"Name",[`` and every ``)`` becomes ``],Infinity]``; the
-# stdlib reads NaN and Infinity as the instance marks, and ``_build`` takes
-# an instance only as [OPEN, declared name, args of the declared arity,
-# CLOSE]. A body whose text outside strings already holds NaN or Infinity,
-# or the NUL that joins the pieces below, is left to _TronScanner, which
-# reads every body this path does not accept and so alone says what each
-# error is. Nothing else needs screening: a "(" after no class name stays a
-# "(", and a quote that opens an unterminated string runs to the end or to
-# the first inserted quote, which a class name follows; the stdlib rejects
-# all three.
-
-# the string tokens of a body, in odd places of the split
-_split_strings = re.compile(r'("[^"\\]*(?:\\.[^"\\]*)*")', re.S).split
-_split_heads = re.compile(r"([A-Z]+)\(").split
-
-
-def _as_json(body: str) -> str | None:
-    """The body with its instances spelled as marked JSON arrays, or None."""
-    if "\0" in body:
-        return None
-    pieces = _split_strings(body)
-    outside = "\0".join(pieces[::2])
-    if "NaN" in outside or "Infinity" in outside:
-        return None
-    parts = _split_heads(outside)
-    parts[1::2] = ['[NaN,"' + name + '",[' for name in parts[1::2]]
-    pieces[::2] = "".join(parts).replace(")", "],Infinity]").split("\0")
-    return "".join(pieces)
-
-
-def _decode_body(body: str, classes: dict[str, StructSignature]) -> Value:
-    if "(" not in body:
-        v = _accept(body, _stdlib_decode, None)
-    else:
-        marked = _as_json(body)
-        v = None if marked is None else _accept(marked, _marked_decode, classes)
-    return _TronScanner(body, classes).parse_document() if v is None else v
-
-
 @_collector_paused
 def decode_tron(text: str) -> Value:
     classes, body = _split_header(text)
-    return _decode_body(body, classes)
+    return _decode(body, classes)
 
 
 @_collector_paused
@@ -251,7 +166,7 @@ def decode_tron_batch(text: str) -> list[Value]:
     for line in body.split("\n"):
         if not line or line.isspace():
             continue
-        roots.append(_decode_body(line, classes))
+        roots.append(_decode(line, classes))
     if not roots:
         raise ParseError("batch has no document bodies")
     return roots

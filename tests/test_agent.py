@@ -181,6 +181,16 @@ def test_unknown_mutator_rejected():
         corrupt_text("x", "explode")
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"format": "yaml"}, "unknown format 'yaml'"), ({"failure_rate": 1.5}, "failure_rate must be in [0, 1]")],
+)
+def test_loop_config_refuses_a_bad_setting(kwargs, message):
+    with pytest.raises(ValueError) as e:
+        LoopConfig(**kwargs)
+    assert str(e.value) == message
+
+
 # ---------------------------------------------------------------------------
 # system prompt
 

@@ -120,8 +120,19 @@ def weather_fixture_with(name: str, repeat) -> bytes:
     return json.dumps(entries + [repeat(entries[0])]).encode()
 
 
+# argv of a replay that reads one fixture, the trace, catalog or executor, from {tmp}/in
+TRACE_IN = ["replay", "--trace", "{tmp}/in"] + REPLAY_ARGS[3:]
+CATALOG_IN = REPLAY_ARGS[:4] + ["{tmp}/in"] + REPLAY_ARGS[5:]
+EXECUTOR_IN = REPLAY_ARGS[:6] + ["{tmp}/in"]
+
+
+def fixture_error(message):
+    return f"error: ValueError: {message}\n"
+
+
 # one input per failure class; {tmp} is the test's directory, where
-# "in" holds the file bytes and "dir" is a directory
+# "in" holds the file bytes and "dir" is a directory. A sixth field, when
+# present, is text stderr must hold
 EXIT_TABLE = [
     ("toon bare CR, path", ["convert", "{tmp}/in", "--from", "toon"], b"a: 1\rb: 2", None, 2),
     ("toon bare CR, stdin", ["convert", "-", "--from", "toon"], None, b"a: 1\rb: 2", 2),
@@ -166,6 +177,31 @@ EXIT_TABLE = [
         None,
         2,
     ),
+    ("catalog not an array", CATALOG_IN, b"{}", None, 2, fixture_error("catalog fixture must be a JSON array")),
+    ("catalog entry not an object", CATALOG_IN, b"[1]", None, 2, fixture_error("tool schema must be an object")),
+    (
+        "catalog entry without parameters",
+        CATALOG_IN,
+        b'[{"name":"forecast","description":"Hourly weather forecast for a city."}]',
+        None,
+        2,
+        fixture_error("tool schema needs name, description and parameters"),
+    ),
+    ("executor entry not an object", EXECUTOR_IN, b"[1]", None, 2, fixture_error("executor entry must be an object")),
+    (
+        "executor entry without result",
+        EXECUTOR_IN,
+        b'[{"tool":"forecast","args":{"city":"Boulder","hours":3}}]',
+        None,
+        2,
+        fixture_error("executor entry needs tool, args and result"),
+    ),
+    ("trace line not an object", TRACE_IN, b"[1]", None, 2, fixture_error("trace line 1 must be an object")),
+    ("trace line without text", TRACE_IN, b'{"role":"agent"}', None, 2, fixture_error("trace line 1: text field required")),
+    ("trace of blank lines", TRACE_IN, b"\n  \n\t\n", None, 2, fixture_error("trace fixture has no agent turns")),
+    ("convert out is a directory", ["convert", "{tmp}/in", "--out", "{tmp}/dir"], b"{}", None, 3, "error: cannot write output"),
+    ("measure out is a directory", ["measure", "{tmp}/dir", "--out", "{tmp}/dir"], b"{}", None, 3, "error: cannot write report"),
+    ("replay out is a directory", REPLAY_ARGS + ["--out", "{tmp}/dir"], None, None, 3, "error: cannot write report"),
 ]
 
 
@@ -186,16 +222,16 @@ def run_exit_case(tmp_path, monkeypatch, capsys, argv, data=None, stdin=None):
 
 
 @pytest.mark.parametrize(
-    "argv, data, stdin, expected",
-    [case[1:] for case in EXIT_TABLE],
+    "argv, data, stdin, expected, message",
+    [(*case[1:5], case[5] if len(case) > 5 else "error") for case in EXIT_TABLE],
     ids=[case[0] for case in EXIT_TABLE],
 )
-def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, data, stdin, expected):
+def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, data, stdin, expected, message):
     code, _, err = run_exit_case(tmp_path, monkeypatch, capsys, argv, data, stdin)
     assert code == expected, err
     assert "Traceback" not in err
     if expected:
-        assert "error" in err
+        assert message in err
 
 
 # (id, argv, data, stdin): every help, every EXIT_TABLE case, and usage

@@ -14,7 +14,7 @@ from notation import agent as agent_mod
 from notation import json_codec, toon_codec, tron_codec
 from notation.agent import LoopConfig, build_system_prompt_spans
 from notation.cli import main
-from notation.formats import REGISTRY, Format, encode_batch, encode_doc
+from notation.formats import REGISTRY, Format, encode_batch, encode_doc, lookup
 
 from conftest import FIXTURES, check_record, make_catalog, sample_document
 
@@ -75,3 +75,9 @@ def test_format_record_contract():
     check_record(make, Format("toon", toon_codec, "note"), "wraps_root", picklable=False)
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'note'"):
         Format("json", json_codec)
+
+
+def test_lookup_refuses_an_unknown_format():
+    with pytest.raises(ValueError) as e:
+        lookup("yaml")
+    assert str(e.value) == "unknown format 'yaml'"

@@ -7,8 +7,8 @@ decoder is also held to the stdlib parser's accept/reject decisions, to
 ``Scanner``'s exact values and errors (``decode_json`` reads most text
 with the stdlib's C scanner and leaves the rest to ``Scanner``), and the
 nesting cap to its exact depth. The TRON decoders are held to
-``_TronScanner`` the same way, and the decoders start either scanner only
-on text that fails.
+``Scanner`` given the class table the same way, and the decoders start
+the scanner only on text that fails.
 """
 
 import gc
@@ -406,9 +406,9 @@ def test_pinned_cases_agree_with_scanner(monkeypatch, text, expected, stdlib_fir
         return stdlib_decode(t)
 
     class CountingScanner(Scanner):
-        def __init__(self, t):
+        def __init__(self, t, classes=None):
             calls["scanner"] += 1
-            super().__init__(t)
+            super().__init__(t, classes)
 
     monkeypatch.setattr(json_codec, "_stdlib_decode", counting_stdlib)
     monkeypatch.setattr(json_codec, "Scanner", CountingScanner)
@@ -465,7 +465,7 @@ def test_surrogate_escapes_agree_with_scanner(frame, strings):
 
 
 # ---------------------------------------------------------------------------
-# The TRON accept path against _TronScanner, the reject path: decode_tron and
+# The TRON accept path against Scanner, the reject path: decode_tron and
 # decode_tron_batch give the same nodes, or the same error class, message and
 # position, as the scanner reading every body.
 
@@ -474,12 +474,12 @@ TRON_HEADER = "class A: a\nclass B: a,b\n\n"
 
 def _tron_scanner(text: str) -> Value:
     classes, body = tron_codec._split_header(text)
-    return tron_codec._TronScanner(body, classes).parse_document()
+    return Scanner(body, classes).parse_document()
 
 
 def _tron_batch_scanner(text: str) -> list[Value]:
     classes, body = tron_codec._split_header(text)
-    roots = [tron_codec._TronScanner(line, classes).parse_document() for line in body.split("\n") if line.strip()]
+    roots = [Scanner(line, classes).parse_document() for line in body.split("\n") if line.strip()]
     if not roots:
         raise ParseError("batch has no document bodies")
     return roots
@@ -556,12 +556,12 @@ def test_tron_pinned_cases_agree_with_scanner(monkeypatch, body, expected, accep
         assert type(outcome[1]) is expected
     calls = []
 
-    class CountingScanner(tron_codec._TronScanner):
-        def __init__(self, t, classes):
+    class CountingScanner(Scanner):
+        def __init__(self, t, classes=None):
             calls.append(t)
             super().__init__(t, classes)
 
-    monkeypatch.setattr(tron_codec, "_TronScanner", CountingScanner)
+    monkeypatch.setattr(json_codec, "Scanner", CountingScanner)
     assert _scanner_outcome(decode_tron, text) == outcome
     # the scanner reads exactly the bodies the accept path does not take
     assert calls == ([] if accepted else [body])
@@ -608,9 +608,9 @@ def test_tron_soup_agrees_with_scanner(header, frame, soup):
 
 
 # ---------------------------------------------------------------------------
-# Scanner and _TronScanner are plain recursive descent because the decoders
-# hand them only text that fails: every text that decodes takes the accept
-# path. Each run the decoders start must therefore end in a CodecError.
+# Scanner is plain recursive descent because the decoders hand it only text
+# that fails: every text that decodes takes the accept path. Each run the
+# decoders start must therefore end in a CodecError.
 
 
 class _RecordedRuns:
@@ -639,8 +639,7 @@ def test_decoders_run_the_scanner_only_on_text_that_fails(docs, pretty, mutation
     }
     runs: list[str] = []
     scanner = type("RecordedScanner", (_RecordedRuns, Scanner), {"runs": runs})
-    tron_scanner = type("RecordedTronScanner", (_RecordedRuns, tron_codec._TronScanner), {"runs": runs})
-    with mock.patch.object(json_codec, "Scanner", scanner), mock.patch.object(tron_codec, "_TronScanner", tron_scanner):
+    with mock.patch.object(json_codec, "Scanner", scanner):
         for decode, text in texts.items():
             for mutation in mutations:
                 text = mutate(text, *mutation)

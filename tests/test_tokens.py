@@ -449,6 +449,12 @@ def test_bpe_memo_bound(monkeypatch):
             assert len(tok._chunks) <= bound
 
 
+def test_make_tokenizer_refuses_an_unknown_kind():
+    with pytest.raises(ValueError) as e:
+        make_tokenizer("nope")
+    assert str(e.value) == "unknown tokenizer kind: 'nope'"
+
+
 def test_bpe_load_errors(tmp_path):
     with pytest.raises(VocabLoadError):
         BpeTokenizer.from_files(tmp_path / "missing.json", tmp_path / "missing.txt")

@@ -115,6 +115,23 @@ def test_indent_errors():
         assert str(e.value) == f"{message} at line 2", doc
 
 
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ("k[1]:\n  -x", ParseError, "expected '- ' item at line 2"),
+        ("k[2]{a,", ParseError, "unterminated table header at line 1"),
+        ("k[1]{,a}:\n  1", ParseError, "empty table header field at line 1"),
+        ('k: "a"b', ParseError, "trailing content after quoted string at line 1"),
+        ("k[1]{a}:\n  1\n    2", IndentError, "unexpected indentation depth 2 at line 3"),
+    ],
+)
+def test_reject_reason_and_line(doc, error, message):
+    with pytest.raises(CodecError) as e:
+        decode_toon(doc)
+    assert type(e.value) is error
+    assert str(e.value) == message
+
+
 def test_duplicate_keys_rejected():
     with pytest.raises(DuplicateKeyError):
         decode_toon("a: 1\na: 2")

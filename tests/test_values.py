@@ -136,6 +136,12 @@ def test_copy_and_pickle_round_trip(profile):
         assert copy.copy(v) == v
 
 
+def test_from_python_refuses_an_unknown_type():
+    with pytest.raises(TypeError) as e:
+        from_python(object())
+    assert str(e.value) == "cannot convert object to Value"
+
+
 def test_object_rejects_duplicate_keys():
     with pytest.raises(ValueError, match="duplicate object key: 'a'"):
         Object((("a", Null()), ("b", Null()), ("a", Null())))
@@ -325,14 +331,14 @@ def decode_paths(v):
     text = encode_json(v)
     tron = encode_tron(v)
     classes, body = tron_codec._split_header(tron)
-    marked = tron_codec._as_json(body)
+    marked = json_codec._as_json(body)
     assert "(" in body and marked is not None
     paths = {
-        "json accept": json_codec._accept(text, json_codec._stdlib_decode, None),
+        "json accept": json_codec._accept(text, None),
         "json Scanner": Scanner(text).parse_document(),
         "toon": decode_toon(encode_toon(v)),
-        "tron accept": json_codec._accept(marked, json_codec._marked_decode, classes),
-        "tron _TronScanner": tron_codec._TronScanner(body, classes).parse_document(),
+        "tron accept": json_codec._accept(marked, classes),
+        "tron Scanner": Scanner(body, classes).parse_document(),
         "tron batch": decode_tron_batch(encode_tron_batch([v, v]))[1],
     }
     assert None not in paths.values()
@@ -456,7 +462,7 @@ def test_a_scalar_root_comes_back_boxed(root):
         "json Scanner": Scanner(text).parse_document(),
         "toon": decode_toon(encode_toon(root), unwrap=True),
         "tron": decode_tron(encode_tron(root)),
-        "tron _TronScanner": tron_codec._TronScanner(body, classes).parse_document(),
+        "tron Scanner": Scanner(body, classes).parse_document(),
         "tron batch": decode_tron_batch(encode_tron_batch([root, root]))[1],
         "from_python": from_python(root),
     }
