@@ -60,12 +60,22 @@ def _read_input(path: str) -> str:
     accepts exactly what the library accepts. Bytes that are not UTF-8 are a
     ``ParseError``.
     """
-    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as f:
+            data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError("input is not valid UTF-8", pos=e.start) from None
     return text.replace("\r\n", "\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` and a final newline to ``path`` as UTF-8: the --out files."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text + "\n")
 
 
 def _positive_int(arg: str) -> int:
@@ -118,7 +128,7 @@ def cmd_convert(args) -> int:
         print(out)  # main reports a closed stdout
         return EXIT_OK
     try:
-        Path(args.out).write_text(out + "\n", encoding="utf-8")
+        _write_text(args.out, out)
     except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return EXIT_IO
@@ -145,6 +155,8 @@ def _measure_report(args, tokenizer) -> dict:
 
     paths = sorted(Path(args.corpus_dir).glob("*.json"))
     if not paths:
+        if os.path.exists(args.corpus_dir) and not os.path.isdir(args.corpus_dir):
+            raise NotADirectoryError(f"{args.corpus_dir} is not a directory")
         raise FileNotFoundError(f"no .json files in {args.corpus_dir}")
     for path in paths:
         # the table and the report name each file, and both are UTF-8
@@ -242,7 +254,7 @@ def _run_report(args, build, render, decode_errors: tuple) -> int:
     if args.out:
         text = encode_json(from_python(report), 2)
         try:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
+            _write_text(args.out, text)
         except OSError as e:
             print(f"error: cannot write report: {e}", file=sys.stderr)
             return EXIT_IO
@@ -463,27 +475,36 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, with the flags of those named in ``argv``.
-
-    argparse runs only a command whose name is in ``argv``, so parsing
-    ``argv`` gives what the full parser gives, usage errors and help
-    included. With no ``argv`` every command gets its flags.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: the one that reports help and usage errors at the top level."""
     parser = _Parser(prog="notation", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if argv is None or name in argv:
-            add_flags(p)
+        add_flags(sub.add_parser(name, help=help_line))
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, built cheaply when ``argv[0]`` names a command.
+
+    The command's own parser then reads the rest: ``add_parser`` gives a
+    sub-parser this prog, so its help and usage errors print as the full
+    parser's would. An argv it leaves partly unread, or one that names no
+    command first, goes to the full parser, which reports it.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = _Parser(prog=f"notation {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
-            argv = sys.argv[1:] if argv is None else argv
-            args = build_parser(argv).parse_args(argv)
+            args = _parse_args(sys.argv[1:] if argv is None else argv)
             return args.func(args)
         finally:
             sys.stdout.flush()

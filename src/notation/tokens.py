@@ -276,8 +276,9 @@ class BpeTokenizer(Tokenizer):
         except (json.JSONDecodeError, RecursionError) as e:
             # RecursionError: nesting deeper than the stdlib decoder reads
             raise VocabLoadError(f"vocabulary file {vocab_path} is not valid JSON: {e}") from e
-        # type(v) is int: a JSON true or false is a bool, which isinstance counts as an int
-        if not isinstance(vocab, dict) or not all(isinstance(k, str) and type(v) is int for k, v in vocab.items()):
+        # JSON object keys are always str; an id's type must be int itself, since a
+        # JSON true or false is a bool, which isinstance counts as an int
+        if not isinstance(vocab, dict) or not {int}.issuperset(map(type, vocab.values())):
             raise VocabLoadError("vocabulary must map token strings to integer ids")
         merge_text = _read_vocab_file(merges_path, "merges")
         merges: list[tuple[str, str]] = []
@@ -362,7 +363,8 @@ class BpeTokenizer(Tokenizer):
 
 def _read_vocab_file(path: str | Path, what: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as e:
         raise VocabLoadError(f"cannot read {what} file: {e}") from e
     except UnicodeDecodeError as e:

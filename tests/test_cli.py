@@ -201,6 +201,14 @@ EXIT_TABLE = [
     ("trace of blank lines", TRACE_IN, b"\n  \n\t\n", None, 2, fixture_error("trace fixture has no agent turns")),
     ("convert out is a directory", ["convert", "{tmp}/in", "--out", "{tmp}/dir"], b"{}", None, 3, "error: cannot write output"),
     ("measure out is a directory", ["measure", "{tmp}/dir", "--out", "{tmp}/dir"], b"{}", None, 3, "error: cannot write report"),
+    (
+        "measure a regular file",
+        ["measure", "{tmp}/in"],
+        b"{}",
+        None,
+        2,
+        "error: NotADirectoryError: {tmp}/in is not a directory\n",
+    ),
     ("replay out is a directory", REPLAY_ARGS + ["--out", "{tmp}/dir"], None, None, 3, "error: cannot write report"),
 ]
 
@@ -231,7 +239,7 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, data, stdin, expec
     assert code == expected, err
     assert "Traceback" not in err
     if expected:
-        assert message in err
+        assert message.replace("{tmp}", str(tmp_path)) in err
 
 
 # (id, argv, data, stdin): every help, every EXIT_TABLE case, and usage
@@ -246,6 +254,13 @@ PARSER_CASES = (
         ("measure, no corpus", ["measure"], None, None),
         ("unknown flag before the command", ["--bogus", "measure", "x"], None, None),
         ("unknown tokenizer", ["measure", "x", "--tokenizer", "nope"], None, None),
+        ("unknown trailing flag", ["measure", "{tmp}/dir", "--bogus"], b"{}", None),
+        ("extra positional", ["measure", "{tmp}/dir", "y"], b"{}", None),
+        ("double dash", ["measure", "--tokenizer", "words", "--", "{tmp}/dir"], b"{}", None),
+        ("flag after a double dash", ["measure", "--", "{tmp}/dir", "--tokenizer"], b"{}", None),
+        ("abbreviated flag", ["measure", "{tmp}/dir", "--tok", "words"], b"{}", None),
+        ("help after a positional", ["measure", "{tmp}/dir", "-h"], None, None),
+        ("repeated flag", ["measure", "{tmp}/dir", "--tokenizer", "bpe", "--tokenizer", "words"], b"{}", None),
     ]
 )
 
@@ -256,21 +271,52 @@ PARSER_CASES = (
     ids=[case[0] for case in PARSER_CASES],
 )
 def test_parser_for_argv_acts_as_the_full_parser(tmp_path, monkeypatch, capsys, argv, data, stdin):
-    """A parser with only the named commands' flags prints and exits as one with every command's."""
-    built = run_exit_case(tmp_path, monkeypatch, capsys, argv, data, stdin)
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
-    assert run_exit_case(tmp_path, monkeypatch, capsys, argv, data, stdin) == built
+    """main prints and exits as it would with every command's parser reading argv."""
+    routed = run_exit_case(tmp_path, monkeypatch, capsys, argv, data, stdin)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    assert run_exit_case(tmp_path, monkeypatch, capsys, argv, data, stdin) == routed
 
 
-def test_build_parser_adds_the_flags_of_named_commands_only(capsys):
-    args = cli.build_parser(["measure"]).parse_args(["measure", "x", "--tokenizer", "bpe"])
-    assert (args.corpus_dir, args.tokenizer) == ("x", "bpe")
-    # convert is not named, so it has no input argument to read "in" with
-    with pytest.raises(SystemExit):
-        cli.build_parser(["measure"]).parse_args(["convert", "in"])
-    assert "unrecognized arguments: in" in capsys.readouterr().err
-    assert cli.build_parser().parse_args(["convert", "in"]).input == "in"
+def count_parsers(monkeypatch, capsys, argv) -> int:
+    """How many ``_Parser`` objects ``main(argv)`` builds, sub-parsers included."""
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    try:
+        main(argv)
+    except SystemExit:  # help and usage errors
+        pass
+    capsys.readouterr()
+    return len(built)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "--help"] for name in cli.COMMANDS] + [["roundtrip", "--count", "1"]],
+    ids=[f"{name} help" for name in cli.COMMANDS] + ["roundtrip"],
+)
+def test_a_command_first_argv_builds_one_parser(monkeypatch, capsys, argv):
+    assert count_parsers(monkeypatch, capsys, argv) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["nope"], ["--bogus", "roundtrip"]],
+    ids=["no arguments", "help", "unknown command", "flag before the command"],
+)
+def test_an_argv_without_a_command_first_builds_the_full_parser(monkeypatch, capsys, argv):
+    # the top-level parser and one sub-parser per command
+    assert count_parsers(monkeypatch, capsys, argv) == 1 + len(cli.COMMANDS)
+
+
+def test_an_argv_the_command_leaves_unread_goes_to_the_full_parser(monkeypatch, capsys):
+    # the command's own parser, then the full one, which reports the unread "--bogus"
+    assert count_parsers(monkeypatch, capsys, ["roundtrip", "--bogus"]) == 1 + 1 + len(cli.COMMANDS)
 
 
 def test_convert_missing_file_exit_3(tmp_path, capsys):

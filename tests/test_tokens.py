@@ -470,13 +470,17 @@ def test_bpe_load_errors(tmp_path):
     bad_merges.write_text("a b c\n")
     with pytest.raises(VocabLoadError):
         BpeTokenizer.from_files(ok_vocab, bad_merges)
-    # JSON booleans are not ids, though Python counts bool as int
-    bool_vocab = tmp_path / "bool.json"
-    bool_vocab.write_text(json.dumps({"a": True, "b": 1}))
-    with pytest.raises(VocabLoadError, match="vocabulary must map token strings to integer ids"):
-        BpeTokenizer.from_files(bool_vocab, merges)
     with pytest.raises(VocabLoadError):
         make_tokenizer("bpe", None, None)
+
+
+# JSON booleans are not ids, though Python counts bool as int
+@pytest.mark.parametrize("bad_id", [True, 1.0, None, "1", [1], {"a": 1}], ids=repr)
+def test_bpe_vocab_ids_must_be_ints(tmp_path, bad_id):
+    vocab_path, merges_path = write_bpe_files(tmp_path, {"a": 0, "b": bad_id, "ab": 2}, ["a b"])
+    with pytest.raises(VocabLoadError) as e:
+        BpeTokenizer.from_files(vocab_path, merges_path)
+    assert str(e.value) == "vocabulary must map token strings to integer ids"
 
 
 def test_bpe_deterministic(tmp_path):
