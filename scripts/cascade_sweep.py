@@ -21,7 +21,6 @@ from notation.agent import (
     run_with_reference,
 )
 from notation.formats import BASELINE, FORMATS
-from notation.json_codec import encode_json
 from notation.tokens import ByteCountTokenizer, decompose
 from notation.values import from_python
 
@@ -38,7 +37,7 @@ def build_pieces(corrupt_count: int):
     script = []
     for i in range(STEPS):
         args = from_python({"key": f"k{i}"})
-        table[("lookup", encode_json(args))] = from_python(
+        table[("lookup", args)] = from_python(
             {
                 "records": [
                     {"id": n, "label": f"item{n}", "score": n * 3, "state": "ready"}

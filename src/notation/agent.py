@@ -305,16 +305,19 @@ def without_corruption(agent: ScriptedAgent) -> ScriptedAgent:
 
 
 class TableExecutor:
-    """Mock tool runtime: exact (tool, canonical JSON args) -> result lookups."""
+    """Mock tool runtime: exact (tool name, argument value) -> result lookups.
 
-    def __init__(self, table: dict[tuple[str, str], Value]):
+    Two values are equal exactly when their minimal JSON texts are, so this matches the same calls as
+    minimal-JSON text keys would; only a miss encodes the arguments, for its message."""
+
+    def __init__(self, table: dict[tuple[str, Value], Value]):
         self.table = dict(table)
 
-    def lookup(self, tool: str, args_text: str) -> Value:
+    def lookup(self, tool: str, args: Value) -> Value:
         try:
-            return self.table[(tool, args_text)]
+            return self.table[(tool, args)]
         except KeyError:
-            raise AbortedTrajectoryError(tool, args_text) from None
+            raise AbortedTrajectoryError(tool, encode_json(args)) from None
 
 
 _STEP_TEMPLATE = Object(
@@ -471,8 +474,7 @@ def run_trajectory(
         assert isinstance(envelope, Step)
         if envelope.action not in tool_names:
             raise AbortedTrajectoryError(envelope.action, "<not in catalog>")
-        args_text = encode_json(envelope.arguments)
-        result = executor.lookup(envelope.action, args_text)
+        result = executor.lookup(envelope.action, envelope.arguments)
         result_doc = _render_doc(result, cfg.format)
         spans.append(_new(Span, ("\n", "other", "prompt", iteration)))
         spans.append(_new(Span, (result_doc, "result", "prompt", iteration)))
@@ -519,7 +521,7 @@ def load_catalog(path: str | Path) -> list[ToolSchema]:
 
 def load_executor(path: str | Path) -> TableExecutor:
     """Executor fixture: a JSON array of {tool, args, result} entries."""
-    table: dict[tuple[str, str], Value] = {}
+    table: dict[tuple[str, Value], Value] = {}
     for n, item in enumerate(_load_array(path, "executor"), start=1):
         if not isinstance(item, Object):
             raise ValueError("executor entry must be an object")
@@ -528,11 +530,11 @@ def load_executor(path: str | Path) -> TableExecutor:
         result = item.get("result")
         if not isinstance(tool, Text) or args is None or result is None:
             raise ValueError("executor entry needs tool, args and result")
-        key = (tool.value, encode_json(args))
         # an exact repeat is harmless; a second result for one call would replace the first
-        if table.setdefault(key, result) != result:
+        if table.setdefault((tool.value, args), result) != result:
             raise ValueError(
-                f"executor entry {n}: tool {key[0]!r} with args {key[1]} has a different result than an earlier entry"
+                f"executor entry {n}: tool {tool.value!r} with args {encode_json(args)} has a different result"
+                " than an earlier entry"
             )
     return TableExecutor(table)
 

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from notation.agent import ScriptedAgent, ScriptTurn, TableExecutor, ToolSchema
-from notation.json_codec import encode_json
 from notation.values import from_python
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -97,7 +96,7 @@ def simple_run_pieces():
     catalog = make_catalog(1)
     args = {"arg0": "hikes", "limit": 3}
     result = from_python({"rows": [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]})
-    executor = TableExecutor({("tool0", encode_json(from_python(args))): result})
+    executor = TableExecutor({("tool0", from_python(args)): result})
     agent = ScriptedAgent(
         [ScriptTurn(step_intent("tool0", args)), ScriptTurn(final_intent("two rows"))]
     )

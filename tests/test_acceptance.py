@@ -165,7 +165,7 @@ def build_cascade_pieces(num_steps: int, corrupt_positions: set[int], pad: str):
             }
         )
         results.append(result)
-        table[("lookup", encode_json(from_python(args)))] = result
+        table[("lookup", from_python(args))] = result
         thought = f"look up k{i}"
         if i in corrupt_positions:
             thought += " " + pad if pad else ""

@@ -4,6 +4,8 @@ import pickle
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from notation import agent as agent_mod
 from notation.agent import (
@@ -30,9 +32,22 @@ from notation.agent import (
 )
 from notation import cli, tron_codec
 from notation.formats import FORMATS, REGISTRY, decode_batch, decode_doc, encode_doc
-from notation.json_codec import decode_json
+from notation.json_codec import decode_json, encode_json
 from notation.tron_codec import decode_tron_batch
-from notation.values import Bool, Null, Number, Object, Text, from_python
+from notation.values import (
+    DEFAULT_PROFILE,
+    DELIMITER_PROFILE,
+    NULL,
+    TABULAR_PROFILE,
+    Array,
+    Bool,
+    Null,
+    Number,
+    Object,
+    Text,
+    from_python,
+    generate,
+)
 
 from conftest import FIXTURES, check_record, final_intent, make_catalog, simple_run_pieces, step_intent
 
@@ -316,21 +331,20 @@ def test_run_with_reference_is_the_clean_baseline_run():
     assert (reference.format, reference.mode, reference.status) == ("json", "full", "final")
 
 
-def test_executor_receives_minimal_json_args():
+def test_executor_receives_the_parsed_args():
     seen = {}
 
     class SpyExecutor(TableExecutor):
-        def lookup(self, tool, args_text):
-            seen["args"] = args_text
-            return super().lookup(tool, args_text)
+        def lookup(self, tool, args):
+            seen["args"] = args
+            return super().lookup(tool, args)
 
     catalog, executor, agent = simple_run_pieces()
     spy = SpyExecutor(executor.table)
     for fmt in FORMATS:
         record = run_trajectory("t", agent, spy, catalog, LoopConfig(format=fmt, mode="full"))
         assert record.status == "final"
-        args_value = decode_json(seen["args"])
-        assert args_value == agent.turns[0].intent.get("arguments")
+        assert seen["args"] == agent.turns[0].intent.get("arguments")
 
 
 def test_emitted_calls_match_mode():
@@ -350,7 +364,7 @@ def test_result_spans_use_input_format():
     result_spans = [s for s in record.spans if s.origin == "result"]
     assert len(result_spans) == 1
     decoded = decode_doc(result_spans[0].text, "toon")
-    assert decoded == executor.table[("tool0", '{"arg0":"hikes","limit":3}')]
+    assert decoded == executor.table[("tool0", from_python({"arg0": "hikes", "limit": 3}))]
 
 
 def test_format_independent_iterations_without_failures():
@@ -381,11 +395,87 @@ def test_unknown_tool_aborts():
         run_trajectory("t", agent, executor, catalog, LoopConfig())
 
 
-def test_executor_miss_aborts():
+# a miss names the call's arguments in minimal JSON: escapes, number literals and key order as parsed
+MISSED_ARGS = {"arg0": 'ö "q"\n', "limit": Number("1.50"), "more": [True, None, {"b": Number("-0")}]}
+MISSED_ARGS_TEXT = '{"arg0":"ö \\"q\\"\\n","limit":1.50,"more":[true,null,{"b":-0}]}'
+
+
+@pytest.fixture()
+def encode_json_calls(monkeypatch):
+    """The values ``agent.encode_json`` is called with, which still encodes them."""
+    calls = []
+    encode = agent_mod.encode_json
+    monkeypatch.setattr(agent_mod, "encode_json", lambda v, *rest: calls.append(v) or encode(v, *rest))
+    return calls
+
+
+def test_executor_miss_aborts(encode_json_calls):
     catalog, executor, _ = simple_run_pieces()
-    agent = ScriptedAgent([ScriptTurn(step_intent("tool0", {"arg0": "other", "limit": 1}))])
-    with pytest.raises(AbortedTrajectoryError):
-        run_trajectory("t", agent, executor, catalog, LoopConfig())
+    agent = ScriptedAgent([ScriptTurn(step_intent("tool0", MISSED_ARGS))])
+    for fmt in FORMATS:
+        encode_json_calls.clear()
+        with pytest.raises(AbortedTrajectoryError) as e:
+            run_trajectory("t", agent, executor, catalog, LoopConfig(format=fmt, mode="full"))
+        assert str(e.value) == f"no executor entry for tool 'tool0' with args {MISSED_ARGS_TEXT}", fmt
+        assert e.value.args_text == MISSED_ARGS_TEXT, fmt
+        # the one encode is the message's
+        assert encode_json_calls == [from_python(MISSED_ARGS)], fmt
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mode", ("input_only", "full"))
+def test_a_call_that_hits_encodes_nothing(fixtures_dir, fmt, mode, encode_json_calls):
+    replay = fixtures_dir / "replay"
+    agent = load_trace(replay / "trace_weather.jsonl")
+    executor = load_executor(replay / "executor_weather.json")
+    catalog = load_catalog(replay / "catalog_weather.json")
+    for rate in (0.0, 0.3):
+        for seed in (0, 1, 2):
+            encode_json_calls.clear()
+            cfg = LoopConfig(format=fmt, mode=mode, failure_rate=rate, seed=seed)
+            try:
+                run_trajectory("t", agent, executor, catalog, cfg)
+            except AbortedTrajectoryError as e:
+                # a corrupted call that still parses misses the executor and encodes its arguments once
+                assert [encode_json(v) for v in encode_json_calls] == [e.args_text], (rate, seed)
+            else:
+                assert encode_json_calls == [], (rate, seed)
+
+
+# The executor keys calls by argument value. That matches the same calls as keys of minimal JSON text
+# only if two values are equal exactly when their minimal JSON is, and equal values hash equal. Small
+# pools of look-alike leaves and keys make equal and near-equal pairs common; generated documents are
+# compared with each other and with their own copy read back from JSON.
+LOOKALIKES = st.sampled_from(
+    [NULL, Bool(True), Bool(False), Number("1"), Number("1.0"), Number("0"), Number("-0")]
+    + [Text(s) for s in ("1", "true", "null", "")]
+)
+ARGUMENTS = st.recursive(
+    LOOKALIKES,
+    lambda children: st.lists(children, max_size=3).map(Array)
+    | st.lists(st.tuples(st.sampled_from("ab"), children), max_size=2, unique_by=lambda kv: kv[0]).map(Object),
+    max_leaves=6,
+)
+PROFILES = st.sampled_from([DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE])
+DOCUMENTS = ARGUMENTS | st.builds(generate, st.integers(min_value=0, max_value=2**32 - 1), PROFILES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS, DOCUMENTS)
+@example(from_python(1), from_python(1.0))
+@example(from_python(1), from_python("1"))
+@example(from_python(1.0), from_python("1"))
+@example(from_python(True), from_python("true"))
+@example(from_python(None), from_python("null"))
+@example(Number("-0"), Number("0"))
+@example(from_python({"a": 1, "b": 2}), from_python({"b": 2, "a": 1}))
+@example(from_python({"q": [1, {"a": "1", "b": [True]}]}), from_python({"q": [1.0, {"a": "1", "b": [True]}]}))
+@example(from_python({"q": [1, {"a": "1", "b": [True]}]}), from_python({"q": [1, {"a": "1", "b": [True]}]}))
+def test_argument_values_are_equal_exactly_when_their_minimal_json_is(a, b):
+    for x, y in ((a, b), (a, decode_json(encode_json(a)))):
+        assert (x == y) == (encode_json(x) == encode_json(y))
+        if x == y:
+            assert hash(x) == hash(y)
 
 
 def test_script_exhaustion_raises():
@@ -476,11 +566,11 @@ def test_warm_run_renders_nothing(monkeypatch):
 
 def test_results_differing_in_node_type_render_differently():
     catalog = make_catalog(1)
-    results = {"1": Number("1"), '"1"': Text("1")}
-    executor = TableExecutor({("tool0", f'{{"arg0":"x","limit":{key}}}'): v for key, v in results.items()})
+    results = (Number("1"), Text("1"))
+    executor = TableExecutor({("tool0", from_python({"arg0": "x", "limit": v})): v for v in results})
     for fmt in FORMATS:
         seen = []
-        for v in results.values():
+        for v in results:
             step = step_intent("tool0", {"arg0": "x", "limit": v})
             agent = ScriptedAgent([ScriptTurn(step), ScriptTurn(final_intent())])
             record = run_trajectory("t", agent, executor, catalog, LoopConfig(format=fmt, mode="full"))

@@ -12,7 +12,7 @@ import notation
 from notation import cli, tokens, tron_codec
 from notation.cli import main
 from notation.errors import ParseError
-from notation.formats import FORMATS
+from notation.formats import FORMATS, decode_doc, encode_doc
 from notation.tokens import decompose
 from notation.tron_codec import decode_tron_batch
 
@@ -668,6 +668,34 @@ def test_replay_json_vs_json_all_zero(capsys):
     code, out, _ = run_cli(REPLAY_ARGS + ["--format", "json"], capsys)
     assert code == 0
     assert "+0.0" in out
+
+
+# executor entries that differ only in a number's literal, a value's type, key order, or that take a scalar
+LOOKALIKE_CALLS = [{"a": 1}, {"a": 1.0}, {"a": "1"}, {"a": 1, "b": 2}, {"b": 2, "a": 1}, "x"]
+
+
+def test_replay_hits_each_lookalike_call_s_own_entry(tmp_path, capsys):
+    from notation.agent import LoopConfig, load_catalog, load_executor, load_trace, run_trajectory
+
+    # a power of ten per pad, so the results' byte count tells any other multiset of entries apart
+    results = [{"entry": n, "pad": "r" * 10**n} for n in range(len(LOOKALIKE_CALLS))]
+    intents = [{"thought": "go", "action": "probe", "arguments": a} for a in LOOKALIKE_CALLS] + [{"final_answer": "ok"}]
+    trace, catalog, executor = (tmp_path / name for name in ("trace.jsonl", "catalog.json", "executor.json"))
+    trace.write_text("".join(json.dumps({"turn": 0, "role": "agent", "text": json.dumps(x)}) + "\n" for x in intents))
+    catalog.write_text(json.dumps([{"name": "probe", "description": "Probe.", "parameters": {"type": "object"}}]))
+    entries = [{"tool": "probe", "args": a, "result": r} for a, r in zip(LOOKALIKE_CALLS, results)]
+    executor.write_text(json.dumps(entries))
+    pieces = (load_trace(trace), load_executor(executor), load_catalog(catalog))
+    expected = [notation.from_python(r) for r in results]
+    for fmt in FORMATS:
+        out = tmp_path / f"{fmt}.json"
+        argv = ["replay", "--trace", str(trace), "--catalog", str(catalog), "--executor", str(executor)]
+        code, _, err = run_cli(argv + ["--format", fmt, "--out", str(out)], capsys)
+        assert (code, err) == (0, ""), fmt
+        result_bytes = json.loads(out.read_text())["run"]["breakdown"]["result_tokens"]
+        assert result_bytes == sum(len(encode_doc(r, fmt).encode()) for r in expected), fmt
+        record = run_trajectory("t", *pieces, LoopConfig(format=fmt))
+        assert [decode_doc(s.text, fmt) for s in record.spans if s.origin == "result"] == expected, fmt
 
 
 def test_replay_corrupt_mark_reports_cascade(tmp_path, capsys):
