@@ -180,6 +180,21 @@ class ParseOutcome(record("ParseOutcome", "envelope", "failure", "think_stripped
 
 
 def parse_envelope_outcome(raw: str, expected_format: str) -> ParseOutcome:
+    """Strip a think block, extract a fence, strictly decode, check the envelope's shape.
+
+    An outcome is a pure function of the two strings, so each distinct pair is parsed once
+    per memo lifetime (see ``_parse_memo``) and a repeat gets back the same outcome."""
+    key = f"{expected_format}\n{raw}"
+    outcome = _parse_memo.get(key)
+    if outcome is None:
+        outcome = _parse_envelope(raw, expected_format)
+        # an unknown format can still end at think or fence; such an outcome is not kept
+        if expected_format in REGISTRY:
+            _parse_memo.keep(key, outcome)
+    return outcome
+
+
+def _parse_envelope(raw: str, expected_format: str) -> ParseOutcome:
     think_stripped = False
     fence_extracted = False
     text = raw
@@ -210,7 +225,8 @@ def parse_envelope_outcome(raw: str, expected_format: str) -> ParseOutcome:
     try:
         envelope = _value_to_envelope(value)
     except ParseFailure as e:
-        return ParseOutcome(None, e, think_stripped, fence_extracted, document)
+        # a kept failure must not pin the frames it was raised from
+        return ParseOutcome(None, e.with_traceback(None), think_stripped, fence_extracted, document)
     return _new(ParseOutcome, (envelope, None, think_stripped, fence_extracted, document))
 
 
@@ -340,11 +356,17 @@ _FINAL_TEMPLATE = Object((("final_answer", Text("The forecast is sunny.")),))
 # lives; an equal but distinct value is rendered again. A full memo starts
 # over, so the sizes bound what a long-lived process holds. An id cannot be
 # read back into its value, so the memos read with get and fill with keep.
-# Parsing is never memoized: its failures are what the loop counts.
+# The loop also emits the same texts over and over: a target run and its
+# clean reference emit the same calls, and so do the cells of a sweep. A parse
+# outcome is a pure function of the text and the format, so the parse memo is
+# keyed by their contents. Each distinct emission is strictly parsed once per
+# memo lifetime, and its failure is still counted on every turn it occurs.
 # (ids of the catalog's schemas, format, output format) -> (catalog, spans)
 _prompt_memo = Memo(None, 16)
 # (id of the value, format) -> (value, text)
 _doc_memo = Memo(None, 1024)
+# "format\nemission" -> ParseOutcome; a longer key is parsed on each use
+_parse_memo = Memo(None, 1024, 4096)
 
 
 def build_system_prompt_spans(catalog: list[ToolSchema], cfg: LoopConfig) -> list[Span]:
@@ -419,7 +441,8 @@ def _completion_spans(raw: str, envelope: Envelope | None, doc: str, turn: int) 
     """Split a raw emission into chrome and the call document ``doc`` of a parsed ``envelope``."""
     if type(envelope) is not Step:
         return [_new(Span, (raw, "other", "completion", turn))]
-    # doc is in raw: parse_envelope_outcome only slices raw, and no empty text decodes to a Step
+    # doc is in raw: parse_envelope_outcome only slices raw or an equal text it parsed
+    # before, and no empty text decodes to a Step
     i = raw.find(doc)
     spans = []
     if i:

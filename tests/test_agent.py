@@ -31,7 +31,7 @@ from notation.agent import (
     without_corruption,
 )
 from notation import cli, tron_codec
-from notation.formats import FORMATS, REGISTRY, decode_batch, decode_doc, encode_doc
+from notation.formats import FORMATS, MODES, REGISTRY, decode_batch, decode_doc, encode_doc
 from notation.json_codec import decode_json, encode_json
 from notation.tron_codec import decode_tron_batch
 from notation.values import (
@@ -527,6 +527,7 @@ def test_spans_concatenate_to_conversation():
 def clear_memo():
     agent_mod._prompt_memo.clear()
     agent_mod._doc_memo.clear()
+    agent_mod._parse_memo.clear()
 
 
 def outcome_of(*args):
@@ -536,21 +537,105 @@ def outcome_of(*args):
         return type(e), str(e)
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("mode", ("input_only", "full"))
-def test_memo_leaves_weather_runs_unchanged(fixtures_dir, fmt, mode):
+def weather_pieces(fixtures_dir):
     replay = fixtures_dir / "replay"
     agent = load_trace(replay / "trace_weather.jsonl")
     executor = load_executor(replay / "executor_weather.json")
     catalog = load_catalog(replay / "catalog_weather.json")
-    for rate in (0.0, 0.1):
-        for seed in (0, 1, 2):
-            cfg = LoopConfig(format=fmt, mode=mode, failure_rate=rate, seed=seed)
-            outcome_of("t", agent, executor, catalog, cfg)
-            warm = outcome_of("t", agent, executor, catalog, cfg)
-            clear_memo()
-            cold = outcome_of("t", agent, executor, catalog, cfg)
-            assert warm == cold, (rate, seed)
+    return agent, executor, catalog
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mode", ("input_only", "full"))
+def test_memo_leaves_weather_runs_unchanged(fixtures_dir, fmt, mode):
+    agent, executor, catalog = weather_pieces(fixtures_dir)
+    # the weather script has no fenced turn, so a fenced copy of it meets fence failures too
+    fenced = ScriptedAgent([t._replace(fenced=True) for t in agent.turns])
+    stages = set()
+    for script in (agent, fenced):
+        for rate in (0.0, 0.1, 0.3):
+            for seed in range(4):
+                cfg = LoopConfig(format=fmt, mode=mode, failure_rate=rate, seed=seed)
+                outcome_of("t", script, executor, catalog, cfg)
+                warm = outcome_of("t", script, executor, catalog, cfg)
+                clear_memo()
+                cold = outcome_of("t", script, executor, catalog, cfg)
+                assert type(warm) is type(cold), (rate, seed)
+                if type(cold) is tuple:  # an abort: its class and message
+                    assert warm == cold, (rate, seed)
+                    continue
+                assert len(warm.turns) == len(cold.turns), (rate, seed)
+                for w, c in zip(warm.turns, cold.turns):
+                    assert (w.outcome, w.error) == (c.outcome, c.error), (rate, seed, c.index)
+                    assert w == c, (rate, seed, c.index)
+                assert warm.spans == cold.spans, (rate, seed)
+                assert warm == cold, (rate, seed)
+                stages.update(t.outcome for t in cold.turns)
+    # warm and cold runs were compared on turns failing at each stage but think
+    assert stages == {"step", "final", "fence", "decode", "shape"}, stages
+
+
+@pytest.mark.parametrize(
+    "raw, stage",
+    [
+        ("<think>never closed {}", "think"),
+        ('```json\n{"final_answer":"x"}', "fence"),
+        ('{"thought":"t","action":}', "decode"),
+        ('{"thought":"t","tool":"f"}', "shape"),
+    ],
+)
+def test_kept_failure_holds_no_traceback(raw, stage):
+    clear_memo()
+    outcome = parse_envelope_outcome(raw, "json")
+    assert outcome.failure.stage == stage
+    assert outcome.failure.__traceback__ is None
+    assert agent_mod._parse_memo[f"json\n{raw}"] is outcome
+    # a repeat gets back the same outcome, and with it the same failure
+    assert parse_envelope_outcome(raw, "json") is outcome
+
+
+def test_unknown_format_raises_and_keeps_nothing():
+    clear_memo()
+    with pytest.raises(ValueError, match="unknown format 'yaml'"):
+        parse_envelope_outcome('{"final_answer":"x"}', "yaml")
+    # an emission that fails before the format is read is not kept either
+    assert parse_envelope_outcome("<think>x", "yaml").failure.stage == "think"
+    assert len(agent_mod._parse_memo) == 0
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_wrapper_over_the_public_parse_sees_every_emission(monkeypatch, fixtures_dir, fmt):
+    # perfbench's tracer times and counts parses by wrapping agent.parse_envelope_outcome
+    agent, executor, catalog = weather_pieces(fixtures_dir)
+    cfgs = [LoopConfig(format=fmt, mode=mode, failure_rate=0.3, seed=seed) for mode in MODES for seed in (0, 1, 2)]
+    parse, inner = agent_mod.parse_envelope_outcome, agent_mod._parse_envelope
+    parsed = []
+    monkeypatch.setattr(agent_mod, "_parse_envelope", lambda *args: parsed.append(args) or inner(*args))
+
+    def wrapped_runs():
+        runs = []
+        for cfg in cfgs:
+            seen = []
+
+            def counted(raw, expected_format):
+                outcome = parse(raw, expected_format)
+                seen.append((raw, outcome.failure and outcome.failure.stage))
+                return outcome
+
+            with monkeypatch.context() as m:
+                m.setattr(agent_mod, "parse_envelope_outcome", counted)
+                record = outcome_of("t", agent, executor, catalog, cfg)
+            if type(record) is not tuple:  # one call per emission, with that turn's failure stage
+                assert seen == [(t.raw_text, t.error and t.outcome) for t in record.turns], cfg
+            runs.append(seen)
+        return runs
+
+    clear_memo()
+    cold = wrapped_runs()
+    assert len(parsed) == len(agent_mod._parse_memo) < sum(map(len, cold))
+    parsed.clear()
+    assert wrapped_runs() == cold
+    assert parsed == []  # the warm runs parsed nothing again
 
 
 def test_warm_run_renders_nothing(monkeypatch):

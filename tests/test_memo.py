@@ -5,7 +5,7 @@ import pytest
 from notation import agent as agent_mod
 from notation import tokens, toon_codec
 from notation._memo import Memo
-from notation.agent import LoopConfig, build_system_prompt_spans
+from notation.agent import MUTATOR_KINDS, LoopConfig, build_system_prompt_spans, corrupt_text, parse_envelope_outcome
 from notation.formats import FORMATS, encode_doc
 from notation.tokens import WordRegexTokenizer, make_tokenizer
 from notation.toon_codec import encode_toon
@@ -18,6 +18,7 @@ from test_tokens import reference_bpe_count, reference_word_count, windows
 
 BPE = make_tokenizer("bpe", FIXTURES / "bpe" / "vocab.json", FIXTURES / "bpe" / "merges.txt")
 PROMPT_SPANS = agent_mod._prompt_spans
+PARSE = agent_mod._parse_envelope
 
 
 def toon_steps():
@@ -58,6 +59,32 @@ def prompt_steps():
         yield build_system_prompt_spans(catalog, cfg), expected
 
 
+def parse_view(outcome):
+    failure = outcome.failure and (outcome.failure.stage, outcome.failure.detail)
+    return outcome.envelope, failure, outcome.think_stripped, outcome.fence_extracted, outcome.document
+
+
+def parse_steps():
+    intents = [
+        from_python({"final_answer": "ok"}),
+        from_python({"thought": "t", "action": "a", "arguments": {}}),
+        from_python({"thought": "t" * 40, "action": "a", "arguments": {"n": 1}}),
+        from_python({"action": "a"}),
+    ]
+    emissions = []
+    for fmt in FORMATS:
+        for v in intents:
+            doc = encode_doc(v, fmt)
+            emissions += [(doc, fmt), (f"```{fmt}\n{doc}\n```", fmt), (f"<think>hm</think>{doc}", fmt), ("<think>" + doc, fmt)]
+            emissions += [(corrupt_text(doc, kind), fmt) for kind in MUTATOR_KINDS]
+            emissions.append((doc, FORMATS[FORMATS.index(fmt) - 1]))
+    # keys both over and under the tiny bound, each met several times
+    assert {len(f"{fmt}\n{raw}") > 40 for raw, fmt in emissions} == {True, False}
+    for i in range(4 * len(emissions)):
+        raw, fmt = emissions[i // 2 * 7 % len(emissions)]  # each twice in a row
+        yield parse_view(parse_envelope_outcome(raw, fmt)), parse_view(PARSE(raw, fmt))
+
+
 # Each way to see a miss calls on_miss(key) where the memoized work runs.
 def count_fn(monkeypatch, memo, on_miss):
     fn = memo.fn
@@ -96,6 +123,14 @@ def count_prompt_builds(monkeypatch, memo, on_miss):
     monkeypatch.setattr(agent_mod, "_prompt_spans", counted)
 
 
+def count_parses(monkeypatch, memo, on_miss):
+    def counted(raw, fmt):
+        on_miss(f"{fmt}\n{raw}")
+        return PARSE(raw, fmt)
+
+    monkeypatch.setattr(agent_mod, "_parse_envelope", counted)
+
+
 # name: (the memo, tiny size, tiny max_len, how to see a miss, (output, reference) pairs)
 MEMOS = {
     "toon scalar": (lambda: toon_codec._scalar_text, 8, 6, count_fn, toon_steps),
@@ -104,6 +139,7 @@ MEMOS = {
     "bpe chunk": (lambda: BPE._chunks, 8, None, count_chunk_merges, bpe_steps),
     "agent doc": (lambda: agent_mod._doc_memo, 4, None, count_doc_renders, doc_steps),
     "agent prompt": (lambda: agent_mod._prompt_memo, 2, None, count_prompt_builds, prompt_steps),
+    "agent parse": (lambda: agent_mod._parse_memo, 4, 40, count_parses, parse_steps),
 }
 
 
