@@ -19,12 +19,12 @@ from ._record import record
 from .errors import CodecError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_doc, encode_batch, encode_doc, lookup
 from .json_codec import decode_json, encode_json
-from .values import Array, Bool, Object, Text, Value, _box
+from .values import Array, Bool, Object, Text, Value
 
-# The replay loop builds the records that have no __new__ of their own (Span,
-# TurnRecord, ParseOutcome, Step) with tuple.__new__, as the decoders build
-# nodes: a namedtuple's own __new__ costs about twice as much. A record that
-# gains a check in __new__ must go back to being built by its constructor.
+# The replay loop builds Span and TurnRecord, made on every turn, with tuple.__new__,
+# as the decoders build nodes: a namedtuple's own __new__ costs about twice as much.
+# The parse path runs once per distinct emission, so it uses the constructors. A
+# record that gains a check in __new__ must go back to being built by its constructor.
 _new = tuple.__new__
 
 __all__ = [
@@ -158,20 +158,18 @@ class ScriptExhaustedError(Exception):
 def _value_to_envelope(v: Value) -> Envelope:
     if not isinstance(v, Object):
         raise ParseFailure("shape", "document root must be an object")
-    # read the stored key and value tuples: a text child is stored as its str
-    keys, values = v[1], v[2]
-    key_set = frozenset(keys)
+    key_set = frozenset(v.keys)
     if key_set == STEP_KEYS:
-        thought = values[keys.index("thought")]
-        action = values[keys.index("action")]
-        if type(thought) is not str or type(action) is not str:
+        thought = v.get("thought")
+        action = v.get("action")
+        if not isinstance(thought, Text) or not isinstance(action, Text):
             raise ParseFailure("shape", "thought and action must be text")
-        return _new(Step, (thought, action, _box(values[keys.index("arguments")])))
+        return Step(thought.value, action.value, v.get("arguments"))
     if key_set == FINAL_KEYS:
-        answer = values[0]
-        if type(answer) is not str:
+        answer = v.get("final_answer")
+        if not isinstance(answer, Text):
             raise ParseFailure("shape", "final_answer must be text")
-        return Final(answer)
+        return Final(answer.value)
     raise ParseFailure("shape", f"unexpected key set {sorted(key_set)}")
 
 
@@ -227,7 +225,7 @@ def _parse_envelope(raw: str, expected_format: str) -> ParseOutcome:
     except ParseFailure as e:
         # a kept failure must not pin the frames it was raised from
         return ParseOutcome(None, e.with_traceback(None), think_stripped, fence_extracted, document)
-    return _new(ParseOutcome, (envelope, None, think_stripped, fence_extracted, document))
+    return ParseOutcome(envelope, None, think_stripped, fence_extracted, document)
 
 
 # ---------------------------------------------------------------------------

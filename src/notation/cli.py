@@ -9,6 +9,7 @@ variable; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from .errors import CodecError, ParseError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_batch, decode_doc, encode_batch, encode_doc
 from .json_codec import decode_json, encode_json
 from .toon_codec import WRAP_KEY
-from .values import DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE, Object, from_python, generate
+from .values import DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE, Object, generate
 
 __all__ = ["main"]
 
@@ -252,7 +253,7 @@ def _run_report(args, build, render, decode_errors: tuple) -> int:
         return EXIT_IO
     print(render(report))
     if args.out:
-        text = encode_json(from_python(report), 2)
+        text = json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False)
         try:
             _write_text(args.out, text)
         except OSError as e:

@@ -21,10 +21,10 @@ reads every text the accept path does not take:
 
 * text with a raw surrogate code point, sent there before the stdlib
   sees it;
-* text the stdlib rejects, including a BOM, ``NaN``/``Infinity``, trailing
-  data and nesting deep enough for a ``RecursionError``;
-* text the stdlib accepts but the walk refuses: a duplicate key, or a
-  value deeper than ``MAX_NESTING``;
+* text the stdlib rejects, including a BOM, trailing data and nesting
+  deep enough for a ``RecursionError``;
+* text the stdlib accepts but the walk refuses: a duplicate key, a value
+  deeper than ``MAX_NESTING``, or ``NaN``/``Infinity``, read as a float;
 * text with a surrogate escape that is not half of a high-low pair, which
   the stdlib keeps as a lone surrogate. A pair is one code point and stays
   on the accept path; only the escapes are looked at, not the built value.
@@ -440,17 +440,16 @@ def _as_json(body: str) -> str | None:
     outside = "\0".join(pieces[::2])
     if "NaN" in outside or "Infinity" in outside:
         return None
-    parts = _INSTANCE_HEAD.split(outside)
-    parts[1::2] = ['[NaN,"' + name + '",[' for name in parts[1::2]]
-    pieces[::2] = "".join(parts).replace(")", "],Infinity]").split("\0")
+    # a callable: up to Python 3.11 a template's group reference is expanded in Python, a third slower here
+    outside = _INSTANCE_HEAD.sub(lambda m: '[NaN,"' + m[1] + '",[', outside)
+    pieces[::2] = outside.replace(")", "],Infinity]").split("\0")
     return "".join(pieces)
 
 
 # numbers arrive as Number nodes holding the literal as written, objects as
-# tuples of (key, value) pairs in document order, duplicates included
-_stdlib_decode = json.JSONDecoder(
-    parse_int=_number_node, parse_float=_number_node, parse_constant=_Constants().__getitem__, object_pairs_hook=tuple
-).decode
+# tuples of (key, value) pairs in document order, duplicates included; NaN
+# and +-Infinity arrive as floats, which _build refuses
+_stdlib_decode = json.JSONDecoder(parse_int=_number_node, parse_float=_number_node, object_pairs_hook=tuple).decode
 _marked_decode = json.JSONDecoder(
     parse_int=_number_node,
     parse_float=_number_node,
@@ -480,7 +479,8 @@ def _build(x, depth: int, classes: dict[str, StructSignature] | None):
     declared class with as many args as it has fields; it is one value, and
     its args are one value deeper. Raises ValueError on a duplicate key, on
     a non-empty container at ``MAX_NESTING``, whose children would be past
-    the cap, and on an instance mark anywhere else.
+    the cap, and on an instance mark or a float (``NaN`` or ``±Infinity``)
+    anywhere else.
     """
     t = type(x)
     if t is tuple:
@@ -511,7 +511,7 @@ def _build(x, depth: int, classes: dict[str, StructSignature] | None):
         return _new(Array, (Array, tuple([v if type(v) is str else _build(v, depth, classes) for v in x])))
     if t is str or t is Number or t is bool or x is None:
         return x
-    raise ValueError("instance mark out of place")
+    raise ValueError("instance mark or constant out of place")
 
 
 def _accept(text: str, classes: dict[str, StructSignature] | None) -> Value | None:

@@ -7,14 +7,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import notation
 from notation import cli, tokens, tron_codec
 from notation.cli import main
 from notation.errors import ParseError
 from notation.formats import FORMATS, decode_doc, encode_doc
+from notation.json_codec import encode_json
 from notation.tokens import decompose
 from notation.tron_codec import decode_tron_batch
+from notation.values import from_python
 
 from conftest import FIXTURES, REPO_ROOT
 
@@ -458,6 +462,37 @@ def test_measure_batch_golden_words(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert out == (FIXTURES / "measure_golden_words.txt").read_text(encoding="utf-8")
     assert report_file.read_text(encoding="utf-8") == (FIXTURES / "measure_golden_words.json").read_text(encoding="utf-8")
+
+
+# what a report may hold: names and labels with C0 controls, DEL, U+2028 and
+# non-BMP characters, counts past 2**63, finite deltas, None and booleans
+REPORT_TEXT = st.text(
+    alphabet=st.characters(codec="utf-8") | st.sampled_from(list('\x00\x1f\x7f\x85\u2028\u2029"\\é😀')), max_size=8
+)
+REPORT_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1, -0.0, 1e100, 5e-324])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | REPORT_TEXT
+)
+REPORT_DATA = st.recursive(
+    REPORT_LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(REPORT_TEXT, children, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(REPORT_TEXT, REPORT_DATA, max_size=5))
+@example({})
+@example({"files": [], "aggregates": {"mean_of_percentages": {}, "absolute_sum": {"json": 0, "delta": None}}})
+@example({"n": [2**63, -0.0, 1e100, 5e-324, True, None], "s\u2028": ["\x00\x7f😀", [[]], {}]})
+def test_out_report_writer_gives_the_document_model_bytes(report):
+    """--out's stdlib writer gives the bytes of the document model's pretty JSON, kept here as the reference."""
+    reference = encode_json(from_python(report), 2)
+    assert json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) == reference
 
 
 def test_measure_tabular_corpus_toon_negative(tmp_path, capsys):
