@@ -9,22 +9,22 @@ JSON, ``encode_json(v, indent)``, is its pieces re-spaced ``indent`` spaces
 a level, and strings go through the stdlib's C escaper.
 
 One decoder, ``_decode``, reads JSON text and, given a class table, TRON
-bodies, on two paths. The accept path hands the text to the stdlib's C
-scanner, with hooks that keep number literals as written and object members
-as ordered pairs, then builds the nodes in one walk (``_build``) that also
-checks for duplicate keys and nesting past ``MAX_NESTING``. A TRON body
-reaches the stdlib with its instances spelled as marked arrays
-(``_as_json``), which the same walk builds against the class table.
-``Scanner``, the reject path, is the strict recursive-descent parser that
-defines what is accepted and what each error says, given the same table. It
-reads every text the accept path does not take:
+bodies, on two paths. The accept path hands the text to one stdlib decoder
+(the C scanner), with hooks that keep number literals as written, object
+members as ordered pairs, and ``NaN`` and ``Infinity`` as two instance
+marks, then builds the nodes in one walk (``_build``) that also checks for
+duplicate keys and nesting past ``MAX_NESTING``. Every TRON body reaches it
+with its instances spelled as marked arrays (``_as_json``), which the walk
+builds against the class table. ``Scanner``, the reject path, is the strict
+recursive-descent parser that defines what is accepted and what each error
+says, given the same table. It reads every text the accept path does not take:
 
 * text with a raw surrogate code point, sent there before the stdlib
   sees it;
-* text the stdlib rejects, including a BOM, trailing data and nesting
-  deep enough for a ``RecursionError``;
+* text the stdlib rejects, including a BOM, trailing data, ``-Infinity``
+  and nesting deep enough for a ``RecursionError``;
 * text the stdlib accepts but the walk refuses: a duplicate key, a value
-  deeper than ``MAX_NESTING``, or ``NaN``/``Infinity``, read as a float;
+  deeper than ``MAX_NESTING``, or a mark outside an instance;
 * text with a surrogate escape that is not half of a high-low pair, which
   the stdlib keeps as a lone surrogate. A pair is one code point and stays
   on the accept path; only the escapes are looked at, not the built value.
@@ -406,14 +406,14 @@ def _number_node(literal: str) -> Number:
 
 
 class _Constants(dict):
-    """What ``parse_constant`` maps NaN, Infinity and -Infinity to; a constant it lacks is rejected."""
+    """What ``parse_constant`` maps NaN and Infinity to; a constant it lacks, -Infinity, is rejected."""
 
     def __missing__(self, name: str):
         raise ValueError(f"non-standard constant {name}")
 
 
 # The opening and closing marks of a TRON instance, which _as_json spells
-# as [NaN,"Name",[args...],Infinity] for _marked_decode.
+# as [NaN,"Name",[args...],Infinity].
 _OPEN = object()
 _CLOSE = object()
 
@@ -447,10 +447,9 @@ def _as_json(body: str) -> str | None:
 
 
 # numbers arrive as Number nodes holding the literal as written, objects as
-# tuples of (key, value) pairs in document order, duplicates included; NaN
-# and +-Infinity arrive as floats, which _build refuses
-_stdlib_decode = json.JSONDecoder(parse_int=_number_node, parse_float=_number_node, object_pairs_hook=tuple).decode
-_marked_decode = json.JSONDecoder(
+# tuples of (key, value) pairs in document order, duplicates included, and
+# NaN and Infinity as the marks, which _build refuses outside an instance
+_stdlib_decode = json.JSONDecoder(
     parse_int=_number_node,
     parse_float=_number_node,
     parse_constant=_Constants(NaN=_OPEN, Infinity=_CLOSE).__getitem__,
@@ -474,13 +473,12 @@ def _build(x, depth: int, classes: dict[str, StructSignature] | None):
 
     Containers become nodes; a string, ``True``, ``False`` or ``None`` is
     already the plain leaf a container stores, so it is kept as it is, and
-    string children, the most common, are never passed down. With a class
-    table, a list ``[_OPEN, name, args, _CLOSE]`` is an instance of a
-    declared class with as many args as it has fields; it is one value, and
-    its args are one value deeper. Raises ValueError on a duplicate key, on
-    a non-empty container at ``MAX_NESTING``, whose children would be past
-    the cap, and on an instance mark or a float (``NaN`` or ``±Infinity``)
-    anywhere else.
+    string children, the most common, are never passed down. With a
+    non-empty class table, a list ``[_OPEN, name, args, _CLOSE]`` is an
+    instance of a declared class with as many args as it has fields; it is
+    one value, and its args are one value deeper. Raises ValueError on a
+    duplicate key, on a non-empty container at ``MAX_NESTING``, whose
+    children would be past the cap, and on an instance mark anywhere else.
     """
     t = type(x)
     if t is tuple:
@@ -501,7 +499,7 @@ def _build(x, depth: int, classes: dict[str, StructSignature] | None):
         if depth >= MAX_NESTING:
             raise ValueError("nesting too deep")
         depth += 1
-        if x[0] is _OPEN:
+        if classes and x[0] is _OPEN:
             fields = classes.get(x[1]) if len(x) == 4 and x[3] is _CLOSE else None
             if fields is None or len(fields) != len(x[2]):
                 raise ValueError("not an instance of a declared class")
@@ -511,24 +509,23 @@ def _build(x, depth: int, classes: dict[str, StructSignature] | None):
         return _new(Array, (Array, tuple([v if type(v) is str else _build(v, depth, classes) for v in x])))
     if t is str or t is Number or t is bool or x is None:
         return x
-    raise ValueError("instance mark or constant out of place")
+    raise ValueError("instance mark out of place")
 
 
 def _accept(text: str, classes: dict[str, StructSignature] | None) -> Value | None:
     """The value of ``text`` read by the stdlib, or None when it is not accepted.
 
-    With no class table the stdlib reads plain JSON; with one, even an empty
-    one, it reads ``_as_json``'s marked spelling. A scalar root is boxed, so
-    a null root is never taken for None. None means the reject path must
-    read the text: it holds a raw surrogate code point, the stdlib rejects
-    it, ``_build`` refuses its result, or it has a surrogate escape that is
-    not half of a pair.
+    ``text`` is JSON text, or a TRON body in ``_as_json``'s marked spelling,
+    and ``classes`` its class table. A scalar root is boxed, so a null root
+    is never taken for None. None means the reject path must read the text:
+    it holds a raw surrogate code point, the stdlib rejects it, ``_build``
+    refuses its result, or it has a surrogate escape that is not half of a
+    pair.
     """
     try:
         if not text.isascii():
             text.encode("utf-8")  # raises on a raw surrogate
-        decode = _stdlib_decode if classes is None else _marked_decode
-        v = _build(decode(text), 1, classes)
+        v = _build(_stdlib_decode(text), 1, classes)
         if _surrogate_escape(text) is not None and any(_escapes(text)):
             # a lone surrogate cannot be written out as UTF-8
             return None
@@ -542,16 +539,13 @@ def _accept(text: str, classes: dict[str, StructSignature] | None) -> Value | No
 def _decode(text: str, classes: dict[str, StructSignature] | None) -> Value:
     """The one value of a JSON text, or, given a class table, of a TRON body.
 
-    The accept path (``_accept``) reads the text first; a body with no
-    ``(`` has no instance and is JSON text as it stands. Any text it does
-    not accept is parsed again by ``Scanner``, which raises the error with
-    its reason and position.
+    The accept path (``_accept``) reads the text first, a body in
+    ``_as_json``'s marked spelling. Any text it does not accept is parsed
+    again by ``Scanner``, which raises the error with its reason and
+    position.
     """
-    if classes is None or "(" not in text:
-        v = _accept(text, None)
-    else:
-        marked = _as_json(text)
-        v = None if marked is None else _accept(marked, classes)
+    marked = text if classes is None else _as_json(text)
+    v = None if marked is None else _accept(marked, classes)
     return Scanner(text, classes).parse_document() if v is None else v
 
 

@@ -11,9 +11,11 @@ many documents.
 This module owns the class table: it finds the shapes, names them, and
 writes and reads the header. A body is written by JSON's walker given the
 class index, and read by JSON's one decoder (``json_codec._decode``) given
-the class table, on the same two paths as JSON text, with the same string
-rules (no unpaired surrogates), duplicate-key check and nesting cap, under
-which an instance is one value and its args are one value deeper.
+the class table, on the same two paths as JSON text: every body reaches the
+same stdlib decoder in its marked spelling, and ``Scanner`` reads the rest.
+Both keep the same string rules (no unpaired surrogates), duplicate-key
+check and nesting cap, under which an instance is one value and its args
+are one value deeper.
 """
 
 from __future__ import annotations

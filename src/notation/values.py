@@ -308,14 +308,25 @@ def _plain(obj):
             raise ValueError(f"non-finite float not representable: {obj!r}")
         return Number(literal)
     if isinstance(obj, dict):
-        return _object(((str(k), v) for k, v in obj.items()), _plain)
+        return _object(((_key(k), v) for k, v in obj.items()), _plain)
     if isinstance(obj, (list, tuple)):
         return _new(Array, (Array, tuple([_plain(x) for x in obj])))
     raise TypeError(f"cannot convert {type(obj).__name__} to Value")
 
 
+def _key(k) -> str:
+    """The dict key ``k`` spelled as ``json.dumps`` spells it."""
+    if isinstance(k, str):
+        return str.__str__(k)
+    if k is None or k is True or k is False:
+        return "null" if k is None else "true" if k else "false"
+    if isinstance(k, (int, float)):
+        return _plain(k)[1]  # a non-finite float is a ValueError
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
 def from_python(obj) -> Value:
-    """Build a Value from plain Python data (dict/list/str/int/float/bool/None)."""
+    """Build a Value from plain Python data (dict/list/str/int/float/bool/None); keys are spelled as by ``json.dumps``."""
     return _box(_plain(obj))
 
 

@@ -107,6 +107,8 @@ def test_think_stage_failure():
 
 def test_fence_stage_failure():
     assert failed_stage('```json\n{"final_answer":"x"}', "json") == "fence"
+    failure = parse_envelope_outcome("```json", "json").failure
+    assert (failure.stage, failure.detail) == ("fence", "no content after opening fence")
 
 
 def test_decode_stage_failure():
@@ -189,6 +191,10 @@ def test_swap_delimiter_is_size_neutral():
     for fmt in FORMATS:
         doc = sample_step_doc(fmt)
         assert len(corrupt_text(doc, "swap_delimiter")) == len(doc)
+
+
+def test_swap_delimiter_appends_a_paren_to_text_without_a_delimiter():
+    assert corrupt_text("true", "swap_delimiter") == "true)"
 
 
 def test_unknown_mutator_rejected():

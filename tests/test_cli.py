@@ -576,6 +576,16 @@ def test_measure_refuses_a_file_name_that_is_not_utf8(tmp_path, capsys):
     assert not report_file.exists()
 
 
+def test_measure_unreadable_corpus_entry_exit_3(tmp_path, capsys):
+    corpus = make_corpus(tmp_path)
+    (corpus / "x.json").mkdir()
+    code, out, err = run_cli(["measure", str(corpus)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(corpus / "x.json") in err
+
+
 def test_measure_empty_dir_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

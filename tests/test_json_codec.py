@@ -123,6 +123,10 @@ def test_string_escapes():
     for bad in ('"\\u-123"', '"\\u0x1a"', '"\\u 1a "', '"\\u1_2a"', '"\\u+123"', '"\\u12"'):
         with pytest.raises(ParseError):
             decode_json(bad)
+    # a backslash that ends the text
+    with pytest.raises(ParseError) as e:
+        decode_json('"\\')
+    assert (e.value.reason, e.value.pos) == ("unterminated escape", 2)
 
 
 def test_unpaired_surrogates_rejected():

@@ -385,6 +385,8 @@ PINNED = [
     ('{"a":1,"b":[true,false,null,-0.5e+3,""]} ', Object, True),
     ("1 2", ParseError, True),
     ("", ParseError, True),
+    # TRON's marked spelling of an instance is not JSON
+    ('[NaN,"A",[1],Infinity]', ParseError, True),
 ]
 
 
@@ -542,6 +544,11 @@ TRON_PINNED = [
     (r'B("\ud800",1)', ParseError, False),
     (r'B(1,"\\ud800\udc00")', ParseError, False),
     (r'B(1,"\\\ud83d\ude00")', Object, True),
+    # bodies with no instance take the same path
+    ('[1,{"a":"x"}]', Array, True),
+    ('[NaN,"A",[1],Infinity]', ParseError, False),
+    ('{"k":NaN}', ParseError, False),
+    ("-Infinity", ParseError, False),
 ]
 
 
@@ -555,16 +562,26 @@ def test_tron_pinned_cases_agree_with_scanner(monkeypatch, body, expected, accep
     else:
         assert type(outcome[1]) is expected
     calls = []
+    stdlib_calls = []
+    stdlib_decode = json_codec._stdlib_decode
+
+    def counting_stdlib(t):
+        stdlib_calls.append(t)
+        return stdlib_decode(t)
 
     class CountingScanner(Scanner):
         def __init__(self, t, classes=None):
             calls.append(t)
             super().__init__(t, classes)
 
+    monkeypatch.setattr(json_codec, "_stdlib_decode", counting_stdlib)
     monkeypatch.setattr(json_codec, "Scanner", CountingScanner)
     assert _scanner_outcome(decode_tron, text) == outcome
     # the scanner reads exactly the bodies the accept path does not take
     assert calls == ([] if accepted else [body])
+    # the one stdlib decoder reads every body in its marked spelling, except one _as_json screens out
+    marked = json_codec._as_json(body)
+    assert stdlib_calls == ([] if marked is None else [marked])
     # and in a batch, exactly the lines it does not take
     calls.clear()
     batch = TRON_HEADER + "A(1)\n" + body + '\n{"k":B(2,[3])}'

@@ -71,6 +71,11 @@ def test_extract_classes_single_object_below_threshold():
     assert extract_classes([from_python({"a": 1})], 2) == {}
 
 
+def test_extract_classes_refuses_a_threshold_below_one():
+    with pytest.raises(ValueError, match="min_occurrences must be >= 1"):
+        extract_classes([from_python({"a": 1})], min_occurrences=0)
+
+
 def test_extract_counts_across_batch():
     schema = {"params": [{"type": "int", "doc": "x"}, {"type": "str", "doc": "y"}, {"type": "bool", "doc": "z"}]}
     a = from_python(schema)

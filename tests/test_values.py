@@ -245,6 +245,48 @@ def test_from_python_reads_a_number_subclass_as_its_base_type():
     assert from_python(Cents(150)) == Number("150")
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_dict_keys = st.one_of(st.text(max_size=4), st.integers(), _finite, st.booleans(), st.none())
+# keys distinct as Python keys (1 and True are one key) and as json.dumps spells them (1 and "1")
+_plain_data = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _finite, st.text(max_size=4)),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(
+        st.tuples(_dict_keys, kids), max_size=4, unique_by=(lambda kv: kv[0], lambda kv: json.dumps({kv[0]: 0}))
+    ).map(dict),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_data)
+def test_from_python_spells_keys_as_json_dumps(data):
+    expected = json.dumps(data, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+    assert encode_json(from_python(data)) == expected
+
+
+@pytest.mark.parametrize(
+    "data,error,message",
+    [
+        ({float("nan"): 1}, ValueError, "non-finite float"),
+        ({float("-inf"): 1}, ValueError, "non-finite float"),
+        ({(1, 2): 1}, TypeError, "keys must be str, int, float, bool or None, not tuple"),
+        ({"a": {b"k": 1}}, TypeError, "not bytes"),
+        ({1: "a", "1": "b"}, ValueError, "duplicate object key: '1'"),
+        ({None: 1, "null": 2}, ValueError, "duplicate object key: 'null'"),
+    ],
+)
+def test_from_python_refuses_a_key_json_dumps_refuses(data, error, message):
+    with pytest.raises(error, match=message):
+        from_python(data)
+
+
+def test_from_python_spells_literal_keys_as_json():
+    data = {True: 1, False: 2, None: 3, 2.5: 4, Level.HIGH: 5, Ratio(0.25): 6}
+    assert encode_json(from_python(data)) == '{"true":1,"false":2,"null":3,"2.5":4,"3":5,"0.25":6}'
+    assert encode_json(from_python(data)) == json.dumps(data, separators=(",", ":"))
+
+
 def test_generate_deterministic():
     for seed in (0, 1, 99, 12345):
         assert generate(seed) == generate(seed)
