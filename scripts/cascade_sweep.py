@@ -15,7 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from notation.agent import (
     LoopConfig,
     ScriptTurn,
-    ScriptedAgent,
     TableExecutor,
     ToolSchema,
     run_with_reference,
@@ -54,7 +53,7 @@ def build_pieces(corrupt_count: int):
             )
         )
     script.append(ScriptTurn(from_python({"final_answer": "all records fetched"})))
-    return catalog, TableExecutor(table), ScriptedAgent(script)
+    return catalog, TableExecutor(table), tuple(script)
 
 
 def main() -> int:
@@ -62,9 +61,9 @@ def main() -> int:
     print(f"{'format':<8} {'E':>3} {'iters':>6} {'cascade':>8} {'total':>8} {'vs ' + BASELINE:>9}")
     for fmt in (f for f in FORMATS if f != BASELINE):
         for extra in range(0, 4):
-            catalog, executor, agent = build_pieces(extra)
+            catalog, executor, script = build_pieces(extra)
             cfg = LoopConfig(format=fmt, mode="full")
-            target, reference = run_with_reference("fetch", agent, executor, catalog, cfg)
+            target, reference = run_with_reference("fetch", script, executor, catalog, cfg)
             t = decompose(target, tok).total
             r = decompose(reference, tok).total
             print(

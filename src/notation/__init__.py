@@ -53,7 +53,6 @@ _LAZY = {
         "Final",
         "LoopConfig",
         "ParseFailure",
-        "ScriptedAgent",
         "ScriptTurn",
         "Span",
         "Step",

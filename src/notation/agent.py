@@ -23,8 +23,9 @@ from .values import Array, Bool, Object, Text, Value
 
 # The replay loop builds Span and TurnRecord, made on every turn, with tuple.__new__,
 # as the decoders build nodes: a namedtuple's own __new__ costs about twice as much.
-# The parse path runs once per distinct emission, so it uses the constructors. A
-# record that gains a check in __new__ must go back to being built by its constructor.
+# The parse path runs once per distinct emission, so it uses the constructors, which
+# run ParseFailure's stage check. A record that gains a check in __new__ must go back
+# to being built by its constructor.
 _new = tuple.__new__
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "TurnRecord",
     "TrajectoryRecord",
     "ScriptTurn",
-    "ScriptedAgent",
     "without_corruption",
     "TableExecutor",
     "MUTATOR_KINDS",
@@ -114,8 +114,13 @@ class LoopConfig(
             raise ValueError(f"unknown format {self.format!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        # a bool is an int to isinstance, but not a setting either field takes
+        if not isinstance(self.max_iterations, int) or isinstance(self.max_iterations, bool):
+            raise TypeError(f"max_iterations must be an int, not {type(self.max_iterations).__name__}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if not isinstance(self.failure_rate, (int, float)) or isinstance(self.failure_rate, bool):
+            raise TypeError(f"failure_rate must be an int or float, not {type(self.failure_rate).__name__}")
         if not (0.0 <= self.failure_rate <= 1.0):
             raise ValueError("failure_rate must be in [0, 1]")
         return self
@@ -125,17 +130,17 @@ class LoopConfig(
         return self.format if self.mode == "full" else BASELINE
 
 
-class ParseFailure(Exception):
-    """A turn that could not become an Envelope; stage says which gate failed."""
+class ParseFailure(record("ParseFailure", "stage", "detail")):
+    """A turn that could not become an Envelope; ``stage`` says which gate failed."""
 
+    __slots__ = ()
     STAGES = ("think", "fence", "decode", "shape")
 
-    def __init__(self, stage: str, detail: str):
-        if stage not in self.STAGES:
-            raise ValueError(f"unknown parse stage {stage!r}; expected one of {', '.join(self.STAGES)}")
-        self.stage = stage
-        self.detail = detail
-        super().__init__(f"{stage}: {detail}")
+    def __new__(cls, *args, **kwargs) -> ParseFailure:
+        self = super().__new__(cls, *args, **kwargs)
+        if self.stage not in cls.STAGES:
+            raise ValueError(f"unknown parse stage {self.stage!r}; expected one of {', '.join(cls.STAGES)}")
+        return self
 
 
 class AbortedTrajectoryError(Exception):
@@ -155,25 +160,25 @@ class ScriptExhaustedError(Exception):
 # Envelope parsing (think-strip, fence-extract, strict decode, shape).
 
 
-def _value_to_envelope(v: Value) -> Envelope:
+def _value_to_envelope(v: Value) -> Envelope | ParseFailure:
     if not isinstance(v, Object):
-        raise ParseFailure("shape", "document root must be an object")
+        return ParseFailure("shape", "document root must be an object")
     key_set = frozenset(v.keys)
     if key_set == STEP_KEYS:
         thought = v.get("thought")
         action = v.get("action")
         if not isinstance(thought, Text) or not isinstance(action, Text):
-            raise ParseFailure("shape", "thought and action must be text")
+            return ParseFailure("shape", "thought and action must be text")
         return Step(thought.value, action.value, v.get("arguments"))
     if key_set == FINAL_KEYS:
         answer = v.get("final_answer")
         if not isinstance(answer, Text):
-            raise ParseFailure("shape", "final_answer must be text")
+            return ParseFailure("shape", "final_answer must be text")
         return Final(answer.value)
-    raise ParseFailure("shape", f"unexpected key set {sorted(key_set)}")
+    return ParseFailure("shape", f"unexpected key set {sorted(key_set)}")
 
 
-class ParseOutcome(record("ParseOutcome", "envelope", "failure", "think_stripped", "fence_extracted", "document")):
+class ParseOutcome(record("ParseOutcome", "envelope", "failure", "document")):
     __slots__ = ()
 
 
@@ -193,25 +198,21 @@ def parse_envelope_outcome(raw: str, expected_format: str) -> ParseOutcome:
 
 
 def _parse_envelope(raw: str, expected_format: str) -> ParseOutcome:
-    think_stripped = False
-    fence_extracted = False
     text = raw
     lstripped = text.lstrip()
     if lstripped.startswith(THINK_OPEN):
         close = lstripped.find(THINK_CLOSE)
         if close < 0:
-            return ParseOutcome(None, ParseFailure("think", "unterminated think block"), True, False, "")
+            return ParseOutcome(None, ParseFailure("think", "unterminated think block"), "")
         text = lstripped[close + len(THINK_CLOSE) :]
-        think_stripped = True
-    if FENCE in text:
-        fence_extracted = True
-        open_idx = text.find(FENCE)
+    open_idx = text.find(FENCE)
+    if open_idx >= 0:
         line_end = text.find("\n", open_idx)
         if line_end < 0:
-            return ParseOutcome(None, ParseFailure("fence", "no content after opening fence"), think_stripped, True, "")
+            return ParseOutcome(None, ParseFailure("fence", "no content after opening fence"), "")
         close_idx = text.find(FENCE, line_end + 1)
         if close_idx < 0:
-            return ParseOutcome(None, ParseFailure("fence", "unterminated fence"), think_stripped, True, "")
+            return ParseOutcome(None, ParseFailure("fence", "unterminated fence"), "")
         text = text[line_end + 1 : close_idx]
         if text.endswith("\n"):
             text = text[:-1]
@@ -219,13 +220,11 @@ def _parse_envelope(raw: str, expected_format: str) -> ParseOutcome:
     try:
         value = decode_doc(document, expected_format)
     except CodecError as e:
-        return ParseOutcome(None, ParseFailure("decode", str(e)), think_stripped, fence_extracted, document)
-    try:
-        envelope = _value_to_envelope(value)
-    except ParseFailure as e:
-        # a kept failure must not pin the frames it was raised from
-        return ParseOutcome(None, e.with_traceback(None), think_stripped, fence_extracted, document)
-    return ParseOutcome(envelope, None, think_stripped, fence_extracted, document)
+        return ParseOutcome(None, ParseFailure("decode", str(e)), document)
+    envelope = _value_to_envelope(value)
+    if type(envelope) is ParseFailure:
+        return ParseOutcome(None, envelope, document)
+    return ParseOutcome(envelope, None, document)
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +258,13 @@ class Span(record("Span", "text", "origin", "direction", "turn")):
     __slots__ = ()
 
 
-class TurnRecord(
-    record("TurnRecord", "index", "raw_text", "think_stripped", "fence_extracted", "outcome", error=None)
-):
-    """``outcome`` is "step", "final" or a ParseFailure stage; ``index`` shadows ``tuple.index``."""
+class TurnRecord(record("TurnRecord", "raw_text", "outcome", "error")):
+    """``outcome`` is "step", "final" or a ParseFailure stage, and ``error`` that failure's detail or None."""
 
     __slots__ = ()
 
 
-class TrajectoryRecord(
-    record("TrajectoryRecord", "format", "mode", "task", "turns", "spans", "status", "final_answer")
-):
+class TrajectoryRecord(record("TrajectoryRecord", "format", "mode", "turns", "spans", "status", "final_answer")):
     """One run, built when it ends: ``turns`` and ``spans`` are lists, ``status``
     is "final" or "iteration_cap", and ``final_answer`` is None unless final."""
 
@@ -296,26 +291,15 @@ class TrajectoryRecord(
 class ScriptTurn(record("ScriptTurn", "intent", corrupt=None, think=None, fenced=False)):
     """An envelope-shaped ``intent``; the mutator kind ``corrupt`` is applied to
     its first emission, ``think`` is emitted as a leading think block, and
-    ``fenced`` wraps the document in a code fence."""
+    ``fenced`` wraps the document in a code fence. A script is a tuple of
+    these, replayed in order; a turn is re-emitted until it parses."""
 
     __slots__ = ()
 
 
-class ScriptedAgent:
-    """Replays envelope intents; a turn is re-emitted until it parses."""
-
-    def __init__(self, turns: list[ScriptTurn]):
-        self.turns = list(turns)
-
-    def intent(self, index: int) -> ScriptTurn:
-        if index >= len(self.turns):
-            raise ScriptExhaustedError(f"script has only {len(self.turns)} turns")
-        return self.turns[index]
-
-
-def without_corruption(agent: ScriptedAgent) -> ScriptedAgent:
+def without_corruption(script: tuple[ScriptTurn, ...]) -> tuple[ScriptTurn, ...]:
     """Same script with every corruption mark removed (for reference runs); clean turns are reused."""
-    return ScriptedAgent([t if t.corrupt is None else t._replace(corrupt=None) for t in agent.turns])
+    return tuple(t if t.corrupt is None else t._replace(corrupt=None) for t in script)
 
 
 class TableExecutor:
@@ -453,7 +437,7 @@ def _completion_spans(raw: str, envelope: Envelope | None, doc: str, turn: int) 
 
 def run_trajectory(
     task: str,
-    agent: ScriptedAgent,
+    script: tuple[ScriptTurn, ...],
     executor: TableExecutor,
     catalog: list[ToolSchema],
     cfg: LoopConfig,
@@ -471,20 +455,22 @@ def run_trajectory(
     idx = 0
     attempts = 0  # emissions of the current script position
     for iteration in range(1, cfg.max_iterations + 1):
-        script_turn = agent.intent(idx)
+        if idx >= len(script):
+            raise ScriptExhaustedError(f"script has only {len(script)} turns")
+        script_turn = script[idx]
         raw = _render_emission(script_turn, out_fmt)
         if script_turn.corrupt is not None and attempts == 0:
             raw = corrupt_text(raw, script_turn.corrupt)
         elif failure_rate > 0 and rng.random() < failure_rate:
             raw = corrupt_text(raw, rng.choice(MUTATOR_KINDS))
         attempts += 1
-        envelope, failure, think_stripped, fence_extracted, document = parse_envelope_outcome(raw, out_fmt)
+        envelope, failure, document = parse_envelope_outcome(raw, out_fmt)
         spans.extend(_completion_spans(raw, envelope, document, iteration))
         if failure is not None:
             kind, error = failure.stage, failure.detail
         else:
             kind, error = "final" if isinstance(envelope, Final) else "step", None
-        turns.append(_new(TurnRecord, (iteration, raw, think_stripped, fence_extracted, kind, error)))
+        turns.append(_new(TurnRecord, (raw, kind, error)))
         if failure is not None:
             obs = _error_observation(kind, out_fmt)
             spans.append(_new(Span, (f"\n{obs}\n", "other", "prompt", iteration)))
@@ -502,20 +488,20 @@ def run_trajectory(
         spans.append(_new(Span, ("\n", "other", "prompt", iteration)))
         idx += 1
         attempts = 0
-    return TrajectoryRecord(cfg.format, cfg.mode, task, turns, spans, status, answer)
+    return TrajectoryRecord(cfg.format, cfg.mode, turns, spans, status, answer)
 
 
 def run_with_reference(
-    task: str, agent: ScriptedAgent, executor: TableExecutor, catalog: list[ToolSchema], cfg: LoopConfig
+    task: str, script: tuple[ScriptTurn, ...], executor: TableExecutor, catalog: list[ToolSchema], cfg: LoopConfig
 ) -> tuple[TrajectoryRecord, TrajectoryRecord]:
     """The run under ``cfg``, then its reference: the clean baseline, which every comparison is made against.
 
     The reference replays the script without its corruption marks, in the baseline format at failure rate 0,
     with ``cfg``'s mode, iteration cap and seed: parse failures model format-unfamiliarity, which the baseline
     by definition does not have."""
-    target = run_trajectory(task, agent, executor, catalog, cfg)
+    target = run_trajectory(task, script, executor, catalog, cfg)
     clean = cfg._replace(format=BASELINE, failure_rate=0.0)
-    return target, run_trajectory(task, without_corruption(agent), executor, catalog, clean)
+    return target, run_trajectory(task, without_corruption(script), executor, catalog, clean)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +550,7 @@ def load_executor(path: str | Path) -> TableExecutor:
 _TRACE_MARKS = (("corrupt", Text, "string"), ("think", Text, "string"), ("fenced", Bool, "boolean"))
 
 
-def load_trace(path: str | Path) -> ScriptedAgent:
+def load_trace(path: str | Path) -> tuple[ScriptTurn, ...]:
     """Trace fixture: JSON lines of {turn, role, text, corrupt?, think?, fenced?}.
 
     `text` holds the envelope intent as a JSON document; replay re-renders
@@ -589,6 +575,9 @@ def load_trace(path: str | Path) -> ScriptedAgent:
         intent = decode_json(text.value)
         if not isinstance(intent, Object):
             raise ValueError(f"trace line {lineno}: intent must be an object document")
+        # no rendering of such a turn could parse, in any format: the run would only measure its iteration cap
+        if FENCE in encode_json(intent):
+            raise ValueError(f"trace line {lineno}: intent holds {FENCE!r}, which opens a code fence")
         marks = {}
         for name, node, kind in _TRACE_MARKS:
             mark = rec.get(name)
@@ -598,7 +587,9 @@ def load_trace(path: str | Path) -> ScriptedAgent:
                 marks[name] = mark.value
         if "corrupt" in marks and marks["corrupt"] not in MUTATOR_KINDS:
             raise ValueError(f"trace line {lineno}: unknown mutator {marks['corrupt']!r}")
+        if THINK_CLOSE in marks.get("think", ""):
+            raise ValueError(f"trace line {lineno}: think holds {THINK_CLOSE!r}, which ends the think block early")
         turns.append(ScriptTurn(intent, **marks))
     if not turns:
         raise ValueError("trace fixture has no agent turns")
-    return ScriptedAgent(turns)
+    return tuple(turns)

@@ -286,7 +286,7 @@ def _replay_report(args, tokenizer) -> dict:
     from .agent import LoopConfig, load_catalog, load_executor, load_trace, run_with_reference
     from .tokens import decompose, delta_vs_baseline, mean_pct
 
-    agent = load_trace(args.trace)
+    script = load_trace(args.trace)
     catalog = load_catalog(args.catalog)
     executor = load_executor(args.executor)
     cfg = LoopConfig(
@@ -296,7 +296,7 @@ def _replay_report(args, tokenizer) -> dict:
         failure_rate=args.failure_rate,
         seed=args.seed,
     )
-    target, reference = run_with_reference(args.task, agent, executor, catalog, cfg)
+    target, reference = run_with_reference(args.task, script, executor, catalog, cfg)
     t_break = decompose(target, tokenizer)
     r_break = decompose(reference, tokenizer)
     deltas = delta_vs_baseline(t_break, r_break)

@@ -301,13 +301,10 @@ class BpeTokenizer(Tokenizer):
         pairs[::2] = utf8[1:]
         runs = self._runs(pairs.decode("utf-16-le"))
         memo = self._chunks
-        try:
-            # memo.get gives None for a chunk the memo lacks, and None stops the sum
-            return n + sum(map(memo.get, runs))
-        except TypeError:
-            pass
-        # read before the memo is filled, since a fill may start it over
+        # None for a chunk the memo lacks; read before the memo is filled, since a fill may start it over
         deltas = list(map(memo.get, runs))
+        if None not in deltas:
+            return n + sum(deltas)
         fresh = self._deltas(set(compress(runs, map(is_, deltas, repeat(None)))))
         for run, delta in fresh.items():
             memo.keep(run, delta)

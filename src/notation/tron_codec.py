@@ -35,7 +35,7 @@ __all__ = [
 DEFAULT_MIN_OCCURRENCES = 2
 
 
-def class_name_for(i: int) -> str:
+def _class_name_for(i: int) -> str:
     """0 -> A, 25 -> Z, 26 -> AA, ... (bijective base 26)."""
     out = []
     i += 1
@@ -75,7 +75,7 @@ def extract_classes(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCUR
     counts: dict[StructSignature, int] = {}
     _count_shapes(Array(roots), counts)
     qualifying = [sig for sig, n in counts.items() if n >= min_occurrences and _classable(sig)]
-    return {sig: class_name_for(i) for i, sig in enumerate(qualifying)}
+    return {sig: _class_name_for(i) for i, sig in enumerate(qualifying)}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from notation.agent import ScriptedAgent, ScriptTurn, TableExecutor, ToolSchema
+from notation.agent import ScriptTurn, TableExecutor, ToolSchema
 from notation.values import from_python
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -97,7 +97,5 @@ def simple_run_pieces():
     args = {"arg0": "hikes", "limit": 3}
     result = from_python({"rows": [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]})
     executor = TableExecutor({("tool0", from_python(args)): result})
-    agent = ScriptedAgent(
-        [ScriptTurn(step_intent("tool0", args)), ScriptTurn(final_intent("two rows"))]
-    )
-    return catalog, executor, agent
+    script = (ScriptTurn(step_intent("tool0", args)), ScriptTurn(final_intent("two rows")))
+    return catalog, executor, script

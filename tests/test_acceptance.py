@@ -10,7 +10,6 @@ from contextlib import contextmanager
 from notation.agent import (
     LoopConfig,
     ScriptTurn,
-    ScriptedAgent,
     TableExecutor,
     ToolSchema,
     build_system_prompt_spans,
@@ -176,10 +175,10 @@ def build_cascade_pieces(num_steps: int, corrupt_positions: set[int], pad: str):
             )
         )
     script.append(ScriptTurn(final_intent("all records fetched")))
-    return catalog, TableExecutor(table), ScriptedAgent(script), results
+    return catalog, TableExecutor(table), tuple(script), results
 
 
-def hand_computed_totals(catalog, agent, results, cfg: LoopConfig, task: str):
+def hand_computed_totals(catalog, script, results, cfg: LoopConfig, task: str):
     """Trajectory byte totals composed from codec calls alone (no loop).
 
     clean_total covers the failure-free trajectory; extra_payloads holds
@@ -191,7 +190,7 @@ def hand_computed_totals(catalog, agent, results, cfg: LoopConfig, task: str):
     total += len(f"\nTask: {task}\n".encode())
     extra_payloads = []
     step_idx = 0
-    for turn in agent.turns:
+    for turn in script:
         doc = encode_doc(turn.intent, out_fmt)
         total += len(doc.encode())
         if turn.intent.get("final_answer") is not None:
@@ -207,17 +206,17 @@ def hand_computed_totals(catalog, agent, results, cfg: LoopConfig, task: str):
 
 
 def run_cascade_fixture(num_steps, corrupt_positions, pad):
-    catalog, executor, agent, results = build_cascade_pieces(num_steps, corrupt_positions, pad)
+    catalog, executor, script, results = build_cascade_pieces(num_steps, corrupt_positions, pad)
     toon_cfg = LoopConfig(format="toon", mode="full")
     json_cfg = LoopConfig(format="json", mode="full")
     task = "fetch every record"
 
-    toon_clean_hand, extras = hand_computed_totals(catalog, agent, results, toon_cfg, task)
-    json_hand, _ = hand_computed_totals(catalog, without_corruption(agent), results, json_cfg, task)
+    toon_clean_hand, extras = hand_computed_totals(catalog, script, results, toon_cfg, task)
+    json_hand, _ = hand_computed_totals(catalog, without_corruption(script), results, json_cfg, task)
 
-    toon_breakdown = decompose(run_trajectory(task, agent, executor, catalog, toon_cfg), BYTES)
+    toon_breakdown = decompose(run_trajectory(task, script, executor, catalog, toon_cfg), BYTES)
     json_breakdown = decompose(
-        run_trajectory(task, without_corruption(agent), executor, catalog, json_cfg), BYTES
+        run_trajectory(task, without_corruption(script), executor, catalog, json_cfg), BYTES
     )
 
     # T*s stays in integers: s is the per-turn saving amortized over the
@@ -276,11 +275,11 @@ def test_criterion_6_cascade_arithmetic():
 
 def test_criterion_7_decomposition_integrity(capsys):
     with criterion("7 decomposition-integrity", 5.0):
-        catalog, executor, agent, _ = build_cascade_pieces(3, {1}, "why did that fail")
+        catalog, executor, script, _ = build_cascade_pieces(3, {1}, "why did that fail")
         for fmt in FORMATS:
             for mode in ("input_only", "full"):
                 record = run_trajectory(
-                    "t", agent, executor, catalog, LoopConfig(format=fmt, mode=mode)
+                    "t", script, executor, catalog, LoopConfig(format=fmt, mode=mode)
                 )
                 breakdown = decompose(record, BYTES)
                 components = (

@@ -15,7 +15,6 @@ from notation.agent import (
     ParseFailure,
     ScriptExhaustedError,
     ScriptTurn,
-    ScriptedAgent,
     Span,
     Step,
     TableExecutor,
@@ -97,8 +96,8 @@ def test_preprocessing_grid(fmt, wrapper):
     outcome = parse_envelope_outcome(raw, fmt)
     assert outcome.failure is None
     assert outcome.envelope == expected
-    assert outcome.think_stripped == (wrapper in ("think", "both"))
-    assert outcome.fence_extracted == (wrapper in ("fence", "both"))
+    # the think block and the fence are stripped from the document that was decoded
+    assert outcome.document == doc
 
 
 def test_think_stage_failure():
@@ -155,6 +154,8 @@ def test_step_arguments_come_back_boxed(fmt, arg, node):
 def test_parse_failure_refuses_an_unknown_stage():
     with pytest.raises(ValueError, match="unknown parse stage 'bogus'"):
         ParseFailure("bogus", "x")
+    with pytest.raises(ValueError, match="unknown parse stage 'bogus'"):
+        ParseFailure("shape", "x")._replace(stage="bogus")
     assert ParseFailure("shape", "x").stage == "shape"
 
 
@@ -204,10 +205,20 @@ def test_unknown_mutator_rejected():
 
 @pytest.mark.parametrize(
     "kwargs, message",
-    [({"format": "yaml"}, "unknown format 'yaml'"), ({"failure_rate": 1.5}, "failure_rate must be in [0, 1]")],
+    [
+        ({"format": "yaml"}, "unknown format 'yaml'"),
+        ({"failure_rate": 1.5}, "failure_rate must be in [0, 1]"),
+        ({"max_iterations": 2.5}, "max_iterations must be an int, not float"),
+        ({"max_iterations": True}, "max_iterations must be an int, not bool"),
+        ({"max_iterations": "3"}, "max_iterations must be an int, not str"),
+        ({"failure_rate": "0.5"}, "failure_rate must be an int or float, not str"),
+        ({"failure_rate": False}, "failure_rate must be an int or float, not bool"),
+        ({"failure_rate": None}, "failure_rate must be an int or float, not NoneType"),
+    ],
 )
 def test_loop_config_refuses_a_bad_setting(kwargs, message):
-    with pytest.raises(ValueError) as e:
+    # a wrongly typed setting is a TypeError whose message names the type given; a bad value is a ValueError
+    with pytest.raises(TypeError if ", not " in message else ValueError) as e:
         LoopConfig(**kwargs)
     assert str(e.value) == message
 
@@ -278,8 +289,8 @@ def test_empty_catalog_rejected():
 
 def test_one_turn_final():
     catalog, executor, _ = simple_run_pieces()
-    agent = ScriptedAgent([ScriptTurn(final_intent("hi"))])
-    record = run_trajectory("t", agent, executor, catalog, LoopConfig())
+    script = (ScriptTurn(final_intent("hi")),)
+    record = run_trajectory("t", script, executor, catalog, LoopConfig())
     assert record.status == "final"
     assert record.final_answer == "hi"
     assert record.iterations == 1
@@ -287,11 +298,9 @@ def test_one_turn_final():
 
 
 def test_corrupted_turn_adds_one_iteration():
-    catalog, executor, agent = simple_run_pieces()
-    clean = run_trajectory("t", agent, executor, catalog, LoopConfig(format="toon", mode="full"))
-    marked = ScriptedAgent(
-        [ScriptTurn(agent.turns[0].intent, corrupt="swap_delimiter"), agent.turns[1]]
-    )
+    catalog, executor, script = simple_run_pieces()
+    clean = run_trajectory("t", script, executor, catalog, LoopConfig(format="toon", mode="full"))
+    marked = (ScriptTurn(script[0].intent, corrupt="swap_delimiter"), script[1])
     failed = run_trajectory("t", marked, executor, catalog, LoopConfig(format="toon", mode="full"))
     assert failed.iterations == clean.iterations + 1
     assert failed.cascade_count == 1
@@ -301,21 +310,19 @@ def test_corrupted_turn_adds_one_iteration():
 
 
 def test_reference_strips_corruption():
-    catalog, executor, agent = simple_run_pieces()
-    marked = ScriptedAgent(
-        [ScriptTurn(agent.turns[0].intent, corrupt="swap_delimiter"), agent.turns[1]]
-    )
+    catalog, executor, script = simple_run_pieces()
+    marked = (ScriptTurn(script[0].intent, corrupt="swap_delimiter"), script[1])
     reference = without_corruption(marked)
     record = run_trajectory("t", reference, executor, catalog, LoopConfig())
     assert record.cascade_count == 0
 
 
 def test_reference_reuses_each_clean_turn(fixtures_dir):
-    agent = load_trace(fixtures_dir / "replay" / "trace_weather.jsonl")
-    marked = ScriptedAgent(agent.turns + [ScriptTurn(final_intent(), corrupt="truncate_line", think="hm")])
+    script = load_trace(fixtures_dir / "replay" / "trace_weather.jsonl")
+    marked = script + (ScriptTurn(final_intent(), corrupt="truncate_line", think="hm"),)
     reference = without_corruption(marked)
-    assert len(reference.turns) == len(marked.turns)
-    for turn, ref in zip(marked.turns, reference.turns):
+    assert type(reference) is tuple and len(reference) == len(marked)
+    for turn, ref in zip(marked, reference):
         if turn.corrupt is None:
             assert ref is turn
         else:
@@ -323,10 +330,8 @@ def test_reference_reuses_each_clean_turn(fixtures_dir):
 
 
 def test_run_with_reference_is_the_clean_baseline_run():
-    catalog, executor, agent = simple_run_pieces()
-    marked = ScriptedAgent(
-        [ScriptTurn(agent.turns[0].intent, corrupt="swap_delimiter"), agent.turns[1]]
-    )
+    catalog, executor, script = simple_run_pieces()
+    marked = (ScriptTurn(script[0].intent, corrupt="swap_delimiter"), script[1])
     cfg = LoopConfig(format="toon", mode="full", max_iterations=12, failure_rate=0.5, seed=5)
     target, reference = run_with_reference("t", marked, executor, catalog, cfg)
     assert target == run_trajectory("t", marked, executor, catalog, cfg)
@@ -345,19 +350,19 @@ def test_executor_receives_the_parsed_args():
             seen["args"] = args
             return super().lookup(tool, args)
 
-    catalog, executor, agent = simple_run_pieces()
+    catalog, executor, script = simple_run_pieces()
     spy = SpyExecutor(executor.table)
     for fmt in FORMATS:
-        record = run_trajectory("t", agent, spy, catalog, LoopConfig(format=fmt, mode="full"))
+        record = run_trajectory("t", script, spy, catalog, LoopConfig(format=fmt, mode="full"))
         assert record.status == "final"
-        assert seen["args"] == agent.turns[0].intent.get("arguments")
+        assert seen["args"] == script[0].intent.get("arguments")
 
 
 def test_emitted_calls_match_mode():
-    catalog, executor, agent = simple_run_pieces()
+    catalog, executor, script = simple_run_pieces()
     for fmt in ("toon", "tron"):
         for mode, expected_fmt in (("input_only", "json"), ("full", fmt)):
-            record = run_trajectory("t", agent, executor, catalog, LoopConfig(format=fmt, mode=mode))
+            record = run_trajectory("t", script, executor, catalog, LoopConfig(format=fmt, mode=mode))
             call_spans = [s for s in record.spans if s.origin == "call"]
             assert call_spans
             for span in call_spans:
@@ -365,8 +370,8 @@ def test_emitted_calls_match_mode():
 
 
 def test_result_spans_use_input_format():
-    catalog, executor, agent = simple_run_pieces()
-    record = run_trajectory("t", agent, executor, catalog, LoopConfig(format="toon", mode="input_only"))
+    catalog, executor, script = simple_run_pieces()
+    record = run_trajectory("t", script, executor, catalog, LoopConfig(format="toon", mode="input_only"))
     result_spans = [s for s in record.spans if s.origin == "result"]
     assert len(result_spans) == 1
     decoded = decode_doc(result_spans[0].text, "toon")
@@ -374,11 +379,11 @@ def test_result_spans_use_input_format():
 
 
 def test_format_independent_iterations_without_failures():
-    catalog, executor, agent = simple_run_pieces()
+    catalog, executor, script = simple_run_pieces()
     counts = set()
     for fmt in FORMATS:
         for mode in ("input_only", "full"):
-            record = run_trajectory("t", agent, executor, catalog, LoopConfig(format=fmt, mode=mode))
+            record = run_trajectory("t", script, executor, catalog, LoopConfig(format=fmt, mode=mode))
             counts.add((record.iterations, record.cascade_count))
     assert counts == {(2, 0)}
 
@@ -386,8 +391,8 @@ def test_format_independent_iterations_without_failures():
 def test_iteration_cap():
     catalog, executor, _ = simple_run_pieces()
     bad = from_python({"thought": "t", "tool": "x"})  # shape failure forever
-    agent = ScriptedAgent([ScriptTurn(bad)])
-    record = run_trajectory("t", agent, executor, catalog, LoopConfig(max_iterations=4))
+    script = (ScriptTurn(bad),)
+    record = run_trajectory("t", script, executor, catalog, LoopConfig(max_iterations=4))
     assert record.status == "iteration_cap"
     assert record.iterations == 4
     # the last failed turn had no retry after it
@@ -396,9 +401,9 @@ def test_iteration_cap():
 
 def test_unknown_tool_aborts():
     catalog, executor, _ = simple_run_pieces()
-    agent = ScriptedAgent([ScriptTurn(step_intent("nope", {}))])
+    script = (ScriptTurn(step_intent("nope", {})),)
     with pytest.raises(AbortedTrajectoryError):
-        run_trajectory("t", agent, executor, catalog, LoopConfig())
+        run_trajectory("t", script, executor, catalog, LoopConfig())
 
 
 # a miss names the call's arguments in minimal JSON: escapes, number literals and key order as parsed
@@ -417,11 +422,11 @@ def encode_json_calls(monkeypatch):
 
 def test_executor_miss_aborts(encode_json_calls):
     catalog, executor, _ = simple_run_pieces()
-    agent = ScriptedAgent([ScriptTurn(step_intent("tool0", MISSED_ARGS))])
+    script = (ScriptTurn(step_intent("tool0", MISSED_ARGS)),)
     for fmt in FORMATS:
         encode_json_calls.clear()
         with pytest.raises(AbortedTrajectoryError) as e:
-            run_trajectory("t", agent, executor, catalog, LoopConfig(format=fmt, mode="full"))
+            run_trajectory("t", script, executor, catalog, LoopConfig(format=fmt, mode="full"))
         assert str(e.value) == f"no executor entry for tool 'tool0' with args {MISSED_ARGS_TEXT}", fmt
         assert e.value.args_text == MISSED_ARGS_TEXT, fmt
         # the one encode is the message's
@@ -432,7 +437,7 @@ def test_executor_miss_aborts(encode_json_calls):
 @pytest.mark.parametrize("mode", ("input_only", "full"))
 def test_a_call_that_hits_encodes_nothing(fixtures_dir, fmt, mode, encode_json_calls):
     replay = fixtures_dir / "replay"
-    agent = load_trace(replay / "trace_weather.jsonl")
+    script = load_trace(replay / "trace_weather.jsonl")
     executor = load_executor(replay / "executor_weather.json")
     catalog = load_catalog(replay / "catalog_weather.json")
     for rate in (0.0, 0.3):
@@ -440,7 +445,7 @@ def test_a_call_that_hits_encodes_nothing(fixtures_dir, fmt, mode, encode_json_c
             encode_json_calls.clear()
             cfg = LoopConfig(format=fmt, mode=mode, failure_rate=rate, seed=seed)
             try:
-                run_trajectory("t", agent, executor, catalog, cfg)
+                run_trajectory("t", script, executor, catalog, cfg)
             except AbortedTrajectoryError as e:
                 # a corrupted call that still parses misses the executor and encodes its arguments once
                 assert [encode_json(v) for v in encode_json_calls] == [e.args_text], (rate, seed)
@@ -485,17 +490,18 @@ def test_argument_values_are_equal_exactly_when_their_minimal_json_is(a, b):
 
 
 def test_script_exhaustion_raises():
-    catalog, executor, agent = simple_run_pieces()
-    steps_only = ScriptedAgent([agent.turns[0]])
-    with pytest.raises(ScriptExhaustedError):
-        run_trajectory("t", steps_only, executor, catalog, LoopConfig())
+    catalog, executor, script = simple_run_pieces()
+    with pytest.raises(ScriptExhaustedError, match="^script has only 1 turns$"):
+        run_trajectory("t", script[:1], executor, catalog, LoopConfig())
+    with pytest.raises(ScriptExhaustedError, match="^script has only 0 turns$"):
+        run_trajectory("t", (), executor, catalog, LoopConfig())
 
 
 def test_failure_rate_one_runs_to_cap_deterministically():
-    catalog, executor, agent = simple_run_pieces()
+    catalog, executor, script = simple_run_pieces()
     cfg = LoopConfig(failure_rate=1.0, seed=7, max_iterations=5)
-    a = run_trajectory("t", agent, executor, catalog, cfg)
-    b = run_trajectory("t", agent, executor, catalog, cfg)
+    a = run_trajectory("t", script, executor, catalog, cfg)
+    b = run_trajectory("t", script, executor, catalog, cfg)
     assert a.status == b.status == "iteration_cap"
     assert [t.outcome for t in a.turns] == [t.outcome for t in b.turns]
     assert [t.raw_text for t in a.turns] == [t.raw_text for t in b.turns]
@@ -503,22 +509,21 @@ def test_failure_rate_one_runs_to_cap_deterministically():
 
 def test_think_and_fence_recorded_in_turns():
     catalog, executor, _ = simple_run_pieces()
-    agent = ScriptedAgent(
-        [
-            ScriptTurn(step_intent("tool0", {"arg0": "hikes", "limit": 3}), think="mull it over"),
-            ScriptTurn(final_intent(), fenced=True),
-        ]
+    script = (
+        ScriptTurn(step_intent("tool0", {"arg0": "hikes", "limit": 3}), think="mull it over"),
+        ScriptTurn(final_intent(), fenced=True),
     )
-    record = run_trajectory("t", agent, executor, catalog, LoopConfig())
-    assert record.turns[0].think_stripped
-    assert not record.turns[0].fence_extracted
-    assert record.turns[1].fence_extracted
+    record = run_trajectory("t", script, executor, catalog, LoopConfig())
+    step, final = record.turns
+    assert step.raw_text.startswith("<think>mull it over</think>\n") and "```" not in step.raw_text
+    assert final.raw_text == '```json\n{"final_answer":"done"}\n```'
+    assert (step.outcome, final.outcome) == ("step", "final")
     assert record.status == "final"
 
 
 def test_spans_concatenate_to_conversation():
-    catalog, executor, agent = simple_run_pieces()
-    record = run_trajectory("t", agent, executor, catalog, LoopConfig())
+    catalog, executor, script = simple_run_pieces()
+    record = run_trajectory("t", script, executor, catalog, LoopConfig())
     assert all(s.origin in ("schema", "call", "result", "other") for s in record.spans)
     assert all(s.direction in ("prompt", "completion") for s in record.spans)
     raws = "".join(t.raw_text for t in record.turns)
@@ -545,20 +550,20 @@ def outcome_of(*args):
 
 def weather_pieces(fixtures_dir):
     replay = fixtures_dir / "replay"
-    agent = load_trace(replay / "trace_weather.jsonl")
+    script = load_trace(replay / "trace_weather.jsonl")
     executor = load_executor(replay / "executor_weather.json")
     catalog = load_catalog(replay / "catalog_weather.json")
-    return agent, executor, catalog
+    return script, executor, catalog
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("mode", ("input_only", "full"))
 def test_memo_leaves_weather_runs_unchanged(fixtures_dir, fmt, mode):
-    agent, executor, catalog = weather_pieces(fixtures_dir)
+    weather, executor, catalog = weather_pieces(fixtures_dir)
     # the weather script has no fenced turn, so a fenced copy of it meets fence failures too
-    fenced = ScriptedAgent([t._replace(fenced=True) for t in agent.turns])
+    fenced = tuple(t._replace(fenced=True) for t in weather)
     stages = set()
-    for script in (agent, fenced):
+    for script in (weather, fenced):
         for rate in (0.0, 0.1, 0.3):
             for seed in range(4):
                 cfg = LoopConfig(format=fmt, mode=mode, failure_rate=rate, seed=seed)
@@ -571,9 +576,9 @@ def test_memo_leaves_weather_runs_unchanged(fixtures_dir, fmt, mode):
                     assert warm == cold, (rate, seed)
                     continue
                 assert len(warm.turns) == len(cold.turns), (rate, seed)
-                for w, c in zip(warm.turns, cold.turns):
-                    assert (w.outcome, w.error) == (c.outcome, c.error), (rate, seed, c.index)
-                    assert w == c, (rate, seed, c.index)
+                for n, (w, c) in enumerate(zip(warm.turns, cold.turns), start=1):
+                    assert (w.outcome, w.error) == (c.outcome, c.error), (rate, seed, n)
+                    assert w == c, (rate, seed, n)
                 assert warm.spans == cold.spans, (rate, seed)
                 assert warm == cold, (rate, seed)
                 stages.update(t.outcome for t in cold.turns)
@@ -590,11 +595,11 @@ def test_memo_leaves_weather_runs_unchanged(fixtures_dir, fmt, mode):
         ('{"thought":"t","tool":"f"}', "shape"),
     ],
 )
-def test_kept_failure_holds_no_traceback(raw, stage):
+def test_kept_failure_is_a_plain_record(raw, stage):
     clear_memo()
     outcome = parse_envelope_outcome(raw, "json")
-    assert outcome.failure.stage == stage
-    assert outcome.failure.__traceback__ is None
+    assert type(outcome.failure) is ParseFailure and not isinstance(outcome.failure, BaseException)
+    assert outcome.failure == (stage, outcome.failure.detail)
     assert agent_mod._parse_memo[f"json\n{raw}"] is outcome
     # a repeat gets back the same outcome, and with it the same failure
     assert parse_envelope_outcome(raw, "json") is outcome
@@ -612,7 +617,7 @@ def test_unknown_format_raises_and_keeps_nothing():
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_a_wrapper_over_the_public_parse_sees_every_emission(monkeypatch, fixtures_dir, fmt):
     # perfbench's tracer times and counts parses by wrapping agent.parse_envelope_outcome
-    agent, executor, catalog = weather_pieces(fixtures_dir)
+    script, executor, catalog = weather_pieces(fixtures_dir)
     cfgs = [LoopConfig(format=fmt, mode=mode, failure_rate=0.3, seed=seed) for mode in MODES for seed in (0, 1, 2)]
     parse, inner = agent_mod.parse_envelope_outcome, agent_mod._parse_envelope
     parsed = []
@@ -630,7 +635,7 @@ def test_a_wrapper_over_the_public_parse_sees_every_emission(monkeypatch, fixtur
 
             with monkeypatch.context() as m:
                 m.setattr(agent_mod, "parse_envelope_outcome", counted)
-                record = outcome_of("t", agent, executor, catalog, cfg)
+                record = outcome_of("t", script, executor, catalog, cfg)
             if type(record) is not tuple:  # one call per emission, with that turn's failure stage
                 assert seen == [(t.raw_text, t.error and t.outcome) for t in record.turns], cfg
             runs.append(seen)
@@ -645,13 +650,13 @@ def test_a_wrapper_over_the_public_parse_sees_every_emission(monkeypatch, fixtur
 
 
 def test_warm_run_renders_nothing(monkeypatch):
-    catalog, executor, agent = simple_run_pieces()
+    catalog, executor, script = simple_run_pieces()
     cfg = LoopConfig(format="toon", mode="full")
-    first = run_trajectory("t", agent, executor, catalog, cfg)
+    first = run_trajectory("t", script, executor, catalog, cfg)
     calls = []
     monkeypatch.setattr(agent_mod, "encode_doc", lambda v, fmt: calls.append(fmt))
     monkeypatch.setattr(tron_codec, "encode_tron_batch", lambda vs: calls.append("batch"))
-    assert run_trajectory("t", agent, executor, catalog, cfg) == first
+    assert run_trajectory("t", script, executor, catalog, cfg) == first
     assert calls == []
 
 
@@ -663,8 +668,8 @@ def test_results_differing_in_node_type_render_differently():
         seen = []
         for v in results:
             step = step_intent("tool0", {"arg0": "x", "limit": v})
-            agent = ScriptedAgent([ScriptTurn(step), ScriptTurn(final_intent())])
-            record = run_trajectory("t", agent, executor, catalog, LoopConfig(format=fmt, mode="full"))
+            script = (ScriptTurn(step), ScriptTurn(final_intent()))
+            record = run_trajectory("t", script, executor, catalog, LoopConfig(format=fmt, mode="full"))
             (span,) = [s for s in record.spans if s.origin == "result"]
             assert decode_doc(span.text, fmt, unwrap=True) == v
             seen.append(span.text)
@@ -672,15 +677,15 @@ def test_results_differing_in_node_type_render_differently():
 
 
 def test_mutating_returned_spans_leaves_next_prompt():
-    catalog, executor, agent = simple_run_pieces()
+    catalog, executor, script = simple_run_pieces()
     cfg = LoopConfig(format="tron")
     expected = list(build_system_prompt_spans(catalog, cfg))
     spans = build_system_prompt_spans(catalog, cfg)
     spans[0] = spans[0]._replace(text="changed")
     del spans[1:]
     assert build_system_prompt_spans(catalog, cfg) == expected
-    run_trajectory("t", agent, executor, catalog, cfg).spans.clear()
-    again = run_trajectory("t", agent, executor, catalog, cfg)
+    run_trajectory("t", script, executor, catalog, cfg).spans.clear()
+    again = run_trajectory("t", script, executor, catalog, cfg)
     assert again.spans[: len(expected)] == expected
 
 
@@ -690,13 +695,13 @@ def test_equal_schemas_hash_equal_and_a_second_run_hits_the_prompt_memo(monkeypa
     assert [hash(x) for x in a] == [hash(x) for x in b]
     assert hash(a[0]._replace()) == hash(a[0])
     assert hash(a[0]) == hash((a[0].name, a[0].description, a[0].parameters))
-    catalog, executor, agent = simple_run_pieces()
+    catalog, executor, script = simple_run_pieces()
     clear_memo()
     builds = []
     build = agent_mod._prompt_spans
     monkeypatch.setattr(agent_mod, "_prompt_spans", lambda *args: builds.append(args) or build(*args))
-    first = run_trajectory("t", agent, executor, catalog, LoopConfig())
-    assert run_trajectory("t", agent, executor, catalog, LoopConfig()) == first
+    first = run_trajectory("t", script, executor, catalog, LoopConfig())
+    assert run_trajectory("t", script, executor, catalog, LoopConfig()) == first
     assert len(builds) == 1 and len(agent_mod._prompt_memo) == 1
     # an equal but distinct catalog is a new entry, with the same prompt
     copied = [s._replace() for s in catalog]
@@ -734,6 +739,7 @@ def test_agent_record_contract():
     check_record(lambda: LoopConfig(format="toon"), LoopConfig(), "format")
     check_record(lambda: Span("x", "call", "completion", 1), Span("x", "call", "completion", 2), "turn")
     check_record(lambda: ScriptTurn(final_intent(), think="hm"), ScriptTurn(final_intent()), "think")
+    check_record(lambda: ParseFailure("shape", "x"), ParseFailure("decode", "x"), "stage")
     assert repr(LoopConfig()) == (
         "LoopConfig(format='json', mode='input_only', max_iterations=20, failure_rate=0.0, seed=0)"
     )
@@ -824,12 +830,13 @@ def test_fixture_loaders(tmp_path):
     )
     catalog = load_catalog(catalog_file)
     executor = load_executor(executor_file)
-    agent = load_trace(trace_file)
+    script = load_trace(trace_file)
     assert [s.name for s in catalog] == ["probe"]
-    assert agent.turns[0].corrupt == "swap_delimiter"
-    assert agent.turns[0].think == "hm"
-    assert agent.turns[1].fenced
-    record = run_trajectory("t", agent, executor, catalog, LoopConfig())
+    assert type(script) is tuple
+    assert script[0].corrupt == "swap_delimiter"
+    assert script[0].think == "hm"
+    assert script[1].fenced
+    record = run_trajectory("t", script, executor, catalog, LoopConfig())
     assert record.status == "final"
     assert record.cascade_count == 1
 
@@ -867,8 +874,8 @@ def test_trace_lines_end_at_newline_only(tmp_path):
     trace_file = tmp_path / "trace.jsonl"
     for ending in ("\n", "\r\n"):
         trace_file.write_bytes((ending.join(lines) + ending).encode("utf-8"))
-        agent = load_trace(trace_file)
-        assert [turn.intent for turn in agent.turns] == [from_python(intent) for intent in intents]
+        script = load_trace(trace_file)
+        assert [turn.intent for turn in script] == [from_python(intent) for intent in intents]
 
 
 def test_trace_loader_rejects_bad_records(tmp_path):
@@ -899,3 +906,36 @@ def test_trace_loader_rejects_mistyped_marks(tmp_path, capsys, field, value):
     replay = ["replay", "--trace", str(trace), "--catalog", str(FIXTURES / "replay" / "catalog_weather.json")]
     assert cli.main(replay + ["--executor", str(FIXTURES / "replay" / "executor_weather.json")]) == 2
     assert f"trace line 2: {field} must be a JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (
+            {"text": json.dumps({"final_answer": "ok"}), "think": "done</think>really"},
+            "trace line 2: think holds '</think>', which ends the think block early",
+        ),
+        (
+            {"text": json.dumps({"final_answer": "see ```x```"})},
+            "trace line 2: intent holds '```', which opens a code fence",
+        ),
+        # the intent's minimal JSON is what a run renders from, so an escaped backtick counts too
+        (
+            {"text": '{"final_answer": "\\u0060``"}', "fenced": True},
+            "trace line 2: intent holds '```', which opens a code fence",
+        ),
+    ],
+    ids=["think", "intent", "escaped-intent"],
+)
+def test_trace_loader_refuses_a_turn_that_can_never_parse(tmp_path, capsys, line, message):
+    step = json.dumps({"thought": "go", "action": "forecast", "arguments": {"city": "Boulder", "hours": 3}})
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"turn": 0, "role": "agent", "text": step}) + "\n" + json.dumps({"role": "agent", **line}))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_trace(trace)
+    replay = ["replay", "--trace", str(trace), "--catalog", str(FIXTURES / "replay" / "catalog_weather.json")]
+    assert cli.main(replay + ["--executor", str(FIXTURES / "replay" / "executor_weather.json")]) == 2
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    # two backticks, or a think block that does not close early, still load
+    trace.write_text(json.dumps({"role": "agent", "text": json.dumps({"final_answer": "``"}), "think": "<think>"}))
+    assert load_trace(trace) == (ScriptTurn(from_python({"final_answer": "``"}), think="<think>"),)

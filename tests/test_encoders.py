@@ -8,8 +8,10 @@ and trigger checks. The codecs must give the same text for every
 generated document.
 """
 
+import itertools
 import json
 import re
+import string
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from notation import toon_codec
 from notation.json_codec import MAX_NESTING, decode_json, encode_json, encode_string
 from notation.toon_codec import WRAP_KEY, ArrayShape, classify_array, encode_toon
-from notation.tron_codec import class_name_for, encode_tron, encode_tron_batch
+from notation.tron_codec import encode_tron, encode_tron_batch
 from notation.values import (
     DEFAULT_PROFILE,
     DELIMITER_PROFILE,
@@ -113,7 +115,14 @@ def reference_classes(roots, min_occurrences=2):
     for root in roots:
         _walk_objects(root, visit)
     qualifying = [sig for sig, n in counts.items() if n >= min_occurrences]
-    return {sig: class_name_for(i) for i, sig in enumerate(qualifying)}
+    return dict(zip(qualifying, reference_class_names()))
+
+
+def reference_class_names():
+    """A, B, ..., Z, AA, AB, ...: every string of capital letters, shorter ones first."""
+    for width in itertools.count(1):
+        for letters in itertools.product(string.ascii_uppercase, repeat=width):
+            yield "".join(letters)
 
 
 def reference_tron(roots):

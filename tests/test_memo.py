@@ -61,7 +61,7 @@ def prompt_steps():
 
 def parse_view(outcome):
     failure = outcome.failure and (outcome.failure.stage, outcome.failure.detail)
-    return outcome.envelope, failure, outcome.think_stripped, outcome.fence_extracted, outcome.document
+    return outcome.envelope, failure, outcome.document
 
 
 def parse_steps():

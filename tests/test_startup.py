@@ -43,7 +43,6 @@ EXPORTS = {
         "LoopConfig",
         "ParseFailure",
         "ScriptTurn",
-        "ScriptedAgent",
         "Span",
         "Step",
         "TableExecutor",

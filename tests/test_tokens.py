@@ -501,7 +501,7 @@ def test_round_pct_half_away_from_zero():
 
 def spans_only(spans):
     """A record with no turns that holds ``spans``, as ``decompose`` reads one."""
-    return TrajectoryRecord("json", "input_only", "t", [], spans, "final", None)
+    return TrajectoryRecord("json", "input_only", [], spans, "final", None)
 
 
 def test_decompose_empty_trajectory():
@@ -526,8 +526,8 @@ def test_decompose_rejects_untagged_spans():
 
 
 def test_decompose_single_turn_components():
-    catalog, executor, agent = simple_run_pieces()
-    record = run_trajectory("find", agent, executor, catalog, LoopConfig(format="json"))
+    catalog, executor, script = simple_run_pieces()
+    record = run_trajectory("find", script, executor, catalog, LoopConfig(format="json"))
     bd = decompose(record, ByteCountTokenizer())
     assert bd.schema_tokens > 0
     assert bd.call_tokens > 0
@@ -538,7 +538,7 @@ def test_decompose_single_turn_components():
 
 def test_schema_tokens_shrink_on_tabular_catalog():
     """A catalog whose parameter blocks are table-shaped compresses in TOON."""
-    from notation.agent import ScriptedAgent, ScriptTurn, TableExecutor, ToolSchema
+    from notation.agent import ScriptTurn, TableExecutor, ToolSchema
     from notation.values import from_python
     from conftest import final_intent
 
@@ -553,19 +553,19 @@ def test_schema_tokens_shrink_on_tabular_catalog():
         }
     )
     catalog = [ToolSchema("search", "Find documents.", params)]
-    agent = ScriptedAgent([ScriptTurn(final_intent())])
+    script = (ScriptTurn(final_intent()),)
     executor = TableExecutor({})
     tok = ByteCountTokenizer()
     runs = {}
     for fmt in ("json", "toon"):
-        record = run_trajectory("t", agent, executor, catalog, LoopConfig(format=fmt))
+        record = run_trajectory("t", script, executor, catalog, LoopConfig(format=fmt))
         runs[fmt] = decompose(record, tok)
     assert runs["toon"].schema_tokens < runs["json"].schema_tokens
 
 
 def test_delta_vs_self_is_zero():
-    catalog, executor, agent = simple_run_pieces()
-    record = run_trajectory("find", agent, executor, catalog, LoopConfig(format="json"))
+    catalog, executor, script = simple_run_pieces()
+    record = run_trajectory("find", script, executor, catalog, LoopConfig(format="json"))
     bd = decompose(record, ByteCountTokenizer())
     deltas = delta_vs_baseline(bd, bd)
     assert all(v == 0.0 for v in deltas.values())

@@ -12,7 +12,7 @@ from notation.errors import (
 )
 from notation.json_codec import encode_json
 from notation.tron_codec import (
-    class_name_for,
+    _class_name_for,
     decode_tron,
     decode_tron_batch,
     encode_tron,
@@ -56,7 +56,7 @@ def brute_force_signature_counts(roots: list[Value]) -> dict[tuple, int]:
 
 
 def test_class_naming_sequence():
-    names = [class_name_for(i) for i in range(30)]
+    names = [_class_name_for(i) for i in range(30)]
     assert names[:3] == ["A", "B", "C"]
     assert names[25] == "Z"
     assert names[26] == "AA"
@@ -98,7 +98,7 @@ def test_extract_classes_matches_brute_force(seed, min_occ):
     ]
     index = extract_classes([v], min_occ)
     # same shapes, in discovery order, named A, B, C, ...
-    assert list(index.items()) == [(sig, class_name_for(i)) for i, sig in enumerate(qualifying)]
+    assert list(index.items()) == [(sig, _class_name_for(i)) for i, sig in enumerate(qualifying)]
 
 
 @settings(max_examples=100, deadline=None)
