@@ -114,7 +114,7 @@ class LoopConfig(
             raise ValueError(f"unknown format {self.format!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        # a bool is an int to isinstance, but not a setting either field takes
+        # a bool is an int to isinstance, but not a setting any numeric field takes
         if not isinstance(self.max_iterations, int) or isinstance(self.max_iterations, bool):
             raise TypeError(f"max_iterations must be an int, not {type(self.max_iterations).__name__}")
         if self.max_iterations < 1:
@@ -123,6 +123,8 @@ class LoopConfig(
             raise TypeError(f"failure_rate must be an int or float, not {type(self.failure_rate).__name__}")
         if not (0.0 <= self.failure_rate <= 1.0):
             raise ValueError("failure_rate must be in [0, 1]")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise TypeError(f"seed must be an int, not {type(self.seed).__name__}")
         return self
 
     @property

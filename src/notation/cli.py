@@ -18,7 +18,7 @@ from .errors import CodecError, ParseError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_batch, decode_doc, encode_batch, encode_doc
 from .json_codec import decode_json, encode_json
 from .toon_codec import WRAP_KEY
-from .values import DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE, Object, generate
+from .values import DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE, Object, _collector_paused, generate
 
 __all__ = ["main"]
 
@@ -148,6 +148,9 @@ class _FileDecodeError(Exception):
     """A corpus file that does not decode: its path, then the library's error."""
 
 
+# both report builders run with the collector paused: a report's trees hold
+# no cycle and die when its builder returns (see values._collector_paused)
+@_collector_paused
 def _measure_report(args, tokenizer) -> dict:
     from .tokens import mean_pct, pct_delta
 
@@ -281,6 +284,7 @@ def _summarize_run(record, breakdown) -> dict:
     }
 
 
+@_collector_paused
 def _replay_report(args, tokenizer) -> dict:
     """The run under the flags against its reference run (``agent.run_with_reference``), counted by ``tokenizer``."""
     from .agent import LoopConfig, load_catalog, load_executor, load_trace, run_with_reference

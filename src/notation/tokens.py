@@ -4,19 +4,20 @@ Counting is pluggable: a dependency-free byte counter (the default for
 all relative-delta work), a word/symbol counter, and a BPE counter that
 loads any vocab.json + merges.txt pair in the common plain-text
 interchange layout. The word counter gives the number of word-character
-runs plus non-space symbols without building a string per token: each
-character maps to its class (word, space, symbol) through a byte table,
-and ``bytes.count`` finds the symbols and the first character of each
-word run; runs of non-ASCII text are first replaced by ASCII stand-ins of
-the same count, each run's stand-in worked out once and kept in a bounded
-memo. BPE counting gives the same counts as greedy lowest-rank
-merging over the whole UTF-8 span (lowest rank first, leftmost first on
-ties). It splits the span into chunks at the byte boundaries no merge can
-cross, which the merge table alone determines. Each chunk's count is
-kept in a bounded memo, and the chunks of a span that the memo lacks
-share heap runs of about 512 bytes each. A vocabulary that joins every
-byte pair leaves each span one chunk, so the count stays O(n log n) in
-the UTF-8 length.
+runs plus non-space symbols without building a string per token, from
+two byte tables: deleting the symbol bytes counts the symbols by the
+length they remove, and a table that maps each word byte to ``w`` and
+every other byte to a space leaves one ``b" w"`` (or a leading ``w``)
+per word run for ``bytes.count``; runs of non-ASCII text are first
+replaced by ASCII stand-ins of the same count, each run's stand-in
+worked out once and kept in a bounded memo. BPE counting gives the same
+counts as greedy lowest-rank merging over the whole UTF-8 span (lowest
+rank first, leftmost first on ties). It splits the span into chunks at
+the byte boundaries no merge can cross, which the merge table alone
+determines. Each chunk's count is kept in a bounded memo, and the chunks
+of a span that the memo lacks share heap runs of about 512 bytes each. A
+vocabulary that joins every byte pair leaves each span one chunk, so the
+count stays O(n log n) in the UTF-8 length.
 Per-span counts are summed, never recomputed over concatenations, so
 component sums stay exactly additive.
 """
@@ -90,8 +91,10 @@ def _char_class(ch: str) -> str:
     return "w" if _is_word(ch) else " " if _is_space(ch) else "!"
 
 
-# ASCII byte -> its class character; count() only translates ASCII
-_CLASS_TABLE = "".join(_char_class(chr(b)) for b in range(128)).encode("ascii").ljust(256, b"!")
+# the ASCII symbol bytes: deleting them from a text removes one byte per symbol
+_SYMBOLS = bytes(b for b in range(128) if _char_class(chr(b)) == "!")
+# byte -> "w" for an ASCII word byte, " " for any other; count() only translates ASCII
+_WORD_TABLE = bytes(ord("w") if _char_class(chr(b)) == "w" else ord(" ") for b in range(128)).ljust(256)
 
 # splits text around its runs, each a non-ASCII character and what follows
 # it up to the next ASCII word character or ASCII control that is not a
@@ -130,8 +133,10 @@ class WordRegexTokenizer(Tokenizer):
             # a memo hit costs no Python call
             parts[1::2] = map(_standins.__getitem__, parts[1::2])
             text = "".join(parts)
-        c = text.encode("ascii").translate(_CLASS_TABLE)
-        return c.count(b"!") + c.count(b" w") + c.count(b"!w") + c.startswith(b"w")
+        b = text.encode("ascii")
+        # a word run starts at a word byte after a space, a symbol or nothing
+        w = b.translate(_WORD_TABLE)
+        return len(b) - len(b.translate(None, _SYMBOLS)) + w.count(b" w") + w.startswith(b"w")
 
 
 def _bytes_to_unicode() -> dict[int, str]:

@@ -214,6 +214,10 @@ def test_unknown_mutator_rejected():
         ({"failure_rate": "0.5"}, "failure_rate must be an int or float, not str"),
         ({"failure_rate": False}, "failure_rate must be an int or float, not bool"),
         ({"failure_rate": None}, "failure_rate must be an int or float, not NoneType"),
+        ({"seed": None}, "seed must be an int, not NoneType"),
+        ({"seed": "x"}, "seed must be an int, not str"),
+        ({"seed": 1.5}, "seed must be an int, not float"),
+        ({"seed": True}, "seed must be an int, not bool"),
     ],
 )
 def test_loop_config_refuses_a_bad_setting(kwargs, message):

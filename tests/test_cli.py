@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -801,6 +802,88 @@ def test_replay_bad_fixture_exit_2(tmp_path, capsys):
     args[2] = str(bad)
     code, _, _ = run_cli(args, capsys)
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# The report builders run with the cyclic collector paused
+# (``values._collector_paused``): no collection starts while a report is
+# built, and every exit leaves ``gc.isenabled()`` as it found it.
+
+REPORT_BUILDERS = ("_measure_report", "_replay_report")
+
+
+@pytest.fixture
+def eager_collector():
+    """A young generation that fills after 10 allocations; the collector's settings restored after."""
+    was_enabled = gc.isenabled()
+    threshold = gc.get_threshold()
+    gc.set_threshold(10)
+    yield
+    gc.set_threshold(*threshold)
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def make_large_corpus(tmp_path):
+    """Eight files: tables of 20 to 90 rows, each with a nested object per row."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for n in range(8):
+        rows = [
+            {"id": i, "name": f"row {i}", "tags": ["a", i, None], "at": {"x": i, "y": -i}}
+            for i in range(20 + 10 * n)
+        ]
+        (corpus / f"doc{n}.json").write_text(json.dumps({"rows": rows, "n": n}))
+    return corpus
+
+
+def collections_while_building(argv, capsys) -> tuple[int, list[int]]:
+    """``main(argv)``'s exit code, and the generation of each collection that starts inside a report builder."""
+    inside = []
+
+    def count(phase, info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code.co_filename == cli.__file__ and frame.f_code.co_name in REPORT_BUILDERS:
+                inside.append(info["generation"])
+                return
+            frame = frame.f_back
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        code, _, _ = run_cli(argv, capsys)
+    finally:
+        gc.callbacks.remove(count)
+    return code, inside
+
+
+def test_no_collection_starts_while_a_report_is_built(tmp_path, capsys, eager_collector):
+    gc.enable()
+    measure = ["measure", str(make_large_corpus(tmp_path)), "--batch", "--tokenizer", "words"]
+    replay = REPLAY_ARGS + ["--format", "toon", "--mode", "full"]
+    for argv in (measure, replay):
+        assert collections_while_building(argv, capsys) == (0, []), argv[0]
+        assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_report_exits_leave_the_collector_as_they_found_it(tmp_path, capsys, eager_collector, enabled):
+    corpus = make_large_corpus(tmp_path)
+    bad = tmp_path / "bad"
+    shutil.copytree(corpus, bad)
+    (bad / "doc3.json").write_bytes(b'{"a":"\xff"}')
+    cases = [
+        (["measure", str(corpus), "--batch", "--tokenizer", "words"], 0),
+        (["measure", str(bad), "--batch", "--tokenizer", "words"], 2),
+        # a directory for --out: the report is built, then cannot be written
+        (["measure", str(corpus), "--tokenizer", "words", "--out", str(tmp_path)], 3),
+        (REPLAY_ARGS + ["--format", "tron", "--mode", "full"], 0),
+    ]
+    (gc.enable if enabled else gc.disable)()
+    for argv, expected in cases:
+        code, _, _ = run_cli(argv, capsys)
+        assert code == expected, argv
+        assert gc.isenabled() is enabled, argv
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,14 @@ def test_word_count_matches_reference_on_fixtures():
         assert tok.count(text) == reference_word_count(text), path
 
 
+def test_word_tables_agree_with_the_regex_on_every_ascii_byte():
+    for b in range(128):
+        # _WORD_RE finds no token in a doubled space, one in a doubled word character, two in a doubled symbol
+        n = len(tokens._WORD_RE.findall(chr(b) * 2))
+        assert (b in tokens._SYMBOLS) == (n == 2), b
+        assert tokens._WORD_TABLE[b] == (ord("w") if n == 1 else ord(" ")), b
+
+
 def test_byte_count_monotone_under_append():
     tok = ByteCountTokenizer()
     base = "some span"
