@@ -148,8 +148,8 @@ class _FileDecodeError(Exception):
     """A corpus file that does not decode: its path, then the library's error."""
 
 
-# both report builders run with the collector paused: a report's trees hold
-# no cycle and die when its builder returns (see values._collector_paused)
+# the report is built with the collector paused: its trees hold no cycle
+# and die when the builder returns (see values._collector_paused)
 @_collector_paused
 def _measure_report(args, tokenizer) -> dict:
     from .tokens import mean_pct, pct_delta
@@ -284,7 +284,6 @@ def _summarize_run(record, breakdown) -> dict:
     }
 
 
-@_collector_paused
 def _replay_report(args, tokenizer) -> dict:
     """The run under the flags against its reference run (``agent.run_with_reference``), counted by ``tokenizer``."""
     from .agent import LoopConfig, load_catalog, load_executor, load_trace, run_with_reference

@@ -272,17 +272,17 @@ def _collector_paused(fn):
     paused to 4.2/0.4/0, and their thread time from 78-89 ms to 32-39 ms;
     they collected nothing either way.
 
-    The two report builders of ``cli``, ``_measure_report`` and
-    ``_replay_report``, run under it too. Every tree a report decodes,
-    encodes or replays holds no cycle and is freed by reference counting
-    by the time its builder returns, so a young collection inside the
-    builder could only scan live trees that are about to die. Paused, none
-    starts there, and the one the builder's allocations hold back runs
-    after it returns, when those trees are gone: over a pass of
-    perfbench's seed-7 ``measure-words`` pool, ops and output checks
-    together, collections fell from 44.6 to 1.7 and their thread time
-    from 12–14 ms to under 0.5 ms. The pause is process-wide: cycles
-    made by other threads wait until the call returns.
+    ``cli._measure_report``, which builds a ``measure`` report, runs under
+    it too. Every tree the report decodes or encodes holds no cycle and is
+    freed by reference counting by the time the builder returns, so a
+    young collection inside the builder could only scan live trees that
+    are about to die. Paused, none starts there, and the one the
+    builder's allocations hold back runs after it returns, when those
+    trees are gone: over a pass of perfbench's seed-7 ``measure-words``
+    pool, ops and output checks together, collections fell from 44.6 to
+    1.7 and their thread time from 12–14 ms to under 0.5 ms. The pause is
+    process-wide: cycles made by other threads wait until the call
+    returns.
 
     When the collector is already off, ``fn`` runs as it is: the wrapper
     never turns on a collector its caller turned off, and a nested call

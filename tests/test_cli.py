@@ -805,11 +805,9 @@ def test_replay_bad_fixture_exit_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The report builders run with the cyclic collector paused
+# The measure report builder runs with the cyclic collector paused
 # (``values._collector_paused``): no collection starts while a report is
 # built, and every exit leaves ``gc.isenabled()`` as it found it.
-
-REPORT_BUILDERS = ("_measure_report", "_replay_report")
 
 
 @pytest.fixture
@@ -837,13 +835,13 @@ def make_large_corpus(tmp_path):
 
 
 def collections_while_building(argv, capsys) -> tuple[int, list[int]]:
-    """``main(argv)``'s exit code, and the generation of each collection that starts inside a report builder."""
+    """``main(argv)``'s exit code, and the generation of each collection that starts inside the report builder."""
     inside = []
 
     def count(phase, info):
         frame = sys._getframe(1)
         while phase == "start" and frame is not None:
-            if frame.f_code.co_filename == cli.__file__ and frame.f_code.co_name in REPORT_BUILDERS:
+            if frame.f_code.co_filename == cli.__file__ and frame.f_code.co_name == "_measure_report":
                 inside.append(info["generation"])
                 return
             frame = frame.f_back
@@ -859,11 +857,9 @@ def collections_while_building(argv, capsys) -> tuple[int, list[int]]:
 
 def test_no_collection_starts_while_a_report_is_built(tmp_path, capsys, eager_collector):
     gc.enable()
-    measure = ["measure", str(make_large_corpus(tmp_path)), "--batch", "--tokenizer", "words"]
-    replay = REPLAY_ARGS + ["--format", "toon", "--mode", "full"]
-    for argv in (measure, replay):
-        assert collections_while_building(argv, capsys) == (0, []), argv[0]
-        assert gc.isenabled()
+    argv = ["measure", str(make_large_corpus(tmp_path)), "--batch", "--tokenizer", "words"]
+    assert collections_while_building(argv, capsys) == (0, [])
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
@@ -877,7 +873,6 @@ def test_report_exits_leave_the_collector_as_they_found_it(tmp_path, capsys, eag
         (["measure", str(bad), "--batch", "--tokenizer", "words"], 2),
         # a directory for --out: the report is built, then cannot be written
         (["measure", str(corpus), "--tokenizer", "words", "--out", str(tmp_path)], 3),
-        (REPLAY_ARGS + ["--format", "tron", "--mode", "full"], 0),
     ]
     (gc.enable if enabled else gc.disable)()
     for argv, expected in cases:
