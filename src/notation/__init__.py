@@ -30,6 +30,7 @@ from .tron_codec import (
     decode_tron_batch,
     encode_tron,
     encode_tron_batch,
+    encode_tron_corpus,
     extract_classes,
 )
 

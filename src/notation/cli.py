@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import CodecError, ParseError
-from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_batch, decode_doc, encode_batch, encode_doc
+from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_batch, decode_doc, encode_batch, encode_corpus, encode_doc
 from .json_codec import decode_json, encode_json
 from .toon_codec import WRAP_KEY
 from .values import DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE, Object, _collector_paused, generate
@@ -168,16 +168,18 @@ def _measure_report(args, tokenizer) -> dict:
             str(path).encode("utf-8")
         except UnicodeEncodeError:
             raise ParseError(f"file name is not UTF-8: {ascii(str(path))}") from None
-    files = []
-    roots = []
-    sums = dict.fromkeys(FORMATS, 0)
+    values = []
     for path in paths:
         try:
-            value = decode_json(_read_input(str(path)))
+            values.append(decode_json(_read_input(str(path))))
         except CodecError as e:
             raise _FileDecodeError(f"{path}: {type(e).__name__}: {e}") from e
-        roots.append(value)
-        counts = {fmt: tokenizer.count(encode_doc(value, fmt)) for fmt in FORMATS}
+    # each format's per-file texts, and its batch text when it has one and --batch asks
+    encoded = {fmt: encode_corpus(values, fmt, args.batch) for fmt in FORMATS}
+    files = []
+    sums = dict.fromkeys(FORMATS, 0)
+    for i, path in enumerate(paths):
+        counts = {fmt: tokenizer.count(texts[i]) for fmt, (texts, _) in encoded.items()}
         for k, v in counts.items():
             sums[k] += v
         files.append({"path": str(path), **counts, **deltas(counts)})
@@ -185,9 +187,9 @@ def _measure_report(args, tokenizer) -> dict:
     aggregates = {"mean_of_percentages": mean_of_pct, "absolute_sum": {**sums, **deltas(sums)}}
     if args.batch:
         batched = aggregates["absolute_sum_batched"] = {}
-        for fmt in FORMATS:
-            if REGISTRY[fmt].batched:
-                batched[fmt] = n = tokenizer.count(encode_batch(roots, fmt))
+        for fmt, (_, text) in encoded.items():
+            if text is not None:
+                batched[fmt] = n = tokenizer.count(text)
                 batched[DELTA_KEYS[fmt]] = pct_delta(n, sums[BASELINE])
     return {"tokenizer": tokenizer.name, "files": files, "aggregates": aggregates}
 

@@ -13,7 +13,7 @@ from . import json_codec, toon_codec, tron_codec
 from ._record import record
 from .values import Value
 
-__all__ = ["Format", "REGISTRY", "FORMATS", "BASELINE", "MODES", "lookup", "encode_doc", "decode_doc", "encode_batch", "decode_batch"]
+__all__ = ["Format", "REGISTRY", "FORMATS", "BASELINE", "MODES", "lookup", "encode_doc", "decode_doc", "encode_batch", "decode_batch", "encode_corpus"]
 
 
 class Format(record("Format", "name", "codec", "note", wraps_root=False, keeps_indent=False, batched=False)):
@@ -23,7 +23,7 @@ class Format(record("Format", "name", "codec", "note", wraps_root=False, keeps_i
     means a non-object root is encoded under a synthetic key; ``keeps_indent``
     means leading whitespace is significant, so a document is never
     ``strip()``-ped; ``batched`` means the codec also has
-    ``encode_<name>_batch`` and ``decode_<name>_batch``.
+    ``encode_<name>_batch``, ``decode_<name>_batch`` and ``encode_<name>_corpus``.
     """
 
     __slots__ = ()
@@ -94,3 +94,16 @@ def encode_batch(values: list[Value], fmt: str) -> str:
 def decode_batch(text: str, fmt: str) -> list[Value]:
     f = lookup(fmt)
     return getattr(f.codec, f"decode_{fmt}_batch")(text)
+
+
+def encode_corpus(values: list[Value], fmt: str, batch: bool) -> tuple[list[str], str | None]:
+    """Each document's text, and with ``batch`` the batch's text in a ``batched`` format, else None.
+
+    A batched format's ``encode_<name>_corpus`` makes both from one pass
+    over each document; the texts are ``encode_doc``'s and ``encode_batch``'s.
+    """
+    f = lookup(fmt)
+    if f.batched:
+        return getattr(f.codec, f"encode_{fmt}_corpus")(values, batch)
+    encode = getattr(f.codec, "encode_" + fmt)
+    return [encode(v) for v in values], None

@@ -9,10 +9,15 @@ entirely from repetition, so a batch encoder shares one class table across
 many documents.
 
 This module owns the class table: it finds the shapes, names them, and
-writes and reads the header. A body is written by JSON's walker given the
-class index, and read by JSON's one decoder (``json_codec._decode``) given
-the class table, on the same two paths as JSON text: every body reaches the
-same stdlib decoder in its marked spelling, and ``Scanner`` reads the rest.
+writes and reads the header. One census walk per root counts its shapes,
+and every class table is made from censuses: a document's from its own,
+a batch's from its roots' summed in order, so ``encode_tron_corpus`` gives
+``measure --batch`` each file's text and the batch's from one walk per
+file. One renderer writes every header and body. A body is written by
+JSON's walker given the class index, and read by JSON's one decoder
+(``json_codec._decode``) given the class table, on the same two paths as
+JSON text: every body reaches the same stdlib decoder in its marked
+spelling, and ``Scanner`` reads the rest.
 Both keep the same string rules (no unpaired surrogates), duplicate-key
 check and nesting cap, under which an instance is one value and its args
 are one value deeper.
@@ -28,6 +33,7 @@ __all__ = [
     "extract_classes",
     "encode_tron",
     "encode_tron_batch",
+    "encode_tron_corpus",
     "decode_tron",
     "decode_tron_batch",
 ]
@@ -64,18 +70,47 @@ def _count_shapes(v: Object | Array, counts: dict[StructSignature, int]) -> None
             _count_shapes(x, counts)
 
 
+def _census(roots: list[Value]) -> dict[StructSignature, int]:
+    """{fields: occurrences} over the roots, in a depth-first, field-order walk of them in sequence."""
+    counts: dict[StructSignature, int] = {}
+    for root in roots:
+        t = type(root)
+        if t is Object or t is Array:
+            _count_shapes(root, counts)
+    return counts
+
+
+def _summed(censuses: list[dict[StructSignature, int]]) -> dict[StructSignature, int]:
+    """The census of the roots in sequence, from each root's own: their counts added up in order."""
+    total: dict[StructSignature, int] = {}
+    for counts in censuses:
+        for sig, n in counts.items():
+            total[sig] = total.get(sig, 0) + n
+    return total
+
+
+def _check_min_occurrences(min_occurrences) -> None:
+    # a bool is an int to isinstance, but True would act as 1
+    if not isinstance(min_occurrences, int) or isinstance(min_occurrences, bool):
+        raise TypeError(f"min_occurrences must be an int, not {type(min_occurrences).__name__}")
+    if min_occurrences < 1:
+        raise ValueError("min_occurrences must be >= 1")
+
+
+def _index(counts: dict[StructSignature, int], min_occurrences: int) -> dict[StructSignature, str]:
+    """{fields: name} for each shape counted often enough, named in the census's order."""
+    qualifying = [sig for sig, n in counts.items() if n >= min_occurrences and _classable(sig)]
+    return {sig: _class_name_for(i) for i, sig in enumerate(qualifying)}
+
+
 def extract_classes(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> dict[StructSignature, str]:
     """The class index: {fields: name} for each shape seen often enough across all roots.
 
     Discovery order is a depth-first, field-order walk of the roots in
     sequence, so naming is deterministic.
     """
-    if min_occurrences < 1:
-        raise ValueError("min_occurrences must be >= 1")
-    counts: dict[StructSignature, int] = {}
-    _count_shapes(Array(roots), counts)
-    qualifying = [sig for sig, n in counts.items() if n >= min_occurrences and _classable(sig)]
-    return {sig: _class_name_for(i) for i, sig in enumerate(qualifying)}
+    _check_min_occurrences(min_occurrences)
+    return _index(_census(roots), min_occurrences)
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +140,31 @@ def encode_tron(v: Value, min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> str
 @_collector_paused
 def encode_tron_batch(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> str:
     """One shared class table, then each root's body on its own line."""
+    index = extract_classes(roots, min_occurrences)  # checks min_occurrences first, even for no roots
     if not roots:
         raise ValueError("batch must contain at least one document")
-    return _render(extract_classes(roots, min_occurrences), roots)
+    return _render(index, roots)
+
+
+@_collector_paused
+def encode_tron_corpus(
+    roots: list[Value], batch: bool = False, min_occurrences: int = DEFAULT_MIN_OCCURRENCES
+) -> tuple[list[str], str | None]:
+    """Each root's ``encode_tron`` text, and with ``batch`` the roots' ``encode_tron_batch`` text.
+
+    One census walk per root serves both class tables: the batch's counts
+    are the roots' counts summed in order, which discovers the shapes in
+    the order one walk of the roots in sequence would, so its classes get
+    the same names. Without ``batch`` the batch text is None.
+    """
+    _check_min_occurrences(min_occurrences)
+    if batch and not roots:
+        raise ValueError("batch must contain at least one document")
+    censuses = [_census([root]) for root in roots]
+    texts = [_render(_index(counts, min_occurrences), [root]) for counts, root in zip(censuses, roots)]
+    if not batch:
+        return texts, None
+    return texts, _render(_index(_summed(censuses), min_occurrences), roots)
 
 
 # ---------------------------------------------------------------------------

@@ -255,9 +255,9 @@ StructSignature = tuple[str, ...]
 def _collector_paused(fn):
     """``fn`` run with the cyclic garbage collector paused.
 
-    All eight codec entry points, the four decoders and the four encoders,
-    run under it. A decoder builds thousands of containers per document,
-    and every container node is a tuple the collector tracks and never
+    All nine codec entry points, the four decoders and the five encoders
+    (``encode_tron_corpus`` among them), run under it. A decoder builds
+    thousands of containers per document, and every container node is a tuple the collector tracks and never
     untracks (it holds its class), so its young collections would scan each
     new tree again and again. A node tree holds no reference cycle (a node
     refers only to its class, to plain leaves and to nodes built before

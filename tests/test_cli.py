@@ -465,6 +465,39 @@ def test_measure_batch_golden_words(tmp_path, monkeypatch, capsys):
     assert report_file.read_text(encoding="utf-8") == (FIXTURES / "measure_golden_words.json").read_text(encoding="utf-8")
 
 
+def count_containers(obj) -> int:
+    """The objects and arrays in a value json.loads gave, the root included."""
+    if isinstance(obj, dict):
+        return 1 + sum(map(count_containers, obj.values()))
+    if isinstance(obj, list):
+        return 1 + sum(map(count_containers, obj))
+    return 0
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["batch", "per-file"])
+def test_measure_walks_each_container_once_and_renders_a_batch_only_when_asked(tmp_path, monkeypatch, capsys, batch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("figure3.json", "replay/catalog_weather.json", "replay/executor_weather.json"):
+        shutil.copy(FIXTURES / name, corpus)
+    (corpus / "rows.json").write_text('[{"a":1},{"a":2},[]]', encoding="utf-8")
+    (corpus / "scalar.json").write_text('"x"', encoding="utf-8")
+    containers = sum(count_containers(json.loads(p.read_text(encoding="utf-8"))) for p in corpus.iterdir())
+    calls = dict.fromkeys(("_count_shapes", "_render"), 0)
+    for name in calls:
+        real = getattr(tron_codec, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(tron_codec, name, counted)
+    assert main(["measure", str(corpus)] + ["--batch"] * batch) == 0
+    capsys.readouterr()
+    # one census walk per file serves its own class table and the batch's
+    assert calls == {"_count_shapes": containers, "_render": 5 + batch}
+
+
 # what a report may hold: names and labels with C0 controls, DEL, U+2028 and
 # non-BMP characters, counts past 2**63, finite deltas, None and booleans
 REPORT_TEXT = st.text(

@@ -14,7 +14,7 @@ from notation import agent as agent_mod
 from notation import json_codec, toon_codec, tron_codec
 from notation.agent import LoopConfig, build_system_prompt_spans
 from notation.cli import main
-from notation.formats import REGISTRY, Format, encode_batch, encode_doc, lookup
+from notation.formats import REGISTRY, Format, encode_batch, encode_corpus, encode_doc, lookup
 
 from conftest import FIXTURES, check_record, make_catalog, sample_document
 
@@ -33,6 +33,7 @@ def test_functions_swapped_on_codec_modules_see_every_call(tmp_path, monkeypatch
     counts = Counter()
     count_calls(monkeypatch, toon_codec, "encode_toon", counts)
     count_calls(monkeypatch, tron_codec, "encode_tron_batch", counts)
+    count_calls(monkeypatch, tron_codec, "encode_tron_corpus", counts)
     doc = sample_document()
 
     encode_doc(doc, "toon")
@@ -43,18 +44,19 @@ def test_functions_swapped_on_codec_modules_see_every_call(tmp_path, monkeypatch
     corpus.mkdir()
     for name in ("figure3.json", "replay/catalog_weather.json", "replay/executor_weather.json"):
         shutil.copy(FIXTURES / name, corpus)
+    # measure makes each file's TRON text and the batch's in one encode_tron_corpus call
     assert main(["measure", str(corpus), "--batch"]) == 0
-    assert counts == {"encode_toon": 1 + 3, "encode_tron_batch": 1 + 1}
+    assert counts == {"encode_toon": 1 + 3, "encode_tron_batch": 1, "encode_tron_corpus": 1}
 
     assert main(["roundtrip", "--count", "10"]) == 0
-    assert counts == {"encode_toon": 4 + 10, "encode_tron_batch": 2 + 2}
+    assert counts == {"encode_toon": 4 + 10, "encode_tron_batch": 1 + 2, "encode_tron_corpus": 1}
 
     agent_mod._prompt_memo.clear()
     catalog = make_catalog(3)
     build_system_prompt_spans(catalog, LoopConfig(format="tron"))
     build_system_prompt_spans(catalog, LoopConfig(format="toon", mode="full"))
     # a TOON prompt encodes each schema and the two response templates
-    assert counts == {"encode_toon": 14 + 3 + 2, "encode_tron_batch": 4 + 1}
+    assert counts == {"encode_toon": 14 + 3 + 2, "encode_tron_batch": 3 + 1, "encode_tron_corpus": 1}
     capsys.readouterr()
 
 
@@ -63,7 +65,7 @@ def test_format_record_contract():
     for entry in REGISTRY.values():
         names = [f"{op}_{entry.name}" for op in ("encode", "decode")]
         if entry.batched:
-            names += [f"{name}_batch" for name in names]
+            names += [f"{name}_batch" for name in names] + [f"encode_{entry.name}_corpus"]
         for name in names:
             assert callable(getattr(entry.codec, name)), name
     f = REGISTRY["tron"]
@@ -75,6 +77,14 @@ def test_format_record_contract():
     check_record(make, Format("toon", toon_codec, "note"), "wraps_root", picklable=False)
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'note'"):
         Format("json", json_codec)
+
+
+def test_corpus_texts_are_the_document_and_batch_texts():
+    values = [sample_document(), sample_document()]
+    for fmt, entry in REGISTRY.items():
+        docs = [encode_doc(v, fmt) for v in values]
+        assert encode_corpus(values, fmt, False) == (docs, None)
+        assert encode_corpus(values, fmt, True) == (docs, encode_batch(values, fmt) if entry.batched else None)
 
 
 def test_lookup_refuses_an_unknown_format():

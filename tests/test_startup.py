@@ -25,6 +25,7 @@ EXPORTS = {
         "decode_tron_batch",
         "encode_tron",
         "encode_tron_batch",
+        "encode_tron_corpus",
         "extract_classes",
     ],
     "tokens": [

@@ -25,7 +25,7 @@ from notation import json_codec, toon_codec, tron_codec
 from notation.errors import ArityMismatchError, CodecError, DuplicateKeyError, ParseError, UnknownClassError
 from notation.json_codec import MAX_NESTING, Scanner, decode_json, encode_json
 from notation.toon_codec import decode_toon, encode_toon
-from notation.tron_codec import decode_tron, decode_tron_batch, encode_tron, encode_tron_batch
+from notation.tron_codec import decode_tron, decode_tron_batch, encode_tron, encode_tron_batch, encode_tron_corpus
 from notation.values import (
     DEFAULT_PROFILE,
     DELIMITER_PROFILE,
@@ -712,6 +712,7 @@ ENCODE_EXITS = {
     encode_toon: ((_PAUSE_DOC,), ("x",), TypeError),
     encode_tron: ((_PAUSE_DOC,), ("x",), TypeError),
     encode_tron_batch: (([_PAUSE_DOC, _PAUSE_DOC],), ([],), ValueError),
+    encode_tron_corpus: (([_PAUSE_DOC, _PAUSE_DOC], True), ([], True), ValueError),
 }
 
 

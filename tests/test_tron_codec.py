@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from notation import tron_codec
 from notation.errors import (
     ArityMismatchError,
     CodecError,
@@ -17,6 +18,7 @@ from notation.tron_codec import (
     decode_tron_batch,
     encode_tron,
     encode_tron_batch,
+    encode_tron_corpus,
     extract_classes,
 )
 from notation.values import (
@@ -84,6 +86,84 @@ def test_extract_counts_across_batch():
     assert oracle[("type", "doc")] == 6
     assert oracle[("params",)] == 2
     assert list(extract_classes([a, b], 2).items()) == [(("params",), "A"), (("type", "doc"), "B")]
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [(bad, TypeError, f"min_occurrences must be an int, not {type(bad).__name__}") for bad in (True, 1.5, 2.0, None, "2")]
+    + [(0, ValueError, "min_occurrences must be >= 1")],
+)
+def test_every_encoder_checks_its_threshold_before_walking(monkeypatch, bad, error, message):
+    v = from_python({"a": [{"x": 1}, {"x": 2}]})
+
+    def no_walk(*args):
+        raise AssertionError("walked before the threshold was checked")
+
+    monkeypatch.setattr(tron_codec, "_count_shapes", no_walk)
+    calls = [
+        lambda: extract_classes([v], bad),
+        lambda: encode_tron(v, bad),
+        lambda: encode_tron_batch([v], bad),
+        lambda: encode_tron_batch([], bad),
+        lambda: encode_tron_corpus([v], True, bad),
+        lambda: encode_tron_corpus([v], False, bad),
+    ]
+    for call in calls:
+        with pytest.raises(error, match=message):
+            call()
+
+
+def test_corpus_encoder_refuses_an_empty_batch_only():
+    with pytest.raises(ValueError, match="batch must contain at least one document"):
+        encode_tron_corpus([], True)
+    assert encode_tron_corpus([]) == ([], None)
+
+
+def assert_corpus_texts(roots, min_occ):
+    """encode_tron_corpus's texts are encode_tron's per root and encode_tron_batch's for the roots."""
+    texts, batch = encode_tron_corpus(roots, True, min_occ)
+    assert texts == [encode_tron(v, min_occ) for v in roots]
+    assert batch == encode_tron_batch(roots, min_occ)
+    assert encode_tron_corpus(roots, False, min_occ) == (texts, None)
+    return texts, batch
+
+
+GENERATED_DOC = st.tuples(
+    st.integers(min_value=0, max_value=10**9), st.sampled_from([DEFAULT_PROFILE, DELIMITER_PROFILE, TABULAR_PROFILE])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(GENERATED_DOC, min_size=1, max_size=6), st.integers(min_value=1, max_value=3))
+def test_corpus_encoder_matches_the_single_and_batch_encoders(docs, min_occ):
+    assert_corpus_texts([generate(seed, profile) for seed, profile in docs], min_occ)
+
+
+# corpora where a shape occurs once in each of two files, so only the batch
+# classes it at the default threshold; scalar, empty and unclassable roots ride along
+CROSS_FILE_CORPORA = [
+    [{"p": {"a": 1, "b": 2}}, {"q": {"a": 3, "b": 4}}],
+    [{"city": "Oslo", "hours": 3}, [{"x": 1}, {"x": 2}], {"city": "Lima", "hours": 4}],
+    [[{"a": 1, "b": [{"c": 1}]}], "text", {"a": 2, "b": {"c": 2}}, 7, {}],
+    [{"a,b": 1, "k": {"m": 1}}, {"a,b": 2, "k": {"m": 2}}, None],
+    [{"x": {"y": {"z": 1}}}, {"y": {"z": 2}, "x": {"y": {"z": 3}}}, {"z": 4}],
+]
+
+
+@pytest.mark.parametrize("corpus", CROSS_FILE_CORPORA)
+@pytest.mark.parametrize("min_occ", [1, 2, 3])
+def test_corpus_encoder_matches_on_shapes_shared_across_files(corpus, min_occ):
+    roots = [from_python(doc) for doc in corpus]
+    texts, batch = assert_corpus_texts(roots, min_occ)
+    assert decode_tron_batch(batch) == roots
+    assert [decode_tron(t) for t in texts] == roots
+
+
+def test_a_shape_once_in_each_of_two_files_is_a_batch_class_only():
+    roots = [from_python(doc) for doc in CROSS_FILE_CORPORA[0]]
+    texts, batch = encode_tron_corpus(roots, True)
+    assert texts == ['{"p":{"a":1,"b":2}}', '{"q":{"a":3,"b":4}}']
+    assert batch == 'class A: a,b\n\n{"p":A(1,2)}\n{"q":A(3,4)}'
 
 
 @settings(max_examples=150, deadline=None)
