@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ._memo import Memo
 from ._record import record
-from .errors import CodecError
+from .errors import CodecError, _FileDecodeError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_doc, encode_batch, encode_doc, lookup
 from .json_codec import decode_json, encode_json
 from .values import Array, Bool, Object, Text, Value
@@ -510,9 +510,17 @@ def run_with_reference(
 # Fixture loading.
 
 
+def _decode_fixture(text: str, where: str) -> Value:
+    """decode_json(text), a failure named by ``where``: the fixture's path, and for a trace its line."""
+    try:
+        return decode_json(text)
+    except CodecError as e:
+        raise _FileDecodeError(where, e) from e
+
+
 def _load_array(path: str | Path, what: str) -> tuple[Value, ...]:
     """The items of a fixture file that holds one JSON array."""
-    doc = decode_json(Path(path).read_text(encoding="utf-8"))
+    doc = _decode_fixture(Path(path).read_text(encoding="utf-8"), str(path))
     if not isinstance(doc, Array):
         raise ValueError(f"{what} fixture must be a JSON array")
     return doc.items
@@ -520,11 +528,16 @@ def _load_array(path: str | Path, what: str) -> tuple[Value, ...]:
 
 def load_catalog(path: str | Path) -> list[ToolSchema]:
     """Catalog fixture: a JSON array of {name, description, parameters}."""
-    catalog = [ToolSchema.from_value(item) for item in _load_array(path, "catalog")]
+    catalog: list[ToolSchema] = []
     first: dict[str, int] = {}
-    for n, schema in enumerate(catalog, start=1):
+    for n, item in enumerate(_load_array(path, "catalog"), start=1):
+        try:
+            schema = ToolSchema.from_value(item)
+        except ValueError as e:
+            raise ValueError(f"catalog entry {n}: {e}") from None
         if first.setdefault(schema.name, n) != n:
             raise ValueError(f"catalog entry {n}: tool {schema.name!r} repeats entry {first[schema.name]}")
+        catalog.append(schema)
     return catalog
 
 
@@ -533,12 +546,12 @@ def load_executor(path: str | Path) -> TableExecutor:
     table: dict[tuple[str, Value], Value] = {}
     for n, item in enumerate(_load_array(path, "executor"), start=1):
         if not isinstance(item, Object):
-            raise ValueError("executor entry must be an object")
+            raise ValueError(f"executor entry {n} must be an object")
         tool = item.get("tool")
         args = item.get("args")
         result = item.get("result")
         if not isinstance(tool, Text) or args is None or result is None:
-            raise ValueError("executor entry needs tool, args and result")
+            raise ValueError(f"executor entry {n} needs tool, args and result")
         # an exact repeat is harmless; a second result for one call would replace the first
         if table.setdefault((tool.value, args), result) != result:
             raise ValueError(
@@ -565,7 +578,8 @@ def load_trace(path: str | Path) -> tuple[ScriptTurn, ...]:
         line = line.removesuffix("\r")
         if not line.strip():
             continue
-        rec = decode_json(line)
+        where = f"{path}: trace line {lineno}"
+        rec = _decode_fixture(line, where)
         if not isinstance(rec, Object):
             raise ValueError(f"trace line {lineno} must be an object")
         role = rec.get("role")
@@ -574,7 +588,7 @@ def load_trace(path: str | Path) -> tuple[ScriptTurn, ...]:
             raise ValueError(f"trace line {lineno}: only agent turns are replayable")
         if not isinstance(text, Text):
             raise ValueError(f"trace line {lineno}: text field required")
-        intent = decode_json(text.value)
+        intent = _decode_fixture(text.value, where)
         if not isinstance(intent, Object):
             raise ValueError(f"trace line {lineno}: intent must be an object document")
         # no rendering of such a turn could parse, in any format: the run would only measure its iteration cap

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import CodecError, ParseError
+from .errors import CodecError, ParseError, _FileDecodeError
 from .formats import BASELINE, FORMATS, MODES, REGISTRY, decode_batch, decode_doc, encode_batch, encode_corpus, encode_doc
 from .json_codec import decode_json, encode_json
 from .toon_codec import WRAP_KEY
@@ -144,10 +144,6 @@ def cmd_convert(args) -> int:
 DELTA_KEYS = {fmt: f"{fmt}_delta_pct" for fmt in FORMATS if fmt != BASELINE}
 
 
-class _FileDecodeError(Exception):
-    """A corpus file that does not decode: its path, then the library's error."""
-
-
 # the report is built with the collector paused: its trees hold no cycle
 # and die when the builder returns (see values._collector_paused)
 @_collector_paused
@@ -173,7 +169,7 @@ def _measure_report(args, tokenizer) -> dict:
         try:
             values.append(decode_json(_read_input(str(path))))
         except CodecError as e:
-            raise _FileDecodeError(f"{path}: {type(e).__name__}: {e}") from e
+            raise _FileDecodeError(str(path), e) from e
     # each format's per-file texts, and its batch text when it has one and --batch asks
     encoded = {fmt: encode_corpus(values, fmt, args.batch) for fmt in FORMATS}
     files = []

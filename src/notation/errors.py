@@ -81,3 +81,10 @@ class DuplicateClassError(CodecError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"class {name} declared twice")
+
+
+class _FileDecodeError(CodecError):
+    """A file that does not decode: where (its path, and the line when one failed), then the codec's error."""
+
+    def __init__(self, where: str, error: CodecError):
+        super().__init__(f"{where}: {type(error).__name__}: {error}")

@@ -5,16 +5,15 @@ after, when any exist) followed by a JSON-like body in which every object
 whose key sequence earned a class is emitted positionally as
 ``Name(a1,a2,...)``. Shapes are keyed by their exact ordered key sequence,
 since positional arguments make key order load-bearing. Compression comes
-entirely from repetition, so a batch encoder shares one class table across
-many documents.
+entirely from repetition: a shape earns a class when it occurs at least
+twice (``_MIN_OCCURRENCES``), and a batch encoder shares one class table
+across many documents.
 
 This module owns the class table: it finds the shapes, names them, and
 writes and reads the header. One census walk per root counts its shapes,
-and every class table is made from censuses: a document's from its own,
-a batch's from its roots' summed in order, so ``encode_tron_corpus`` gives
-``measure --batch`` each file's text and the batch's from one walk per
-file. One renderer writes every header and body. A body is written by
-JSON's walker given the class index, and read by JSON's one decoder
+and every class table is made from censuses (see ``encode_tron_corpus``).
+One renderer writes every header and body. A body is written by JSON's
+walker given the class index, and read by JSON's one decoder
 (``json_codec._decode``) given the class table, on the same two paths as
 JSON text: every body reaches the same stdlib decoder in its marked
 spelling, and ``Scanner`` reads the rest.
@@ -38,7 +37,8 @@ __all__ = [
     "decode_tron_batch",
 ]
 
-DEFAULT_MIN_OCCURRENCES = 2
+# a shape met once is written plainer as JSON: its class line costs more than its one instance saves
+_MIN_OCCURRENCES = 2
 
 
 def _class_name_for(i: int) -> str:
@@ -80,37 +80,19 @@ def _census(roots: list[Value]) -> dict[StructSignature, int]:
     return counts
 
 
-def _summed(censuses: list[dict[StructSignature, int]]) -> dict[StructSignature, int]:
-    """The census of the roots in sequence, from each root's own: their counts added up in order."""
-    total: dict[StructSignature, int] = {}
-    for counts in censuses:
-        for sig, n in counts.items():
-            total[sig] = total.get(sig, 0) + n
-    return total
-
-
-def _check_min_occurrences(min_occurrences) -> None:
-    # a bool is an int to isinstance, but True would act as 1
-    if not isinstance(min_occurrences, int) or isinstance(min_occurrences, bool):
-        raise TypeError(f"min_occurrences must be an int, not {type(min_occurrences).__name__}")
-    if min_occurrences < 1:
-        raise ValueError("min_occurrences must be >= 1")
-
-
-def _index(counts: dict[StructSignature, int], min_occurrences: int) -> dict[StructSignature, str]:
-    """{fields: name} for each shape counted often enough, named in the census's order."""
-    qualifying = [sig for sig, n in counts.items() if n >= min_occurrences and _classable(sig)]
+def _index(counts: dict[StructSignature, int]) -> dict[StructSignature, str]:
+    """{fields: name} for each shape counted at least twice, named in the census's order."""
+    qualifying = [sig for sig, n in counts.items() if n >= _MIN_OCCURRENCES and _classable(sig)]
     return {sig: _class_name_for(i) for i, sig in enumerate(qualifying)}
 
 
-def extract_classes(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> dict[StructSignature, str]:
-    """The class index: {fields: name} for each shape seen often enough across all roots.
+def extract_classes(roots: list[Value]) -> dict[StructSignature, str]:
+    """The class index: {fields: name} for each shape seen at least twice across all roots.
 
     Discovery order is a depth-first, field-order walk of the roots in
     sequence, so naming is deterministic.
     """
-    _check_min_occurrences(min_occurrences)
-    return _index(_census(roots), min_occurrences)
+    return _index(_census(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +115,20 @@ def _render(index: dict[StructSignature, str], roots: list[Value]) -> str:
 
 
 @_collector_paused
-def encode_tron(v: Value, min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> str:
-    return _render(extract_classes([v], min_occurrences), [v])
+def encode_tron(v: Value) -> str:
+    return _render(extract_classes([v]), [v])
 
 
 @_collector_paused
-def encode_tron_batch(roots: list[Value], min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> str:
+def encode_tron_batch(roots: list[Value]) -> str:
     """One shared class table, then each root's body on its own line."""
-    index = extract_classes(roots, min_occurrences)  # checks min_occurrences first, even for no roots
     if not roots:
         raise ValueError("batch must contain at least one document")
-    return _render(index, roots)
+    return _render(extract_classes(roots), roots)
 
 
 @_collector_paused
-def encode_tron_corpus(
-    roots: list[Value], batch: bool = False, min_occurrences: int = DEFAULT_MIN_OCCURRENCES
-) -> tuple[list[str], str | None]:
+def encode_tron_corpus(roots: list[Value], batch: bool = False) -> tuple[list[str], str | None]:
     """Each root's ``encode_tron`` text, and with ``batch`` the roots' ``encode_tron_batch`` text.
 
     One census walk per root serves both class tables: the batch's counts
@@ -157,14 +136,17 @@ def encode_tron_corpus(
     the order one walk of the roots in sequence would, so its classes get
     the same names. Without ``batch`` the batch text is None.
     """
-    _check_min_occurrences(min_occurrences)
     if batch and not roots:
         raise ValueError("batch must contain at least one document")
     censuses = [_census([root]) for root in roots]
-    texts = [_render(_index(counts, min_occurrences), [root]) for counts, root in zip(censuses, roots)]
+    texts = [_render(_index(counts), [root]) for counts, root in zip(censuses, roots)]
     if not batch:
         return texts, None
-    return texts, _render(_index(_summed(censuses), min_occurrences), roots)
+    total: dict[StructSignature, int] = {}
+    for counts in censuses:
+        for sig, n in counts.items():
+            total[sig] = total.get(sig, 0) + n
+    return texts, _render(_index(total), roots)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from notation import tron_codec
 from notation.agent import ScriptTurn, TableExecutor, ToolSchema
 from notation.values import from_python
 
@@ -37,6 +38,15 @@ def sample_document():
             ],
         }
     )
+
+
+def tron_classing_singletons(v) -> str:
+    """v in TRON with every classable shape classed, a shape met once too: the backfire regime's text."""
+    index: dict = {}
+    for sig in tron_codec._census([v]):
+        if tron_codec._classable(sig):
+            index[sig] = tron_codec._class_name_for(len(index))
+    return tron_codec._render(index, [v])
 
 
 def check_record(make, other, field: str, *, picklable: bool = True) -> None:

@@ -33,7 +33,7 @@ from notation.values import (
     generate,
 )
 
-from conftest import FIXTURES, final_intent, make_catalog, sample_document, step_intent
+from conftest import FIXTURES, final_intent, make_catalog, sample_document, step_intent, tron_classing_singletons
 
 BYTES = ByteCountTokenizer()
 
@@ -118,10 +118,10 @@ def test_criterion_4_backfire_regime():
         for i in range(8):
             v = singleton_schema(i)
             json_bytes = len(encode_json(v).encode())
-            forced = len(encode_tron(v, min_occurrences=1).encode())
+            forced = len(tron_classing_singletons(v).encode())
             assert forced >= json_bytes  # header costs more than it deduplicates
             default = encode_tron(v)
-            assert "class " not in default  # no classes at the default threshold
+            assert "class " not in default  # no classes: every shape here is met once
             assert len(default.encode()) == json_bytes  # |TRON - JSON| == 0
 
 

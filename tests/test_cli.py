@@ -183,26 +183,65 @@ EXIT_TABLE = [
         2,
     ),
     ("catalog not an array", CATALOG_IN, b"{}", None, 2, fixture_error("catalog fixture must be a JSON array")),
-    ("catalog entry not an object", CATALOG_IN, b"[1]", None, 2, fixture_error("tool schema must be an object")),
+    (
+        "catalog entry not an object",
+        CATALOG_IN,
+        b"[1]",
+        None,
+        2,
+        fixture_error("catalog entry 1: tool schema must be an object"),
+    ),
     (
         "catalog entry without parameters",
         CATALOG_IN,
         b'[{"name":"forecast","description":"Hourly weather forecast for a city."}]',
         None,
         2,
-        fixture_error("tool schema needs name, description and parameters"),
+        fixture_error("catalog entry 1: tool schema needs name, description and parameters"),
     ),
-    ("executor entry not an object", EXECUTOR_IN, b"[1]", None, 2, fixture_error("executor entry must be an object")),
+    (
+        "second catalog entry without parameters",
+        CATALOG_IN,
+        b'[{"name":"a","description":"d","parameters":{}},{"name":"b","description":"d"}]',
+        None,
+        2,
+        fixture_error("catalog entry 2: tool schema needs name, description and parameters"),
+    ),
+    (
+        "catalog that does not decode",
+        CATALOG_IN,
+        b'[{"name":',
+        None,
+        2,
+        "error: {tmp}/in: ParseError: unexpected end of input at position 9\n",
+    ),
+    ("executor entry not an object", EXECUTOR_IN, b"[1]", None, 2, fixture_error("executor entry 1 must be an object")),
     (
         "executor entry without result",
         EXECUTOR_IN,
         b'[{"tool":"forecast","args":{"city":"Boulder","hours":3}}]',
         None,
         2,
-        fixture_error("executor entry needs tool, args and result"),
+        fixture_error("executor entry 1 needs tool, args and result"),
     ),
     ("trace line not an object", TRACE_IN, b"[1]", None, 2, fixture_error("trace line 1 must be an object")),
     ("trace line without text", TRACE_IN, b'{"role":"agent"}', None, 2, fixture_error("trace line 1: text field required")),
+    (
+        "trace line that does not decode",
+        TRACE_IN,
+        b'{"role":"agent","text":"{}"}\n{"role":"agent",\n',
+        None,
+        2,
+        "error: {tmp}/in: trace line 2: ParseError: unexpected end of input at position 16\n",
+    ),
+    (
+        "trace text that does not decode",
+        TRACE_IN,
+        b'{"role":"agent","text":"{}"}\n{"role":"agent","text":"{\\"final_answer\\": }"}\n',
+        None,
+        2,
+        "error: {tmp}/in: trace line 2: ParseError: unexpected character '}' at position 17\n",
+    ),
     ("trace of blank lines", TRACE_IN, b"\n  \n\t\n", None, 2, fixture_error("trace fixture has no agent turns")),
     ("convert out is a directory", ["convert", "{tmp}/in", "--out", "{tmp}/dir"], b"{}", None, 3, "error: cannot write output"),
     ("measure out is a directory", ["measure", "{tmp}/dir", "--out", "{tmp}/dir"], b"{}", None, 3, "error: cannot write report"),

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from notation import tron_codec
 from notation.errors import (
     ArityMismatchError,
     CodecError,
@@ -33,7 +32,7 @@ from notation.values import (
     generate,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, tron_classing_singletons
 
 
 def tron_golden_joined() -> str:
@@ -66,16 +65,11 @@ def test_class_naming_sequence():
 
 
 def test_extract_classes_sample(sample_value):
-    assert extract_classes([sample_value], 2) == {("id", "name", "distanceKm"): "A"}
+    assert extract_classes([sample_value]) == {("id", "name", "distanceKm"): "A"}
 
 
 def test_extract_classes_single_object_below_threshold():
-    assert extract_classes([from_python({"a": 1})], 2) == {}
-
-
-def test_extract_classes_refuses_a_threshold_below_one():
-    with pytest.raises(ValueError, match="min_occurrences must be >= 1"):
-        extract_classes([from_python({"a": 1})], min_occurrences=0)
+    assert extract_classes([from_python({"a": 1})]) == {}
 
 
 def test_extract_counts_across_batch():
@@ -85,32 +79,7 @@ def test_extract_counts_across_batch():
     oracle = brute_force_signature_counts([a, b])
     assert oracle[("type", "doc")] == 6
     assert oracle[("params",)] == 2
-    assert list(extract_classes([a, b], 2).items()) == [(("params",), "A"), (("type", "doc"), "B")]
-
-
-@pytest.mark.parametrize(
-    "bad, error, message",
-    [(bad, TypeError, f"min_occurrences must be an int, not {type(bad).__name__}") for bad in (True, 1.5, 2.0, None, "2")]
-    + [(0, ValueError, "min_occurrences must be >= 1")],
-)
-def test_every_encoder_checks_its_threshold_before_walking(monkeypatch, bad, error, message):
-    v = from_python({"a": [{"x": 1}, {"x": 2}]})
-
-    def no_walk(*args):
-        raise AssertionError("walked before the threshold was checked")
-
-    monkeypatch.setattr(tron_codec, "_count_shapes", no_walk)
-    calls = [
-        lambda: extract_classes([v], bad),
-        lambda: encode_tron(v, bad),
-        lambda: encode_tron_batch([v], bad),
-        lambda: encode_tron_batch([], bad),
-        lambda: encode_tron_corpus([v], True, bad),
-        lambda: encode_tron_corpus([v], False, bad),
-    ]
-    for call in calls:
-        with pytest.raises(error, match=message):
-            call()
+    assert list(extract_classes([a, b]).items()) == [(("params",), "A"), (("type", "doc"), "B")]
 
 
 def test_corpus_encoder_refuses_an_empty_batch_only():
@@ -119,12 +88,12 @@ def test_corpus_encoder_refuses_an_empty_batch_only():
     assert encode_tron_corpus([]) == ([], None)
 
 
-def assert_corpus_texts(roots, min_occ):
+def assert_corpus_texts(roots):
     """encode_tron_corpus's texts are encode_tron's per root and encode_tron_batch's for the roots."""
-    texts, batch = encode_tron_corpus(roots, True, min_occ)
-    assert texts == [encode_tron(v, min_occ) for v in roots]
-    assert batch == encode_tron_batch(roots, min_occ)
-    assert encode_tron_corpus(roots, False, min_occ) == (texts, None)
+    texts, batch = encode_tron_corpus(roots, True)
+    assert texts == [encode_tron(v) for v in roots]
+    assert batch == encode_tron_batch(roots)
+    assert encode_tron_corpus(roots, False) == (texts, None)
     return texts, batch
 
 
@@ -134,9 +103,11 @@ GENERATED_DOC = st.tuples(
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(GENERATED_DOC, min_size=1, max_size=6), st.integers(min_value=1, max_value=3))
-def test_corpus_encoder_matches_the_single_and_batch_encoders(docs, min_occ):
-    assert_corpus_texts([generate(seed, profile) for seed, profile in docs], min_occ)
+@given(st.lists(GENERATED_DOC, min_size=1, max_size=6), st.booleans())
+def test_corpus_encoder_matches_the_single_and_batch_encoders(docs, doubled):
+    # a doubled corpus meets every shape at least twice, so its batch classes every classable shape
+    roots = [generate(seed, profile) for seed, profile in docs]
+    assert_corpus_texts(roots + roots if doubled else roots)
 
 
 # corpora where a shape occurs once in each of two files, so only the batch
@@ -151,10 +122,10 @@ CROSS_FILE_CORPORA = [
 
 
 @pytest.mark.parametrize("corpus", CROSS_FILE_CORPORA)
-@pytest.mark.parametrize("min_occ", [1, 2, 3])
-def test_corpus_encoder_matches_on_shapes_shared_across_files(corpus, min_occ):
-    roots = [from_python(doc) for doc in corpus]
-    texts, batch = assert_corpus_texts(roots, min_occ)
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_corpus_encoder_matches_on_shapes_shared_across_files(corpus, copies):
+    roots = [from_python(doc) for doc in corpus] * copies
+    texts, batch = assert_corpus_texts(roots)
     assert decode_tron_batch(batch) == roots
     assert [decode_tron(t) for t in texts] == roots
 
@@ -167,28 +138,30 @@ def test_a_shape_once_in_each_of_two_files_is_a_batch_class_only():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=4))
-def test_extract_classes_matches_brute_force(seed, min_occ):
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_extract_classes_matches_brute_force(seed, doubled):
     v = generate(seed, DEFAULT_PROFILE)
-    counts = brute_force_signature_counts([v])
+    roots = [v, v] if doubled else [v]
+    counts = brute_force_signature_counts(roots)
     qualifying = [
         sig
         for sig, n in counts.items()
-        if n >= min_occ and sig and all(f and "," not in f and "\n" not in f and "\r" not in f for f in sig)
+        if n >= 2 and sig and all(f and "," not in f and "\n" not in f and "\r" not in f for f in sig)
     ]
-    index = extract_classes([v], min_occ)
+    index = extract_classes(roots)
     # same shapes, in discovery order, named A, B, C, ...
     assert list(index.items()) == [(sig, _class_name_for(i)) for i, sig in enumerate(qualifying)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=3))
-def test_header_is_one_class_line_per_index_item(seed, min_occ):
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_header_is_one_class_line_per_index_item(seed, doubled):
     v = generate(seed, DEFAULT_PROFILE)
-    index = extract_classes([v], min_occ)
-    # a single document's body is one line, so the last blank line ends the header
-    head, blank, body = encode_tron(v, min_occ).rpartition("\n\n")
-    assert "\n" not in body
+    roots = [v, v] if doubled else [v]
+    index = extract_classes(roots)
+    # each document's body is one line, so the last blank line ends the header
+    head, blank, body = encode_tron_batch(roots).rpartition("\n\n")
+    assert len(body.split("\n")) == len(roots)
     assert (head.split("\n") if blank else []) == [f"class {name}: {','.join(fields)}" for fields, name in index.items()]
 
 
@@ -262,7 +235,7 @@ def test_nested_instances():
         }
     )
     text = encode_tron(v)
-    assert set(extract_classes([v], 2)) == {("inner",), ("x", "y")}
+    assert set(extract_classes([v])) == {("inner",), ("x", "y")}
     # instances nest inside instance args
     assert "A(B(" in text or "B(A(" in text
     assert decode_tron(text) == v
@@ -271,7 +244,7 @@ def test_nested_instances():
 def test_unclassable_keys_fall_back_to_json_objects():
     v = from_python({"a,b": 1, "c": 2})
     doubled = from_python([{"a,b": 1, "c": 2}, {"a,b": 3, "c": 4}])
-    assert extract_classes([doubled], 2) == {}
+    assert extract_classes([doubled]) == {}
     text = encode_tron(doubled)
     assert text == encode_json(doubled)
     assert decode_tron(text) == doubled
@@ -341,19 +314,20 @@ def test_empty_batch_rejected():
 
 def test_min_occurrences_one_classes_singletons():
     v = from_python({"a": 1, "b": 2})
-    text = encode_tron(v, min_occurrences=1)
+    text = tron_classing_singletons(v)
     assert text.startswith("class A: a,b\n\nA(")
     assert decode_tron(text) == v
+    assert "class " not in encode_tron(v)
 
 
 def test_backfire_regime_small_objects():
     """Forced singleton classing never beats plain JSON for <= 5 fields."""
     for k in range(1, 6):
         v = from_python({f"f{i}": i for i in range(k)})
-        forced = len(encode_tron(v, min_occurrences=1).encode())
+        forced = len(tron_classing_singletons(v).encode())
         plain = len(encode_json(v).encode())
         assert forced >= plain, (k, forced, plain)
-        # default threshold: no classes, body is exactly minimal JSON
+        # every shape met once: no classes, body is exactly minimal JSON
         assert encode_tron(v) == encode_json(v)
 
 
